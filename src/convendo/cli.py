@@ -7,6 +7,7 @@ numpy's default PCG64 generator, so outputs are byte-stable per seed.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -14,11 +15,11 @@ import numpy as np
 from . import rand
 from .errors import BadShape, ConvendoError
 from .expr import ConvexExpr, Pwl1D
-from .gl import GlEndo, ScaleComposeMap
+from .gl import GlEndo, ScaleComposeMap, gl_eval_many, scale_compose_eval_many
 from .kernel1d import (KernelDecomposition, MaEndo, PhiEndo, kernel_decompose,
                        kernel_endo_eval, kernel_extract, kernel_extract_live)
 from .pwl import PwlFunction
-from .radial import RadialEndo
+from .radial import RadialEndo, radial_eval_many
 from .serialize import (dump_json, endo_from_json, fn_from_json, load_json,
                         write_eval_csv, write_kernel_csv)
 from .suites import SUITES, run_suite
@@ -28,62 +29,77 @@ class ConfigError(Exception):
     """User-facing configuration problem; maps to exit code 2."""
 
 
-def _parse_grid(text):
+# Most points one --grid may produce (axis length to the power of the
+# dimension); a 128^3 grid fits.
+MAX_GRID_POINTS = 2 ** 21
+
+# Operators on convex expressions, each with its block evaluator.
+_BLOCK_EVAL = {GlEndo: gl_eval_many, ScaleComposeMap: scale_compose_eval_many,
+               RadialEndo: radial_eval_many}
+
+
+def _parse_grid(text, dim=1):
+    """The axis of a lo:hi:step grid, refused before allocation when
+    non-finite or when its dim-fold product exceeds MAX_GRID_POINTS."""
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise ConfigError(f"--grid expects lo:hi:step, got {text!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"grid {text!r} must be finite")
     if step <= 0 or hi < lo:
         raise ConfigError(f"bad grid {text!r}")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_POINTS or (math.floor(span) + 1) ** dim > MAX_GRID_POINTS:
+        raise ConfigError(f"grid {text!r} in dimension {dim} has more than "
+                          f"{MAX_GRID_POINTS} points")
+    return lo + step * np.arange(math.floor(span) + 1)
 
 
 def _endo_dim(endo):
-    if isinstance(endo, (GlEndo, ScaleComposeMap)):
-        return endo.n
-    if isinstance(endo, RadialEndo):
-        return endo.n
-    return 1
+    return endo.n if isinstance(endo, tuple(_BLOCK_EVAL)) else 1
 
 
 def _load_points(args, dim):
+    """Evaluation points as a finite (k, dim) float array."""
     if args.points:
-        data = load_json(args.points)
-        pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in data]
+        try:
+            X = np.array(load_json(args.points), dtype=float)
+        except (ValueError, TypeError):
+            raise ConfigError("--points must be a list of points of equal dimension")
+        if X.ndim == 1:
+            X = X.reshape(-1, 1) if X.size else X.reshape(0, dim)
     elif args.grid:
-        axis = _parse_grid(args.grid)
-        if dim == 1:
-            pts = [np.array([v]) for v in axis]
-        else:
-            mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-            pts = [np.array(p) for p in zip(*(m.ravel() for m in mesh))]
+        axis = _parse_grid(args.grid, dim)
+        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+        X = np.stack([m.ravel() for m in mesh], axis=1)
     else:
         raise ConfigError("one of --points or --grid is required")
-    for p in pts:
-        if p.size != dim:
-            raise ConfigError(f"point {p.tolist()} has dim {p.size}, operator wants {dim}")
-    return pts
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ConfigError(f"points have shape {X.shape}, operator wants dim {dim}")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ConfigError(f"point {X[np.argmax(bad)].tolist()} is not finite")
+    return X
 
 
-def _evaluator_for(endo, fn):
-    """Pair an operator with a parsed function, normalizing representations."""
-    if isinstance(endo, (GlEndo, ScaleComposeMap, RadialEndo)):
+def _evaluate(endo, fn, X):
+    """Operator values at the rows of X, normalizing the input function."""
+    if isinstance(endo, tuple(_BLOCK_EVAL)):
         if isinstance(fn, PwlFunction):
-            if _endo_dim(endo) != 1:
+            if endo.n != 1:
                 raise ConfigError("a bare pwl function fits only 1-dimensional operators")
             fn = Pwl1D(fn, [1.0])
         if not isinstance(fn, ConvexExpr):
             raise ConfigError("operator expects a convex expression input")
-        em = endo.as_endomap()
-        return lambda x: em(fn, x)
+        return _BLOCK_EVAL[type(endo)](endo, fn, X)
     # kernel-calculus operators act on finite piecewise-linear functions
     if not isinstance(fn, PwlFunction):
         raise ConfigError("this operator expects a {'kind': 'pwl'} input")
     if isinstance(endo, KernelDecomposition):
-        return lambda x: kernel_endo_eval(endo, fn, float(x[0]))
+        return [kernel_endo_eval(endo, fn, x) for x in X[:, 0].tolist()]
     em = endo.as_endomap()
-    return lambda x: em(fn, float(x[0]))
+    return [em(fn, x) for x in X[:, 0].tolist()]
 
 
 def _one_dim_endomap(endo):
@@ -98,10 +114,8 @@ def cmd_eval(args):
     endo = endo_from_json(load_json(args.endo))
     fn = fn_from_json(load_json(args.fn))
     dim = _endo_dim(endo)
-    pts = _load_points(args, dim)
-    evaluate = _evaluator_for(endo, fn)
-    values = [evaluate(p) for p in pts]
-    write_eval_csv(args.out, pts, values, dim)
+    X = _load_points(args, dim)
+    write_eval_csv(args.out, X, _evaluate(endo, fn, X), dim)
     return 0
 
 

@@ -21,12 +21,16 @@ import numpy as np
 
 from .errors import BadShape, OriginNotInDomain
 from .extreal import INF
-from .expr import Affine, Norm, Max, Sum, expr_eval, ray_domain
+from .expr import (Affine, Norm, Max, Sum, as_point_block, expr_eval, expr_eval_many,
+                   ray_domain, ray_domain_many, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
 from .probes import EndoMap
 
 # Interval endpoint ties within this tolerance resolve to the boundary case.
 EDGE_TOL = 1e-10
+
+# Radial steps lambda = 1 - 2^-k, k = 1..BOUNDARY_STEPS, toward a boundary point.
+BOUNDARY_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,13 @@ def _atom_sum(e, f, x, f0):
     return total
 
 
-def gl_eval(e, f, x, boundary_steps=40):
+def gl_eval(e, f, x, boundary_steps=BOUNDARY_STEPS):
     """Evaluate the operator; see module docstring for the case split."""
     value, _ = gl_eval_detailed(e, f, x, boundary_steps)
     return value
 
 
-def gl_eval_detailed(e, f, x, boundary_steps=40):
+def gl_eval_detailed(e, f, x, boundary_steps=BOUNDARY_STEPS):
     """Like gl_eval but also reports which case fired.
 
     The report is a dict with key ``case`` in {"origin", "interior",
@@ -123,6 +127,44 @@ def gl_eval_detailed(e, f, x, boundary_steps=40):
                       "tail_monotone": monotone}
 
 
+def _atom_sum_many(e, f, X, f0):
+    # +inf absorbs the finite terms, as the early return of _atom_sum does
+    total = np.full(len(X), e.c * f0)
+    for s, w in e.nu.atoms:
+        total += w * (expr_eval_many(f, s * X) - f0) / (s * s)
+    return total
+
+
+def gl_eval_many(e, f, X):
+    """``gl_eval`` at every row of a (k, n) array; returns (k,) floats.
+
+    Points are classified a block at a time with the comparisons of
+    ``gl_eval_detailed``, and each atom is summed over the whole block. A
+    boundary point takes the value ``gl_eval`` returns, the last radial step
+    lambda = 1 - 2^-BOUNDARY_STEPS; the earlier steps only feed the detailed
+    report. Every row repeats the arithmetic of the point path.
+    """
+    X = as_point_block(X, e.n)
+    f0 = expr_eval(f, np.zeros(e.n))
+    if f0 == INF:
+        raise OriginNotInDomain("f(0) must be finite")
+    out = np.full(len(X), e.c * f0)
+    if len(e.nu) == 0:
+        return out
+    a, b = support_bounds(e.nu)
+    lam = 1.0 - 2.0 ** (-BOUNDARY_STEPS)
+    for rows in row_blocks(len(X)):
+        idx = rows.start + np.flatnonzero(X[rows].any(axis=1))
+        lo, hi = ray_domain_many(f, X[idx])
+        interior = (a > lo + EDGE_TOL) & (b < hi - EDGE_TOL)
+        exterior = (a < lo - EDGE_TOL) | (b > hi + EDGE_TOL)
+        boundary = ~(interior | exterior)
+        out[idx[interior]] = _atom_sum_many(e, f, X[idx[interior]], f0)
+        out[idx[exterior]] = INF
+        out[idx[boundary]] = _atom_sum_many(e, f, lam * X[idx[boundary]], f0)
+    return out
+
+
 def gl_is_monotone(e, tol=1e-12):
     """True iff the |s|^-2 moment of nu does not exceed c."""
     return moment_abs(e.nu, -2) <= e.c + tol
@@ -156,6 +198,12 @@ def scale_compose_eval(m, f, x):
     x = np.asarray(x, dtype=float).reshape(-1)
     v = expr_eval(f, m.mu_scalar * x)
     return INF if v == INF else m.lam * v
+
+
+def scale_compose_eval_many(m, f, X):
+    """``scale_compose_eval`` at every row of a (k, n) array."""
+    X = as_point_block(X, m.n)
+    return m.lam * expr_eval_many(f, m.mu_scalar * X)
 
 
 def _shifted_norm(n):

@@ -126,14 +126,13 @@ class PwlFunction:
             va[0] + self.slope_left * (xs[left] - bp[0])
         out[right] = INF if self.slope_right == INF else \
             va[-1] + self.slope_right * (xs[right] - bp[-1])
-        if mid.any():
-            idx = np.clip(np.searchsorted(bp, xs[mid], side="right") - 1,
-                          0, max(len(bp) - 2, 0))
-            if len(bp) == 1:
-                out[mid] = va[0]
-            else:
-                m = np.array(self.slopes)
-                out[mid] = va[idx] + m[idx] * (xs[mid] - bp[idx])
+        if len(bp) == 1:
+            out[mid] = va[0]
+        elif mid.any():
+            idx = np.minimum(np.searchsorted(bp, xs[mid], side="right") - 1, len(bp) - 2)
+            m = np.array(self.slopes)
+            out[mid] = va[idx] + m[idx] * (xs[mid] - bp[idx])
+            out[xs == bp[-1]] = va[-1]
         return out
 
     def slope_on(self, x):
@@ -263,9 +262,11 @@ def pwl_max(f, g):
         a = pts[0]
         dslope = f.slope_left - g.slope_left
         da = f(a) - g(a)
+        # f - g is linear there, so a zero left of a is a sign change; testing
+        # f(x) - g(x) at the zero itself would only read rounding noise
         if dslope != 0.0:
             x = a - da / dslope
-            if x < a - MERGE_TOL and (f(x) - g(x)) * da <= 0:
+            if x < a - MERGE_TOL:
                 full.append(x)
     if hi == INF:
         b = pts[-1]
@@ -273,7 +274,7 @@ def pwl_max(f, g):
         db = f(b) - g(b)
         if dslope != 0.0:
             x = b - db / dslope
-            if x > b + MERGE_TOL and (f(x) - g(x)) * db <= 0:
+            if x > b + MERGE_TOL:
                 full.append(x)
     full = sorted(set(full))
     vals = [max(f(p), g(p)) for p in full]

@@ -12,12 +12,14 @@ canonical rotation below pins one down deterministically.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadShape, NotHomogeneous, OriginNotInDomain, UnsupportedDimension, ZeroVector
 from .extreal import INF
-from .expr import Affine, Max, expr_eval
+from .expr import (BLOCK, Affine, Max, as_point_block, expr_eval, expr_eval_many,
+                   row_blocks)
 from .measures import OrbitMeasure, orbit_center, orbit_quadrature, orbit_total_mass
 from .probes import EndoMap
 
@@ -74,6 +76,19 @@ class RadialEndo:
     def n(self):
         return self.mu.n
 
+    @cached_property
+    def quadrature(self):
+        """Nodes (q, n) and weights (q,) of every orbit, in atom order.
+
+        Built on first use and kept with the operator, so each orbit's
+        quadrature is computed once however many points are evaluated.
+        """
+        pairs = [pw for atom in self.mu.atoms for pw in orbit_quadrature(atom, self.n, self.M)]
+        nodes = np.array([p for p, _ in pairs]).reshape(-1, self.n)
+        weights = np.array([w for _, w in pairs])
+        nodes.flags.writeable = weights.flags.writeable = False
+        return nodes, weights
+
     def as_endomap(self):
         return EndoMap(lambda f, x: radial_eval(self, f, x), self.n, name="radial")
 
@@ -95,15 +110,60 @@ def radial_eval(e, f, x, rotation=None):
     R = canonical_rotation(x, n) if rotation is None else np.asarray(rotation, dtype=float)
     r = float(np.linalg.norm(x))
     total = 0.0
-    for atom in e.mu.atoms:
-        for p, w in orbit_quadrature(atom, n, e.M):
-            if w == 0.0:
-                continue
-            v = expr_eval(f, r * (R @ p))
-            if v == INF:
-                return INF
-            total += w * v
+    for p, w in zip(*e.quadrature):
+        if w == 0.0:
+            continue
+        v = expr_eval(f, r * (R @ p))
+        if v == INF:
+            return INF
+        total += w * v
     return total
+
+
+def radial_eval_many(e, f, X):
+    """``radial_eval`` with the canonical rotation at every row of X.
+
+    The rotation of each point is applied to the quadrature nodes as its
+    two reflections, without forming a matrix per point, and the tree is
+    evaluated once per block of points. Values agree with the point path up
+    to rounding; +inf rows are the same.
+    """
+    n = e.n
+    X = as_point_block(X, n)
+    f0 = expr_eval(f, np.zeros(n))
+    if f0 == INF:
+        raise OriginNotInDomain("f(0) must be finite")
+    nodes, weights = e.quadrature
+    keep = weights != 0.0
+    nodes, weights = nodes[keep], weights[keep]
+    out = np.full(len(X), f0 * orbit_total_mass(e.mu))
+    idx = np.flatnonzero(X.any(axis=1))
+    for rows in row_blocks(len(idx), max(1, BLOCK // max(1, len(weights)))):
+        i = idx[rows]
+        Y = _rotated_nodes(X[i], nodes)
+        V = expr_eval_many(f, Y.reshape(-1, n)).reshape(len(i), len(weights))
+        out[i] = np.where(np.isinf(V).any(axis=1), INF, V @ weights)
+    return out
+
+
+def _rotated_nodes(X, nodes):
+    """||x|| R_x p for every point x (rows of X) and node p; (k, q, n).
+
+    R_x is ``canonical_rotation(x)``: H(u) H(u + e1) for u = x / ||x|| with
+    u[0] >= 0, else H(u) H(e1 - u) composed with the pi-rotation in the
+    (e1, e2) plane, where H(v) is the reflection through v.
+    """
+    r = np.linalg.norm(X, axis=1)
+    u = X / r[:, None]
+    flip = u[:, 0] < 0.0
+    P = np.broadcast_to(nodes, (len(X),) + nodes.shape).copy()
+    P[flip, :, :2] *= -1.0
+    v = np.where(flip[:, None], -u, u)
+    v[:, 0] += 1.0
+    for w in (v, u):
+        w = w / np.linalg.norm(w, axis=1)[:, None]
+        P -= 2.0 * np.einsum("kqn,kn->kq", P, w)[:, :, None] * w[:, None, :]
+    return r[:, None, None] * P
 
 
 def radial_is_dually_translation_invariant(e, tol=1e-12):

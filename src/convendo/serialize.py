@@ -12,7 +12,7 @@ import numpy as np
 from .errors import BadShape
 from .extreal import INF
 from .expr import (Affine, BallIndicator, Max, Norm, Precompose, Pwl1D, Quad,
-                   Scale, Sum)
+                   Scale, Sum, row_blocks)
 from .gl import GlEndo, ScaleComposeMap
 from .kernel1d import Kernel1D, MaEndo, PhiEndo, hat_weight, kernel_decompose
 from .measures import LineMeasure, OrbitMeasure
@@ -189,14 +189,18 @@ def _csv_num(v):
 
 
 def write_eval_csv(path, points, values, n):
-    """Rows of x1,...,xn,value with +inf rendered as ``inf``."""
-    header = ",".join([f"x{i + 1}" for i in range(n)] + ["value"])
-    lines = [header]
-    for p, v in zip(points, values):
-        p = np.atleast_1d(p)
-        lines.append(",".join([repr(float(c)) for c in p] + [_csv_num(v)]))
+    """Rows of x1,...,xn,value with +inf rendered as ``inf``.
+
+    ``points`` is a (k, n) array and ``values`` holds k floats. Rows are
+    formatted a block at a time, so the text in memory stays bounded.
+    """
+    rows = np.column_stack([np.asarray(points, dtype=float).reshape(-1, n),
+                            np.asarray(values, dtype=float)])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join([f"x{i + 1}" for i in range(n)] + ["value"]) + "\n")
+        for block in row_blocks(len(rows)):
+            # repr renders +inf as "inf", the same text as _csv_num
+            fh.writelines(",".join(map(repr, r)) + "\n" for r in rows[block].tolist())
 
 
 def write_kernel_csv(path, xs, ys, values):

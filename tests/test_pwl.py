@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convendo import (INF, BadShape, EmptyDomain, NegativeScale, NonConvex,
-                      inf_convolve, legendre, moreau_envelope,
+                      PwlFunction, inf_convolve, legendre, moreau_envelope,
                       pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_make,
                       pwl_max, pwl_scale)
 from convendo.rand import random_convex_pwl, random_finite_pwl, rng_from_seed
@@ -82,6 +82,35 @@ def test_max_flat_top():
     for x, want in ((-2, 2), (-1, 1), (0, 1), (0.7, 1), (1, 1), (3, 3)):
         assert f(float(x)) == pytest.approx(want, abs=1e-12)
     assert -1.0 in f.breakpoints and 1.0 in f.breakpoints
+
+
+def test_max_keeps_crossing_on_shared_tail():
+    # f - g is linear on each shared tail; its zero there must become a
+    # breakpoint whatever rounding f(x) - g(x) shows at the zero itself
+    rng = rng_from_seed(21)
+    off = 0
+    for _ in range(200):
+        u, v = rng.uniform(0.0, 0.1, size=2)
+        f = PwlFunction([0.0], [0.5], -1.0 - u, 1.0)
+        g = PwlFunction([0.1], [-0.5], -1.1 - v, 1.0)
+        mirrored = (PwlFunction([0.0], [0.5], -1.0, 1.0 + u),
+                    PwlFunction([-0.1], [-0.5], -1.0, 1.1 + v))
+        for a, b, sign in ((f, g, 1.0), mirrored + (-1.0,)):
+            h = pwl_max(a, b)
+            for x in sign * rng.uniform(-200.0, 5.0, size=15):
+                want = max(a(x), b(x))
+                off += abs(h(x) - want) > 1e-9 * max(1.0, abs(want))
+    assert off == 0
+
+
+def test_eval_many_matches_call():
+    f = PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -2.0, 3.0)
+    assert f.eval_many([1.3])[0] == f(1.3) == 0.9
+    rng = rng_from_seed(22)
+    for _ in range(50):
+        f = random_convex_pwl(rng)
+        xs = np.concatenate([f.breakpoints, rng.uniform(-5.0, 5.0, size=20)])
+        assert f.eval_many(xs).tolist() == [f(x) for x in xs.tolist()]
 
 
 def test_legendre_standard_pairs():

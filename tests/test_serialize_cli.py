@@ -152,6 +152,35 @@ def test_cli_eval_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1:inf",
+                                  "0:1:1e-320", "0:1e12:1", "0:1e6:1"])
+def test_cli_grid_rejects_non_finite_and_oversized(tmp_path, capsys, grid):
+    # 0:1e6:1 is 10^18 points in 3D: refused from its count, never allocated
+    endo = _write(tmp_path, "e.json", {"kind": "scale_compose", "lambda": 1.0,
+                                       "mu": 1.0, "n": 3})
+    fn = _write(tmp_path, "f.json", {"kind": "quad", "c": 1.0})
+    rc = main(["eval", "--endo", endo, "--fn", fn, f"--grid={grid}",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fn", [{"kind": "quad", "c": 1.0},
+                                {"kind": "pwl", "breakpoints": [0.0], "values": [0.0],
+                                 "slope_left": -1.0, "slope_right": 1.0}])
+@pytest.mark.parametrize("points", [[[0.5], [float("nan")]], [[float("inf")]],
+                                    [[0.5], [1.0, 2.0]], [[[0.5]]]])
+def test_cli_points_rejects_non_finite_and_ragged(tmp_path, fn, points):
+    endo = _write(tmp_path, "e.json",
+                  {"kind": "gl", "c": 0.5, "nu": {"atoms": [{"s": 1.0, "w": 1.0}]},
+                   "n": 1})
+    out = tmp_path / "x.csv"
+    rc = main(["eval", "--endo", endo, "--fn", _write(tmp_path, "f.json", fn),
+               "--points", _write(tmp_path, "p.json", points), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_cli_schema_error_exit_2(tmp_path):
     endo = _write(tmp_path, "e.json", {"kind": "nonsense"})
     fn = _write(tmp_path, "f.json", {"kind": "quad", "c": 1.0})
