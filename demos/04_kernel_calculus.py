@@ -25,7 +25,7 @@ print("kinks of |x|:", monge_ampere(pwl_abs()).atoms)
 # ------------------------------------------------------- kernel extraction
 # Applying an operator to the hinges s -> (y - s)_+ sweeps out its kernel.
 # For "evaluate minus value at origin" the kernel is (y - x)_+ - y_+.
-eval_minus = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()
+eval_minus = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
 k = kernel_extract(eval_minus, np.linspace(-1, 1, 5), np.linspace(-2, 2, 5))
 print("\nextracted kernel values (rows x, cols y):")
 print(np.round(k.grid[2], 3))
@@ -48,19 +48,19 @@ print("rebuilt value:", round(kernel_endo_eval(d, parab, 0.5), 9),
 # ------------------------------------------------------------- round trips
 # Extract -> decompose -> re-evaluate reproduces each operator family.
 phi = PhiEndo(PwlFunction([0.0], [1.0], -1.0, 1.0))
-live = kernel_extract_live(phi.as_endomap(), (-1.2, 1.2, -8.0, 8.0))
+live = kernel_extract_live(phi, (-1.2, 1.2, -8.0, 8.0))
 dphi = kernel_decompose(live, (-1.0, 1.0), 4.0)
 print("\nprofile-integral operator round trip at x = 0.37:",
       round(kernel_endo_eval(dphi, parab, 0.37), 9), "vs",
-      round(phi.eval(parab, 0.37), 9))
+      round(phi(parab, 0.37), 9))
 
 span = np.linspace(-3, 3, 49)
 ma = MaEndo(PwlFunction(span, span ** 2, -6.0, 6.0), hat_weight(1.0), 1.0)
-livem = kernel_extract_live(ma.as_endomap(), (-1.2, 1.2, -8.0, 8.0))
+livem = kernel_extract_live(ma, (-1.2, 1.2, -8.0, 8.0))
 dma = kernel_decompose(livem, (-1.0, 1.0), 2.0)
 print("jump-weight operator round trip at x = 0.7:",
       round(kernel_endo_eval(dma, pwl_abs(), 0.7), 9), "vs",
-      round(ma.eval(pwl_abs(), 0.7), 9))
+      round(ma(pwl_abs(), 0.7), 9))
 
 # -------------------------------------------------- monotonicity criterion
 # An operator is monotone exactly when its kernel is convex in y. The

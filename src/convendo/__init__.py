@@ -20,15 +20,14 @@ from .errors import (AtomAtZero, BadShape, ConvendoError, DimensionMismatch,
                      PerturbationNotConvex, PhiNegative, PhiNotEven,
                      TailNotAffine, UnsupportedDimension, XSliceNotAffine,
                      ZeroVector)
-from .extreal import INF, ext_add, ext_sum, is_finite
+from .extreal import INF
 from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
                   pwl_abs, pwl_add, pwl_hinge, pwl_indicator, pwl_linear,
                   pwl_make, pwl_max, pwl_scale)
 from .expr import (Affine, BallIndicator, ConvexExpr, Max, Norm, Precompose,
                    Pwl1D, Quad, RadialPwl, Scale, Sum, expr_eval, expr_eval_many,
                    ray_domain)
-from .probes import (EndoMap, EpiReport, epi_converges_probe, gw_probe,
-                     is_convex_along_line, is_convex_sampled)
+from .probes import EpiReport, epi_converges_probe, gw_probe, is_convex_sampled
 from .measures import (LineMeasure, OrbitMeasure, line_measure_add,
                        moment_abs, moment_signed, orbit_center,
                        orbit_center_component, orbit_quadrature,
@@ -41,8 +40,7 @@ from .radial import (RadialEndo, acts_as_scalar_on_radial, canonical_rotation,
                      minkowski_restrict, radial_eval, radial_eval_many,
                      radial_is_dually_translation_invariant)
 from .kernel1d import (Kernel1D, KernelDecomposition, MaEndo, PhiEndo,
-                       detect_tail_radius, example_ma_endo, example_phi_endo,
-                       example_phi_convexity_certificate, hat_weight,
+                       detect_tail_radius, example_phi_convexity_certificate, hat_weight,
                        kernel_decompose, kernel_endo_eval, kernel_extract,
                        kernel_extract_live, kernel_is_monotone, monge_ampere,
                        pwl_integral)

@@ -14,12 +14,8 @@ import numpy as np
 
 from . import rand
 from .errors import BadShape, ConvendoError
-from .expr import ConvexExpr, Pwl1D
-from .gl import GlEndo, ScaleComposeMap, gl_eval_many, scale_compose_eval_many
-from .kernel1d import (KernelDecomposition, MaEndo, PhiEndo, kernel_decompose,
-                       kernel_endo_eval, kernel_extract, kernel_extract_live)
-from .pwl import PwlFunction
-from .radial import RadialEndo, radial_eval_many
+from .kernel1d import (KernelDecomposition, kernel_decompose, kernel_extract,
+                       kernel_extract_live)
 from .serialize import (dump_json, endo_from_json, fn_from_json, load_json,
                         write_eval_csv, write_kernel_csv)
 from .suites import SUITES, run_suite
@@ -32,10 +28,6 @@ class ConfigError(Exception):
 # Most points one --grid may produce (axis length to the power of the
 # dimension); a 128^3 grid fits.
 MAX_GRID_POINTS = 2 ** 21
-
-# Operators on convex expressions, each with its block evaluator.
-_BLOCK_EVAL = {GlEndo: gl_eval_many, ScaleComposeMap: scale_compose_eval_many,
-               RadialEndo: radial_eval_many}
 
 
 def _parse_grid(text, dim=1):
@@ -54,10 +46,6 @@ def _parse_grid(text, dim=1):
         raise ConfigError(f"grid {text!r} in dimension {dim} has more than "
                           f"{MAX_GRID_POINTS} points")
     return lo + step * np.arange(math.floor(span) + 1)
-
-
-def _endo_dim(endo):
-    return endo.n if isinstance(endo, tuple(_BLOCK_EVAL)) else 1
 
 
 def _load_points(args, dim):
@@ -83,39 +71,11 @@ def _load_points(args, dim):
     return X
 
 
-def _evaluate(endo, fn, X):
-    """Operator values at the rows of X, normalizing the input function."""
-    if isinstance(endo, tuple(_BLOCK_EVAL)):
-        if isinstance(fn, PwlFunction):
-            if endo.n != 1:
-                raise ConfigError("a bare pwl function fits only 1-dimensional operators")
-            fn = Pwl1D(fn, [1.0])
-        if not isinstance(fn, ConvexExpr):
-            raise ConfigError("operator expects a convex expression input")
-        return _BLOCK_EVAL[type(endo)](endo, fn, X)
-    # kernel-calculus operators act on finite piecewise-linear functions
-    if not isinstance(fn, PwlFunction):
-        raise ConfigError("this operator expects a {'kind': 'pwl'} input")
-    if isinstance(endo, KernelDecomposition):
-        return [kernel_endo_eval(endo, fn, x) for x in X[:, 0].tolist()]
-    em = endo.as_endomap()
-    return [em(fn, x) for x in X[:, 0].tolist()]
-
-
-def _one_dim_endomap(endo):
-    if isinstance(endo, GlEndo):
-        return endo.as_endomap_1d()
-    if isinstance(endo, (PhiEndo, MaEndo, KernelDecomposition)):
-        return endo.as_endomap()
-    raise ConfigError("kernel commands need a one-dimensional operator")
-
-
 def cmd_eval(args):
     endo = endo_from_json(load_json(args.endo))
     fn = fn_from_json(load_json(args.fn))
-    dim = _endo_dim(endo)
-    X = _load_points(args, dim)
-    write_eval_csv(args.out, X, _evaluate(endo, fn, X), dim)
+    X = _load_points(args, endo.n)
+    write_eval_csv(args.out, X, endo.eval_many(fn, X), endo.n)
     return 0
 
 
@@ -151,10 +111,11 @@ def _kernel_grids(args, endo):
 
 def cmd_kernel(args):
     endo = endo_from_json(load_json(args.endo))
-    em = _one_dim_endomap(endo)
+    if endo.n != 1:
+        raise ConfigError("kernel commands need a one-dimensional operator")
     if args.action == "extract":
         xs, ys = _kernel_grids(args, endo)
-        k = kernel_extract(em, xs, ys)
+        k = kernel_extract(endo, xs, ys)
         gxs, gys, vals = k.grid
         write_kernel_csv(args.out, gxs, gys, vals)
         return 0
@@ -168,14 +129,14 @@ def cmd_kernel(args):
             raise ConfigError(f"--A expects lo:hi, got {args.A!r}")
     R = args.R if args.R is not None else 4.0
     box = (a_lo - 0.2, a_hi + 0.2, -(2 * R), 2 * R)
-    live = kernel_extract_live(em, box)
+    live = kernel_extract_live(endo, box)
     d = kernel_decompose(live, (a_lo, a_hi), R)
     rng = rand.rng_from_seed(args.seed)
     worst = 0.0
     for _ in range(args.trials):
         f = rand.random_finite_pwl(rng)
         x = float(rng.uniform(a_lo, a_hi))
-        worst = max(worst, abs(kernel_endo_eval(d, f, x) - em(f, x)))
+        worst = max(worst, abs(d(f, x) - endo(f, x)))
     print(f"kernel roundtrip: trials={args.trials} max_deviation={worst:.3e}")
     if args.out:
         dump_json({"trials": args.trials, "seed": args.seed,
@@ -199,9 +160,6 @@ def build_parser():
     pe.add_argument("--points", help="JSON file with a list of points")
     pe.add_argument("--grid", help="lo:hi:step per-axis grid")
     pe.add_argument("--out", required=True, help="CSV output path")
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--tol", type=float, default=None,
-                    help="accepted for interface compatibility; evaluation is exact")
     pe.set_defaults(func=cmd_eval)
 
     pc = sub.add_parser("check", help="run a property suite")

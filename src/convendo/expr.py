@@ -406,8 +406,7 @@ def expr_eval_many(f, X):
 def ray_domain_many(f, X):
     """``ray_domain`` at every row of a (k, n) array of nonzero points.
 
-    Returns the arrays (lo, hi). Only the built-in node types are resolved;
-    there is no bisection fallback.
+    Returns the arrays (lo, hi).
     """
     X = as_point_block(X, f.dim)
     if not X.any(axis=1).all():
@@ -418,40 +417,24 @@ def ray_domain_many(f, X):
     return lo, hi
 
 
-def ray_domain(f, x, max_exp=40, iters=80):
-    """Interior of { s in R : f(s x) < inf } for nonzero x.
-
-    Resolved analytically for the built-in node types; unknown nodes fall
-    back to bisection on [-2^40, 2^40], which assumes 0 is in the domain.
-    """
+def ray_domain(f, x):
+    """Interior of { s in R : f(s x) < inf } for nonzero x."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.any(x):
         raise ZeroVector("ray direction must be nonzero")
     if f.dim is not None and f.dim != x.size:
         raise DimensionMismatch(f"function has dim {f.dim}, point has dim {x.size}")
-    try:
-        return f._ray_interval(x)
-    except AttributeError:
-        pass
+    return f._ray_interval(x)
 
-    big = float(2 ** max_exp)
 
-    def finite(s):
-        return expr_eval(f, s * x) < INF
+def as_expr(f, n):
+    """The input of an operator on R^n as a ConvexExpr.
 
-    if not finite(0.0):
-        return (0.0, 0.0)
-
-    def edge(sign):
-        if finite(sign * big):
-            return sign * INF
-        lo, hi = 0.0, big
-        for _ in range(iters):
-            mid = (lo + hi) / 2.0
-            if finite(sign * mid):
-                lo = mid
-            else:
-                hi = mid
-        return sign * lo
-
-    return (edge(-1.0), edge(1.0))
+    A bare PwlFunction is the profile ``Pwl1D(f, [1.0])`` when n == 1 and is
+    refused otherwise.
+    """
+    if not isinstance(f, PwlFunction):
+        return f
+    if n != 1:
+        raise BadShape("a bare pwl function fits only 1-dimensional operators")
+    return Pwl1D(f, [1.0])

@@ -1,30 +1,16 @@
-"""Extended-real arithmetic helpers.
+"""Extended reals and the boundary rule shared by the operator families.
 
 Values live in (-inf, +inf]: +inf is a legal function value, -inf never is.
-Plain Python floats already give total comparisons with +inf maximal; the
-helpers below keep sums NaN-free by short-circuiting on +inf.
+Plain Python floats already give total comparisons with +inf maximal.
 """
 
 import math
 
 INF = math.inf
 
+# Interval endpoint ties within this tolerance resolve to the boundary case.
+EDGE_TOL = 1e-10
 
-def is_finite(x):
-    return -INF < x < INF
-
-
-def ext_add(a, b):
-    """Sum in (-inf, +inf]: anything plus +inf is +inf."""
-    if a == INF or b == INF:
-        return INF
-    return a + b
-
-
-def ext_sum(values):
-    total = 0.0
-    for v in values:
-        if v == INF:
-            return INF
-        total += v
-    return total
+# A value on the boundary of a domain is the radial limit lambda -> 1 from
+# below, taken at this lambda: the last of the steps 1 - 2^-k, k = 1..40.
+RADIAL_LIMIT = 1.0 - 2.0 ** -40

@@ -20,22 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadShape, OriginNotInDomain
-from .extreal import INF
-from .expr import (Affine, Norm, Max, Sum, as_point_block, expr_eval, expr_eval_many,
-                   ray_domain, ray_domain_many, row_blocks)
+from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
+from .expr import (Affine, Norm, Max, Sum, as_expr, as_point_block, expr_eval,
+                   expr_eval_many, ray_domain, ray_domain_many, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
-from .probes import EndoMap
+from .pwl import PwlFunction
 
-# Interval endpoint ties within this tolerance resolve to the boundary case.
-EDGE_TOL = 1e-10
-
-# Radial steps lambda = 1 - 2^-k, k = 1..BOUNDARY_STEPS, toward a boundary point.
+# Radial steps lambda = 1 - 2^-k, k = 1..BOUNDARY_STEPS, that
+# gl_eval_detailed reports toward a boundary point; the last is RADIAL_LIMIT.
 BOUNDARY_STEPS = 40
 
 
 @dataclass(frozen=True)
 class GlEndo:
-    """Operator data (c, nu) acting in ambient dimension n."""
+    """Operator data (c, nu) acting in ambient dimension n.
+
+    ``e(f, x)`` is the value at one point and ``e.eval_many(f, X)`` the values
+    at the rows of a (k, n) array.
+    """
 
     c: float
     nu: LineMeasure
@@ -46,30 +48,23 @@ class GlEndo:
             if s == 0.0 and w > 0:
                 raise BadShape("nu must not charge 0")
 
-    def as_endomap(self):
-        return EndoMap(lambda f, x: gl_eval(self, f, x), self.n,
-                       name=f"gl(c={self.c})")
-
-    def as_endomap_1d(self):
-        """Action on finite 1D piecewise-linear functions, for n == 1."""
-        if self.n != 1:
-            raise BadShape("1D action requires n == 1")
-
-        def ev(f, x):
+    def __call__(self, f, x):
+        """The value at x. A bare PwlFunction (n == 1) is summed atom by atom
+        without the case split of ``gl_eval``: an atom outside the domain
+        gives +inf and a point on its boundary takes the value there. That
+        cheaper sum carries every psi evaluation of an extracted gl kernel."""
+        if isinstance(f, PwlFunction) and self.n == 1:
             f0 = f(0.0)
             if f0 == INF:
                 raise OriginNotInDomain("f(0) must be finite")
-            total = self.c * f0
-            for s, w in self.nu.atoms:
-                if w == 0.0:
-                    continue
-                fv = f(s * x)
-                if fv == INF:
-                    return INF
-                total += w * (fv - f0) / (s * s)
-            return total
+            return _atom_sum(self, f, x, f0)
+        return gl_eval(self, as_expr(f, self.n), x)
 
-        return EndoMap(ev, 1, name=f"gl1d(c={self.c})")
+    def eval_many(self, f, X):
+        return gl_eval_many(self, as_expr(f, self.n), X)
+
+    def as_endomap_1d(self):
+        return self
 
 
 def _atom_sum(e, f, x, f0):
@@ -77,20 +72,20 @@ def _atom_sum(e, f, x, f0):
     for s, w in e.nu.atoms:
         if w == 0.0:
             continue
-        fv = expr_eval(f, s * x)
+        fv = f(s * x)
         if fv == INF:
             return INF
         total += w * (fv - f0) / (s * s)
     return total
 
 
-def gl_eval(e, f, x, boundary_steps=BOUNDARY_STEPS):
+def gl_eval(e, f, x):
     """Evaluate the operator; see module docstring for the case split."""
-    value, _ = gl_eval_detailed(e, f, x, boundary_steps)
+    value, _ = gl_eval_detailed(e, f, x)
     return value
 
 
-def gl_eval_detailed(e, f, x, boundary_steps=BOUNDARY_STEPS):
+def gl_eval_detailed(e, f, x):
     """Like gl_eval but also reports which case fired.
 
     The report is a dict with key ``case`` in {"origin", "interior",
@@ -117,7 +112,7 @@ def gl_eval_detailed(e, f, x, boundary_steps=BOUNDARY_STEPS):
 
     # boundary: radial limit along lambda -> 1 from below
     vals = []
-    for k in range(1, boundary_steps + 1):
+    for k in range(1, BOUNDARY_STEPS + 1):
         lam = 1.0 - 2.0 ** (-k)
         vals.append(_atom_sum(e, f, lam * x, f0))
     tail = vals[-6:]
@@ -141,8 +136,8 @@ def gl_eval_many(e, f, X):
     Points are classified a block at a time with the comparisons of
     ``gl_eval_detailed``, and each atom is summed over the whole block. A
     boundary point takes the value ``gl_eval`` returns, the last radial step
-    lambda = 1 - 2^-BOUNDARY_STEPS; the earlier steps only feed the detailed
-    report. Every row repeats the arithmetic of the point path.
+    lambda = RADIAL_LIMIT; the earlier steps only feed the detailed report.
+    Every row repeats the arithmetic of the point path.
     """
     X = as_point_block(X, e.n)
     f0 = expr_eval(f, np.zeros(e.n))
@@ -152,7 +147,6 @@ def gl_eval_many(e, f, X):
     if len(e.nu) == 0:
         return out
     a, b = support_bounds(e.nu)
-    lam = 1.0 - 2.0 ** (-BOUNDARY_STEPS)
     for rows in row_blocks(len(X)):
         idx = rows.start + np.flatnonzero(X[rows].any(axis=1))
         lo, hi = ray_domain_many(f, X[idx])
@@ -161,7 +155,7 @@ def gl_eval_many(e, f, X):
         boundary = ~(interior | exterior)
         out[idx[interior]] = _atom_sum_many(e, f, X[idx[interior]], f0)
         out[idx[exterior]] = INF
-        out[idx[boundary]] = _atom_sum_many(e, f, lam * X[idx[boundary]], f0)
+        out[idx[boundary]] = _atom_sum_many(e, f, RADIAL_LIMIT * X[idx[boundary]], f0)
     return out
 
 
@@ -189,9 +183,11 @@ class ScaleComposeMap:
         if self.mu_scalar == 0.0:
             raise BadShape("mu must be nonzero")
 
-    def as_endomap(self):
-        return EndoMap(lambda f, x: scale_compose_eval(self, f, x), self.n,
-                       name=f"scale_compose({self.lam},{self.mu_scalar})")
+    def __call__(self, f, x):
+        return scale_compose_eval(self, as_expr(f, self.n), x)
+
+    def eval_many(self, f, X):
+        return scale_compose_eval_many(self, as_expr(f, self.n), X)
 
 
 def scale_compose_eval(m, f, x):

@@ -29,15 +29,11 @@ import numpy as np
 
 from .errors import (BadShape, InfiniteSlope, OutsideA, PhiNegative, PhiNotEven,
                      TailNotAffine, XSliceNotAffine)
-from .extreal import INF
+from .expr import as_point_block
+from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .measures import LineMeasure
-from .probes import EndoMap, is_convex_sampled
-from .pwl import pwl_hinge
-
-# Interval edge ties resolve like in the linear-equivariant operator.
-EDGE_TOL = 1e-10
-
-MongeAmpere1D = LineMeasure
+from .probes import is_convex_sampled
+from .pwl import PwlFunction, pwl_hinge
 
 
 def monge_ampere(f):
@@ -129,9 +125,27 @@ def kernel_is_monotone(psi, xs, ys, tol=1e-9):
                for x in xs)
 
 
+class _PwlOperator:
+    """An operator on finite piecewise-linear functions of one variable.
+
+    Subclasses define ``op(f, x)``; ``op.eval_many(f, X)`` calls it at every
+    row of a (k, 1) array.
+    """
+
+    n = 1
+
+    def eval_many(self, f, X):
+        if not isinstance(f, PwlFunction):
+            raise BadShape("this operator expects a {'kind': 'pwl'} input")
+        return np.array([self(f, x) for x in as_point_block(X, 1)[:, 0].tolist()])
+
+
 @dataclass
-class KernelDecomposition:
-    """Tail coefficients and compactly supported residual of a kernel."""
+class KernelDecomposition(_PwlOperator):
+    """Tail coefficients and compactly supported residual of a kernel.
+
+    Called as ``d(f, x)``, it is the operator the kernel represents.
+    """
 
     kernel: Kernel1D
     A: tuple
@@ -151,14 +165,22 @@ class KernelDecomposition:
                 - (self.c1(x) * yp + self.c2(x) * max(y + 1.0, 0.0)
                    + self.c3(x) * max(-y, 0.0) + self.c4(x) * max(-y - 1.0, 0.0)))
 
-    def as_endomap(self):
-        return EndoMap(lambda f, x: kernel_endo_eval(self, f, x), 1,
-                       name="kernel")
+    def __call__(self, f, x):
+        return kernel_endo_eval(self, f, x)
 
 
-def _second_diffs(vals):
-    v = np.asarray(vals)
-    return v[2:] - 2.0 * v[1:-1] + v[:-2]
+def _first_bend(rows, tol):
+    """The first (label, dev) among ``rows`` of (label, samples) pairs whose
+    largest second difference dev exceeds tol times the samples' magnitude
+    (at least 1); None when every row is affine. A generator of rows is
+    sampled only up to the first bend."""
+    for label, vals in rows:
+        scale = max(1.0, max(abs(v) for v in vals))
+        v = np.asarray(vals)
+        dev = float(np.max(np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2]))) if len(vals) > 2 else 0.0
+        if dev > tol * scale:
+            return label, dev
+    return None
 
 
 def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
@@ -180,23 +202,17 @@ def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
         raise BadShape("R + 1 leaves the kernel's validity box")
 
     xs = np.linspace(a_lo, a_hi, n_x)
-    for sign in (+1.0, -1.0):
-        ys = sign * np.linspace(R, R + 1.0, n_y)
-        for x in xs:
-            vals = [psi(x, y) for y in ys]
-            scale = max(1.0, max(abs(v) for v in vals))
-            dev = float(np.max(np.abs(_second_diffs(vals)))) if len(vals) > 2 else 0.0
-            if dev > tol * scale:
-                raise TailNotAffine(
-                    f"psi({x}, .) bends beyond {sign * R}: second difference {dev}")
-    for sign in (+1.0, -1.0):
-        for y in sign * np.linspace(R + 1e-6, R + 1.0, 5):
-            vals = [psi(x, y) for x in xs]
-            scale = max(1.0, max(abs(v) for v in vals))
-            dev = float(np.max(np.abs(_second_diffs(vals)))) if len(vals) > 2 else 0.0
-            if dev > tol * scale:
-                raise XSliceNotAffine(
-                    f"psi(., {y}) is not affine on A: second difference {dev}")
+    ys = np.linspace(R, R + 1.0, n_y)
+    bend = _first_bend((((x, sign * R), [psi(x, y) for y in sign * ys])
+                        for sign in (+1.0, -1.0) for x in xs), tol)
+    if bend:
+        (x, edge), dev = bend
+        raise TailNotAffine(f"psi({x}, .) bends beyond {edge}: second difference {dev}")
+    bend = _first_bend(((y, [psi(x, y) for x in xs]) for sign in (+1.0, -1.0)
+                        for y in sign * np.linspace(R + 1e-6, R + 1.0, 5)), tol)
+    if bend:
+        y, dev = bend
+        raise XSliceNotAffine(f"psi(., {y}) is not affine on A: second difference {dev}")
 
     def c1(x):
         return (R + 1.0) * psi(x, R + 1.0) - (R + 2.0) * psi(x, R)
@@ -260,18 +276,9 @@ def detect_tail_radius(psi, A, start=1.0, consecutive=8, tol=1e-8, n_x=9, n_y=9)
     run = 0
     R = float(start)
     while 2.0 * R <= y_hi + 1e-9:
-        ok = True
-        for sign in (+1.0, -1.0):
-            ys = sign * np.linspace(R, 2.0 * R, n_y)
-            for x in xs:
-                vals = [psi(x, y) for y in ys]
-                scale = max(1.0, max(abs(v) for v in vals))
-                if float(np.max(np.abs(_second_diffs(vals)))) > tol * scale:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        ys = np.linspace(R, 2.0 * R, n_y)
+        if _first_bend(((x, [psi(x, y) for y in sign * ys])
+                        for sign in (+1.0, -1.0) for x in xs), tol) is None:
             if run == 0:
                 run_start = R
             run += 1
@@ -289,7 +296,7 @@ def detect_tail_radius(psi, A, start=1.0, consecutive=8, tol=1e-8, n_x=9, n_y=9)
 # -- worked operator families -------------------------------------------------
 
 
-class PhiEndo:
+class PhiEndo(_PwlOperator):
     """Operator f -> (t -> integral of f - f(0) over [-phi(t), phi(t)]).
 
     ``phi`` is an even, non-negative convex piecewise-linear profile. When
@@ -313,34 +320,22 @@ class PhiEndo:
             raise PhiNegative("phi must be non-negative")
         self.phi = phi
 
-    def eval(self, f, t, boundary_steps=40):
+    def __call__(self, f, t):
         if f.slope_left == -INF or f.slope_right == INF:
             raise InfiniteSlope("input must be a finite piecewise-linear function")
         t = float(t)
         dlo, dhi = self.phi.domain
-
-        def inner(tt):
-            a = self.phi(tt)
-            if a <= 0.0:
-                return 0.0
-            return pwl_integral(f, -a, a) - 2.0 * a * f(0.0)
-
-        if dlo + EDGE_TOL < t < dhi - EDGE_TOL:
-            return inner(t)
         if t < dlo - EDGE_TOL or t > dhi + EDGE_TOL:
             return INF
-        # radial limit onto the domain boundary
-        val = 0.0
-        for k in range(1, boundary_steps + 1):
-            val = inner((1.0 - 2.0 ** (-k)) * t)
-        return val
+        if not dlo + EDGE_TOL < t < dhi - EDGE_TOL:
+            t = RADIAL_LIMIT * t  # boundary: the radial limit from inside
+        a = self.phi(t)
+        if a <= 0.0:
+            return 0.0
+        return pwl_integral(f, -a, a) - 2.0 * a * f(0.0)
 
     def as_endomap(self):
-        return EndoMap(lambda f, t: self.eval(f, t), 1, name="phi_example")
-
-
-def example_phi_endo(phi, f, t):
-    return PhiEndo(phi).eval(f, t)
+        return self
 
 
 @dataclass
@@ -391,7 +386,7 @@ def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
                               term_slopes=np.array(term2), tol=tol)
 
 
-class MaEndo:
+class MaEndo(_PwlOperator):
     """Operator f -> (x -> g(x) * sum of zeta(|y_j|) * jump_j).
 
     ``zeta`` is a non-negative continuous weight with the declared compact
@@ -410,7 +405,7 @@ class MaEndo:
         self.support_radius = float(support_radius)
         self.zeta_descriptor = zeta_descriptor
 
-    def eval(self, f, x):
+    def __call__(self, f, x):
         ma = monge_ampere(f)
         total = 0.0
         for y, w in ma.atoms:
@@ -419,7 +414,7 @@ class MaEndo:
         return self.g(float(x)) * total
 
     def as_endomap(self):
-        return EndoMap(lambda f, x: self.eval(f, x), 1, name="ma_example")
+        return self
 
 
 def hat_weight(radius):
@@ -428,7 +423,3 @@ def hat_weight(radius):
     if not radius > 0:
         raise BadShape("hat radius must be positive")
     return lambda u: max(0.0, 1.0 - abs(u) / radius)
-
-
-def example_ma_endo(g, zeta, support_radius, f, x):
-    return MaEndo(g, zeta, support_radius).eval(f, x)

@@ -10,25 +10,8 @@ import numpy as np
 
 from .errors import PerturbationNotConvex
 from .extreal import INF
-from .expr import ConvexExpr, Sum, expr_eval
+from .expr import ConvexExpr, Sum
 from .pwl import PwlFunction, pwl_add
-
-
-@dataclass(frozen=True)
-class EndoMap:
-    """An opaque operator (function, point) -> extended real.
-
-    ``evaluate`` must be deterministic. ``dim`` is the ambient dimension of
-    the points; functions are whatever the evaluator accepts (PwlFunction
-    for dim 1 kernels, ConvexExpr otherwise).
-    """
-
-    evaluate: callable
-    dim: int
-    name: str = ""
-
-    def __call__(self, f, x):
-        return self.evaluate(f, x)
 
 
 def is_convex_sampled(f, grid, tol=1e-9):
@@ -58,13 +41,6 @@ def is_convex_sampled(f, grid, tol=1e-9):
             if fm > (vals[i] + vals[j]) / 2.0 + eff:
                 return False
     return True
-
-
-def is_convex_along_line(f, base, direction, ts, tol=1e-9):
-    """Midpoint certificate for an n-dimensional evaluator along one line."""
-    base = np.asarray(base, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    return is_convex_sampled(lambda t: f(base + t * direction), ts, tol=tol)
 
 
 @dataclass
@@ -123,14 +99,6 @@ def combine(f, g):
     raise TypeError("cannot combine %r with %r" % (type(f), type(g)))
 
 
-def _as_eval(f):
-    if isinstance(f, PwlFunction):
-        return f
-    if isinstance(f, ConvexExpr):
-        return lambda x: expr_eval(f, x)
-    return f
-
-
 def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9,
              check_grid=None, lines=None):
     """Goodey-Weil value of an operator on a test perturbation.
@@ -149,22 +117,19 @@ def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9,
     base function.
     """
     f1, f2 = base
-    ep, em = _as_eval(phi_plus), _as_eval(phi_minus)
-
     if check_grid is None:
         check_grid = np.linspace(-3.0, 3.0, 41)
     for f in (f1, f2):
-        ef = _as_eval(f)
         if lines is None:
-            def perturbed(s, ef=ef):
-                return ef(s) + ep(s) - em(s)
+            def perturbed(s, f=f):
+                return f(s) + phi_plus(s) - phi_minus(s)
             if not is_convex_sampled(perturbed, check_grid, tol=1e-7):
                 raise PerturbationNotConvex("base plus perturbation fails the midpoint test")
         else:
             for bpt, dirn in lines:
-                def perturbed(t, ef=ef, bpt=bpt, dirn=dirn):
+                def perturbed(t, f=f, bpt=bpt, dirn=dirn):
                     p = np.asarray(bpt) + t * np.asarray(dirn)
-                    return ef(p) + ep(p) - em(p)
+                    return f(p) + phi_plus(p) - phi_minus(p)
                 if not is_convex_sampled(perturbed, check_grid, tol=1e-7):
                     raise PerturbationNotConvex("base plus perturbation fails the midpoint test")
 

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import BadShape, NotHomogeneous, OriginNotInDomain, UnsupportedDimension, ZeroVector
 from .extreal import INF
-from .expr import (BLOCK, Affine, Max, as_point_block, expr_eval, expr_eval_many,
-                   row_blocks)
+from .expr import (BLOCK, Affine, Max, as_expr, as_point_block, expr_eval,
+                   expr_eval_many, row_blocks)
 from .measures import OrbitMeasure, orbit_center, orbit_quadrature, orbit_total_mass
-from .probes import EndoMap
 
 
 def canonical_rotation(x, n):
@@ -58,19 +57,20 @@ def canonical_rotation(x, n):
 
 @dataclass(frozen=True)
 class RadialEndo:
-    """Orbit measure mu, quadrature points per orbit, rotation rule tag."""
+    """Orbit measure mu and quadrature points per orbit.
+
+    ``e(f, x)`` is the value at one point and ``e.eval_many(f, X)`` the values
+    at the rows of a (k, n) array.
+    """
 
     mu: OrbitMeasure
     M: int = 64
-    rotation_rule: str = "householder"
 
     def __post_init__(self):
         if self.M < 1:
             raise BadShape("M must be >= 1")
         if self.mu.n > 4:
             raise UnsupportedDimension("radial operators support n in {2, 3, 4}")
-        if self.rotation_rule != "householder":
-            raise BadShape(f"unknown rotation rule {self.rotation_rule!r}")
 
     @property
     def n(self):
@@ -89,8 +89,11 @@ class RadialEndo:
         nodes.flags.writeable = weights.flags.writeable = False
         return nodes, weights
 
-    def as_endomap(self):
-        return EndoMap(lambda f, x: radial_eval(self, f, x), self.n, name="radial")
+    def __call__(self, f, x):
+        return radial_eval(self, as_expr(f, self.n), x)
+
+    def eval_many(self, f, X):
+        return radial_eval_many(self, as_expr(f, self.n), X)
 
 
 def radial_eval(e, f, x, rotation=None):

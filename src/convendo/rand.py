@@ -143,8 +143,3 @@ def random_line_measure(rng, max_atoms=4, balanced=None):
             if abs(sum(w / s for s, w in m.atoms)) < 0.1:
                 continue
         return m
-
-
-def random_points(rng, n, count, radius=2.0):
-    pts = rng.uniform(-radius, radius, size=(count, n))
-    return [p for p in pts]

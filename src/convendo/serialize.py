@@ -125,8 +125,7 @@ def endo_to_json(e):
         return {"kind": "scale_compose", "lambda": e.lam, "mu": e.mu_scalar,
                 "n": e.n}
     if isinstance(e, RadialEndo):
-        return {"kind": "radial", "mu": orbit_measure_to_json(e.mu), "M": e.M,
-                "rotation_rule": e.rotation_rule}
+        return {"kind": "radial", "mu": orbit_measure_to_json(e.mu), "M": e.M}
     if isinstance(e, PhiEndo):
         return {"kind": "phi_example", "phi": fn_to_json(e.phi)}
     if isinstance(e, MaEndo):
@@ -147,9 +146,11 @@ def endo_from_json(d):
     if kind == "scale_compose":
         return ScaleComposeMap(float(d["lambda"]), float(d["mu"]), int(d["n"]))
     if kind == "radial":
-        return RadialEndo(orbit_measure_from_json(d["mu"]),
-                          M=int(d.get("M", 64)),
-                          rotation_rule=d.get("rotation_rule", "householder"))
+        e = RadialEndo(orbit_measure_from_json(d["mu"]), M=int(d.get("M", 64)))
+        # the one rotation rule; the optional key is kept for old descriptors
+        if d.get("rotation_rule", "householder") != "householder":
+            raise BadShape(f"unknown rotation rule {d['rotation_rule']!r}")
+        return e
     if kind == "phi_example":
         return PhiEndo(fn_from_json(d["phi"]))
     if kind == "ma_example":

@@ -3,6 +3,8 @@
 Each suite replays the invariants of one layer of the library on seeded
 random inputs and reports per-property trial counts and worst observed
 errors. A failing property carries a JSON-serializable counterexample.
+Every operator is called as ``e(f, x)``, so the gl and radial suites share
+the properties their families have in common.
 """
 
 import math
@@ -13,16 +15,16 @@ import numpy as np
 from . import rand
 from .expr import Affine, Max, Norm, Precompose, Pwl1D, Quad, Scale, Sum, expr_eval
 from .extreal import INF
+from .fixtures import (gw_bases_1d, gw_bases_nd, probe_lines, radial_hat_parts,
+                       random_hat_parts_1d)
 from .gl import (GlEndo, ScaleComposeMap, gl_empirical_monotone_search,
-                 gl_eval, gl_is_dually_translation_invariant, gl_is_monotone,
-                 scale_compose_eval)
+                 gl_is_dually_translation_invariant, gl_is_monotone)
 from .kernel1d import (Kernel1D, MaEndo, PhiEndo, hat_weight, kernel_decompose,
-                       kernel_endo_eval, kernel_extract_live,
-                       kernel_is_monotone, monge_ampere)
+                       kernel_extract_live, kernel_is_monotone, monge_ampere)
 from .measures import LineMeasure, OrbitMeasure, line_measure_add, orbit_total_mass
 from .probes import epi_converges_probe, gw_probe, is_convex_sampled
 from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
-                  pwl_add, pwl_indicator, pwl_scale)
+                  pwl_add, pwl_indicator)
 from .radial import (RadialEndo, acts_as_scalar_on_radial, canonical_rotation,
                      minkowski_restrict, radial_eval,
                      radial_is_dually_translation_invariant)
@@ -55,6 +57,19 @@ class SuiteReport:
     def add(self, *args, **kwargs):
         self.results.append(PropertyResult(*args, **kwargs))
 
+    def worst(self, name, tol, trials, errors):
+        """Add a property that holds when its largest error is at most tol.
+
+        ``errors`` yields (error, example) pairs. ``example()`` returns the
+        counterexample of its draw; it is called only when the error is the
+        largest so far, before the next draw.
+        """
+        worst, bad = 0.0, None
+        for err, example in errors:
+            if err > worst:
+                worst, bad = err, example()
+        self.add(name, worst <= tol, trials, worst, None if worst <= tol else bad)
+
     def lines(self):
         return [r.line() for r in self.results]
 
@@ -63,86 +78,15 @@ class SuiteReport:
                  **(r.counterexample or {})} for r in self.results if not r.passed]
 
 
-# -- shared probe scaffolding --------------------------------------------------
-
-def _random_hat_parts_1d(rng, center=None, radius=None, height=None):
-    """phi_plus - phi_minus is a tent of the given height at the center."""
-    a = float(rng.uniform(-1.0, 1.0)) if center is None else center
-    r = float(rng.uniform(0.3, 0.8)) if radius is None else radius
-    h = float(rng.uniform(0.2, 1.0)) if height is None else height
-    c = h / r
-    plus = pwl_add(PwlFunction([a - r], [0.0], 0.0, c),
-                   PwlFunction([a + r], [0.0], 0.0, c))
-    minus = PwlFunction([a], [0.0], 0.0, 2.0 * c)
-    return plus, minus
-
-
-def _gw_bases_1d(rng, phi_minus):
-    """Two distinct bases whose kinks absorb the tent's concave corner.
-
-    Scaled copies of phi_minus dominate the downward kink of the
-    perturbation, so base + perturbation stays convex; smooth bases cannot
-    do that against a piecewise-linear tent.
-    """
-    f1 = pwl_add(pwl_scale(2.0, phi_minus), rand.random_finite_pwl(rng, max_breaks=3))
-    f2 = pwl_add(pwl_scale(3.0, phi_minus), rand.random_finite_pwl(rng, max_breaks=3))
-    return f1, f2
-
-
-def _radial_hat_parts(rng, n, center=None, radius=None, height=None):
-    """Rotation-invariant tent in ||y||, as a difference of convex trees.
-
-    Returns (phi_plus, phi_minus, hat) where hat evaluates
-    height * tent(||y||; center, radius), supported on a compact annulus
-    away from the origin.
-    """
-    a = float(rng.uniform(0.8, 1.6)) if center is None else center
-    r = float(rng.uniform(0.3, min(0.7, a - 0.05))) if radius is None else radius
-    h = float(rng.uniform(0.2, 1.0)) if height is None else height
-    c = h / r
-
-    def norm_hinge(offset, slope):
-        return Max([Affine(np.zeros(n), 0.0),
-                    Sum([Norm(slope), Affine(np.zeros(n), -slope * offset)])])
-
-    plus = Sum([norm_hinge(a - r, c), norm_hinge(a + r, c)])
-    minus = Scale(2.0, norm_hinge(a, c))
-
-    def hat(y):
-        u = float(np.linalg.norm(np.asarray(y, dtype=float)))
-        return h * max(0.0, 1.0 - abs(u - a) / r)
-
-    return plus, minus, hat
-
-
-def _gw_bases_nd(rng, phi_minus, n):
-    f1 = Sum([Scale(2.0, phi_minus), Quad(rng.uniform(0.2, 1.0))])
-    f2 = Sum([Scale(3.0, phi_minus), Quad(rng.uniform(0.2, 1.0)),
-              Affine(rng.normal(size=n), 0.0)])
-    return f1, f2
-
-
-def _probe_lines(rng, n):
-    lines = []
-    for _ in range(3):
-        b = rng.uniform(-1.0, 1.0, size=n)
-        d = rng.normal(size=n)
-        d = d / np.linalg.norm(d)
-        lines.append((b, d))
-    return lines
-
-
 def _one_dim_endos():
     phi = PwlFunction([0.0], [1.0], -1.0, 1.0)
     span = np.linspace(-3, 3, 49)
     g = PwlFunction(span, span ** 2, -6.0, 6.0)
     return [
-        ("gl1d_identity_minus_origin",
-         GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()),
-        ("gl1d_mixed",
-         GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1).as_endomap_1d()),
-        ("phi_example", PhiEndo(phi).as_endomap()),
-        ("ma_example", MaEndo(g, hat_weight(1.0), 1.0).as_endomap()),
+        ("gl1d_identity_minus_origin", GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)),
+        ("gl1d_mixed", GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1)),
+        ("phi_example", PhiEndo(phi)),
+        ("ma_example", MaEndo(g, hat_weight(1.0), 1.0)),
     ]
 
 
@@ -153,102 +97,87 @@ def run_core_suite(seed=0, trials=1000):
     rep = SuiteReport("core", seed)
 
     # pointwise-add exactness on random sample points
-    worst, bad = 0.0, None
-    for _ in range(trials):
-        f = rand.random_convex_pwl(rng)
-        g = rand.random_convex_pwl(rng)
-        lo = max(f.domain[0], g.domain[0])
-        hi = min(f.domain[1], g.domain[1])
-        if not lo < hi:
-            continue
-        s = pwl_add(f, g)
-        a, b = max(lo, -6.0), min(hi, 6.0)
-        if not a < b:
-            continue
-        for x in rng.uniform(a, b, size=10):
-            lhs, rhsum = s(x), f(x) + g(x)
-            if lhs == INF and rhsum == INF:
+    def add_errors():
+        for _ in range(trials):
+            f = rand.random_convex_pwl(rng)
+            g = rand.random_convex_pwl(rng)
+            lo = max(f.domain[0], g.domain[0])
+            hi = min(f.domain[1], g.domain[1])
+            if not lo < hi:
                 continue
-            err = abs(lhs - rhsum)
-            if err > worst:
-                worst, bad = err, {"f": fn_to_json(f), "g": fn_to_json(g), "x": x}
-    rep.add("pwl_add_exact", worst <= 1e-12, trials, worst,
-            None if worst <= 1e-12 else bad)
+            s = pwl_add(f, g)
+            a, b = max(lo, -6.0), min(hi, 6.0)
+            if not a < b:
+                continue
+            for x in rng.uniform(a, b, size=10):
+                lhs, rhsum = s(x), f(x) + g(x)
+                if lhs == INF and rhsum == INF:
+                    continue
+                yield abs(lhs - rhsum), lambda: {"f": fn_to_json(f), "g": fn_to_json(g), "x": x}
+    rep.worst("pwl_add_exact", 1e-12, trials, add_errors())
 
     # conjugating twice reproduces the data
-    worst, bad = 0.0, None
-    for _ in range(trials):
-        f = rand.random_convex_pwl(rng)
-        g = legendre(legendre(f))
-        err = _pwl_data_distance(f, g)
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f)}
-    rep.add("legendre_involution", worst <= 1e-12, trials, worst,
-            None if worst <= 1e-12 else bad)
+    def involution_errors():
+        for _ in range(trials):
+            f = rand.random_convex_pwl(rng)
+            yield _pwl_data_distance(f, legendre(legendre(f))), lambda: {"f": fn_to_json(f)}
+    rep.worst("legendre_involution", 1e-12, trials, involution_errors())
+
+    n_ord = max(1, trials // 5)
 
     # f <= g implies conjugate(f) >= conjugate(g)
-    worst, bad = 0.0, None
-    n_ord = max(1, trials // 5)
-    for _ in range(n_ord):
-        f = rand.random_convex_pwl(rng)
-        if not f.domain[0] < f.domain[1]:
-            continue
-        g = pwl_add(f, rand.random_nonneg_pwl(rng))
-        fs, gs = legendre(f), legendre(g)
-        for y in rng.uniform(-4.0, 4.0, size=10):
-            a, b = fs(y), gs(y)
-            if a == INF:
+    def order_errors():
+        for _ in range(n_ord):
+            f = rand.random_convex_pwl(rng)
+            if not f.domain[0] < f.domain[1]:
                 continue
-            if b == INF:
-                worst, bad = INF, {"f": fn_to_json(f), "g": fn_to_json(g), "y": y}
-                break
-            err = max(0.0, b - a)
-            if err > worst:
-                worst, bad = err, {"f": fn_to_json(f), "g": fn_to_json(g), "y": y}
-    rep.add("legendre_order_reversal", worst <= 1e-9, n_ord, worst,
-            None if worst <= 1e-9 else bad)
+            g = pwl_add(f, rand.random_nonneg_pwl(rng))
+            fs, gs = legendre(f), legendre(g)
+            for y in rng.uniform(-4.0, 4.0, size=10):
+                a, b = fs(y), gs(y)
+                if a < INF:
+                    yield max(0.0, b - a), lambda: {"f": fn_to_json(f), "g": fn_to_json(g),
+                                                    "y": y}
+    rep.worst("legendre_order_reversal", 1e-9, n_ord, order_errors())
+
+    n_pairs = min(100, max(1, trials // 10))
 
     # inf-convolution against a brute-force grid minimum
-    worst, bad = 0.0, None
-    n_pairs = min(100, max(1, trials // 10))
-    done = 0
-    while done < n_pairs:
-        f = rand.random_finite_pwl(rng, max_breaks=5)
-        g = rand.random_finite_pwl(rng, max_breaks=5)
-        fs, gs = legendre(f), legendre(g)
-        if not (max(fs.domain[0], gs.domain[0]) < min(fs.domain[1], gs.domain[1])):
-            continue
-        done += 1
-        h = inf_convolve(f, g)
-        lip = max(abs(m) for m in f.slope_sequence() + g.slope_sequence())
-        ygrid = np.linspace(-12.0, 12.0, 2401)
-        step = ygrid[1] - ygrid[0]
-        for x in rng.uniform(-2.0, 2.0, size=3):
-            brute = float(np.min(f.eval_many(ygrid) + g.eval_many(x - ygrid)))
-            excess = abs(h(x) - brute) - (step * lip + 1e-9)
-            if excess > worst:
-                worst = excess
-                bad = {"f": fn_to_json(f), "g": fn_to_json(g), "x": x,
-                       "exact": h(x), "brute": brute}
-    rep.add("inf_convolve_bruteforce", worst <= 0.0, n_pairs, max(worst, 0.0),
-            None if worst <= 0.0 else bad)
+    def convolve_excess():
+        done = 0
+        while done < n_pairs:
+            f = rand.random_finite_pwl(rng, max_breaks=5)
+            g = rand.random_finite_pwl(rng, max_breaks=5)
+            fs, gs = legendre(f), legendre(g)
+            if not (max(fs.domain[0], gs.domain[0]) < min(fs.domain[1], gs.domain[1])):
+                continue
+            done += 1
+            h = inf_convolve(f, g)
+            lip = max(abs(m) for m in f.slope_sequence() + g.slope_sequence())
+            ygrid = np.linspace(-12.0, 12.0, 2401)
+            step = ygrid[1] - ygrid[0]
+            for x in rng.uniform(-2.0, 2.0, size=3):
+                brute = float(np.min(f.eval_many(ygrid) + g.eval_many(x - ygrid)))
+                yield (abs(h(x) - brute) - (step * lip + 1e-9),
+                       lambda: {"f": fn_to_json(f), "g": fn_to_json(g), "x": x,
+                                "exact": h(x), "brute": brute})
+    rep.worst("inf_convolve_bruteforce", 0.0, n_pairs, convolve_excess())
+
+    n_env = max(1, trials // 20)
 
     # Moreau envelopes: below f and tightening as t shrinks
-    worst, bad = 0.0, None
-    n_env = max(1, trials // 20)
-    for _ in range(n_env):
-        f = rand.random_convex_pwl(rng)
-        e1 = moreau_envelope(f, 1.0)
-        e2 = moreau_envelope(f, 0.25)
-        for x in rng.uniform(-3.0, 3.0, size=8):
-            err = max(0.0, e1(x) - e2(x))
-            fv = f(x)
-            if fv < INF:
-                err = max(err, e2(x) - fv)
-            if err > worst:
-                worst, bad = err, {"f": fn_to_json(f), "x": x}
-    rep.add("moreau_monotone_below", worst <= 1e-10, n_env, worst,
-            None if worst <= 1e-10 else bad)
+    def envelope_errors():
+        for _ in range(n_env):
+            f = rand.random_convex_pwl(rng)
+            e1 = moreau_envelope(f, 1.0)
+            e2 = moreau_envelope(f, 0.25)
+            for x in rng.uniform(-3.0, 3.0, size=8):
+                err = max(0.0, e1(x) - e2(x))
+                fv = f(x)
+                if fv < INF:
+                    err = max(err, e2(x) - fv)
+                yield err, lambda: {"f": fn_to_json(f), "x": x}
+    rep.worst("moreau_monotone_below", 1e-10, n_env, envelope_errors())
 
     f = PwlFunction([0.0], [0.0], -1.0, 1.0)
     probe = epi_converges_probe(lambda j: moreau_envelope(f, 1.0 / j), f,
@@ -258,20 +187,18 @@ def run_core_suite(seed=0, trials=1000):
     rep.add("moreau_epi_convergence", probe.passed and abs(err - expected) <= 1e-9,
             8, abs(err - expected))
 
+    endos = _one_dim_endos()
+
     # probe well-definedness for the 1D operator families
-    worst, bad = 0.0, None
-    count = 0
-    for name, em in _one_dim_endos():
-        for _ in range(5):
-            phi_p, phi_m = _random_hat_parts_1d(rng)
-            f1, f2 = _gw_bases_1d(rng, phi_m)
-            x = float(rng.uniform(-1.0, 1.0))
-            _, ok = gw_probe(em, x, phi_p, phi_m, (f1, f2), tol=1e-9)
-            count += 1
-            if not ok:
-                worst = max(worst, 1.0)
-                bad = {"endo": name, "x": x}
-    rep.add("gw_probe_consistency", worst == 0.0, count, worst, bad)
+    def probe_failures():
+        for name, em in endos:
+            for _ in range(5):
+                phi_p, phi_m = random_hat_parts_1d(rng)
+                f1, f2 = gw_bases_1d(rng, phi_m)
+                x = float(rng.uniform(-1.0, 1.0))
+                _, ok = gw_probe(em, x, phi_p, phi_m, (f1, f2), tol=1e-9)
+                yield 0.0 if ok else 1.0, lambda: {"endo": name, "x": x}
+    rep.worst("gw_probe_consistency", 0.0, 5 * len(endos), probe_failures())
 
     return rep
 
@@ -307,96 +234,58 @@ def run_gl_suite(seed=0, trials=100):
     rep = SuiteReport("gl", seed)
     fixtures = _gl_fixtures()
 
-    worst, bad = 0.0, None
-    for _ in range(trials):
-        e = fixtures[int(rng.integers(0, len(fixtures)))]
-        f = rand.random_finite_expr(rng, e.n)
-        g = rand.random_finite_expr(rng, e.n)
-        x = rng.uniform(-2.0, 2.0, size=e.n)
-        err = abs(gl_eval(e, Sum([f, g]), x) - gl_eval(e, f, x) - gl_eval(e, g, x))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "g": fn_to_json(g), "x": x.tolist()}
-    rep.add("gl_additivity", worst <= 1e-9, trials, worst,
-            None if worst <= 1e-9 else bad)
+    rep.worst("gl_additivity", 1e-9, trials, _additivity_errors(fixtures, rng, trials))
 
-    worst, bad = 0.0, None
-    for _ in range(trials):
-        e = fixtures[int(rng.integers(0, len(fixtures)))]
-        f = rand.random_finite_expr(rng, e.n)
-        lam = float(rng.uniform(0.0, 3.0))
-        x = rng.uniform(-2.0, 2.0, size=e.n)
-        err = abs(gl_eval(e, Scale(lam, f), x) - lam * gl_eval(e, f, x))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "lambda": lam, "x": x.tolist()}
-    rep.add("gl_homogeneity", worst <= 1e-9, trials, worst,
-            None if worst <= 1e-9 else bad)
+    def homogeneity_errors():
+        for _ in range(trials):
+            e = fixtures[int(rng.integers(0, len(fixtures)))]
+            f = rand.random_finite_expr(rng, e.n)
+            lam = float(rng.uniform(0.0, 3.0))
+            x = rng.uniform(-2.0, 2.0, size=e.n)
+            yield (abs(e(Scale(lam, f), x) - lam * e(f, x)),
+                   lambda: {"f": fn_to_json(f), "lambda": lam, "x": x.tolist()})
+    rep.worst("gl_homogeneity", 1e-9, trials, homogeneity_errors())
 
-    worst, bad = 0.0, None
-    for _ in range(trials):
-        n = 2 if rng.random() < 0.5 else 3
-        e = GlEndo(float(rng.uniform(0.0, 2.0)), rand.random_line_measure(rng), n)
-        f = rand.random_finite_expr(rng, n)
-        m = rand.random_invertible(rng, n)
-        x = rng.uniform(-2.0, 2.0, size=n)
-        err = abs(gl_eval(e, Precompose(m, f), x) - gl_eval(e, f, m @ x))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "matrix": m.tolist(), "x": x.tolist()}
-    rep.add("gl_equivariance", worst <= 1e-9, trials, worst,
-            None if worst <= 1e-9 else bad)
+    def equivariance_errors():
+        for _ in range(trials):
+            n = 2 if rng.random() < 0.5 else 3
+            e = GlEndo(float(rng.uniform(0.0, 2.0)), rand.random_line_measure(rng), n)
+            f = rand.random_finite_expr(rng, n)
+            m = rand.random_invertible(rng, n)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            yield (abs(e(Precompose(m, f), x) - e(f, m @ x)),
+                   lambda: {"f": fn_to_json(f), "matrix": m.tolist(), "x": x.tolist()})
+    rep.worst("gl_equivariance", 1e-9, trials, equivariance_errors())
 
-    ok, bad = True, None
-    ts = np.linspace(-1.0, 1.0, 9)
-    n_conv = max(1, trials // 2)
-    for _ in range(n_conv):
-        e = fixtures[int(rng.integers(0, len(fixtures)))]
-        f = rand.random_finite_expr(rng, e.n)
-        base = rng.uniform(-1.0, 1.0, size=e.n)
-        d = rng.normal(size=e.n)
-        if not is_convex_sampled(
-                lambda t: gl_eval(e, f, base + t * d), ts, tol=1e-8):
-            ok, bad = False, {"f": fn_to_json(f), "base": base.tolist(),
-                              "dir": d.tolist()}
-            break
-    rep.add("gl_output_convexity", ok, n_conv, 0.0, bad)
+    _output_convexity(rep, "gl_output_convexity", fixtures, rand.random_finite_expr, rng,
+                      max(1, trials // 2))
 
-    # dual-translation-invariance predicate versus vanishing on linear inputs
-    mism, bad = 0, None
-    half = max(2, trials // 2)
-    for i in range(half):
-        n = 2
-        nu = rand.random_line_measure(rng, balanced=(i % 2 == 0))
-        e = GlEndo(float(rng.uniform(0.0, 2.0)), nu, n)
-        pred = gl_is_dually_translation_invariant(e)
-        probes = [(np.array([1.0, 0.0]), np.array([1.0, 0.0]))]
-        probes += [(rng.normal(size=n), rng.uniform(-2.0, 2.0, size=n))
-                   for _ in range(3)]
-        emp = max(abs(gl_eval(e, Affine(a, 0.0), x)) for a, x in probes)
-        if pred != (emp <= 1e-9):
-            mism += 1
-            bad = {"nu": [list(a) for a in nu.atoms], "pred": pred, "emp": emp}
-    rep.add("gl_dual_invariance_iff_kills_linear", mism == 0, half, float(mism), bad)
+    def alternately_balanced():
+        for i in range(max(2, trials // 2)):
+            nu = rand.random_line_measure(rng, balanced=(i % 2 == 0))
+            yield GlEndo(float(rng.uniform(0.0, 2.0)), nu, 2)
+    _linear_response(rep, "gl_dual_invariance_iff_kills_linear", alternately_balanced(), 1,
+                     gl_is_dually_translation_invariant,
+                     lambda e, pred, emp: {"nu": [list(a) for a in e.nu.atoms],
+                                           "pred": pred, "emp": emp}, rng)
 
     # probe value against direct atom summation
-    worst, bad = 0.0, None
-    n_gw = max(1, trials // 4)
-    for _ in range(n_gw):
-        n = 2
-        e = GlEndo(float(rng.uniform(0.0, 3.0)), rand.random_line_measure(rng), n)
-        x = rng.uniform(-1.5, 1.5, size=n)
-        if np.linalg.norm(x) < 0.3:
-            x = x + 0.5
-        phi_p, phi_m, hat = _radial_hat_parts(rng, n)
-        f1, f2 = _gw_bases_nd(rng, phi_m, n)
-        val, ok = gw_probe(e.as_endomap(), x, phi_p, phi_m, (f1, f2), tol=1e-9,
-                           lines=_probe_lines(rng, n))
-        zero = np.zeros(n)
-        expected = e.c * hat(zero) + sum(
-            w * (hat(s * x) - hat(zero)) / (s * s) for s, w in e.nu.atoms)
-        err = abs(val - expected) + (0.0 if ok else 1.0)
-        if err > worst:
-            worst, bad = err, {"x": x.tolist(), "value": val, "expected": expected}
-    rep.add("gl_gw_recovery", worst <= 1e-8, n_gw, worst,
-            None if worst <= 1e-8 else bad)
+    def recovery_errors():
+        for _ in range(max(1, trials // 4)):
+            e = GlEndo(float(rng.uniform(0.0, 3.0)), rand.random_line_measure(rng), 2)
+            x = rng.uniform(-1.5, 1.5, size=2)
+            if np.linalg.norm(x) < 0.3:
+                x = x + 0.5
+            phi_p, phi_m, hat = radial_hat_parts(rng, 2)
+            f1, f2 = gw_bases_nd(rng, phi_m, 2)
+            val, ok = gw_probe(e, x, phi_p, phi_m, (f1, f2), tol=1e-9,
+                               lines=probe_lines(rng, 2))
+            zero = np.zeros(2)
+            expected = e.c * hat(zero) + sum(
+                w * (hat(s * x) - hat(zero)) / (s * s) for s, w in e.nu.atoms)
+            yield (abs(val - expected) + (0.0 if ok else 1.0),
+                   lambda: {"x": x.tolist(), "value": val, "expected": expected})
+    rep.worst("gl_gw_recovery", 1e-8, max(1, trials // 4), recovery_errors())
 
     # monotonicity predicate versus empirical search
     mism, bad = 0, None
@@ -425,15 +314,59 @@ def run_gl_suite(seed=0, trials=100):
     # domain, while scale-compose maps stay finite on the image domain
     e2 = GlEndo(0.0, LineMeasure([(1.0, 1.0), (-1.0, 1.0)]), 1)
     f = Sum([Affine([0.0], 0.0), Pwl1D(pwl_indicator(-0.1, 1.0), [1.0])])
-    ok = all(gl_eval(e2, f, [x]) == 0.0 for x in np.linspace(-0.09, 0.09, 7))
-    ok = ok and all(gl_eval(e2, f, [x]) == INF for x in (-0.11, 0.11, 0.5, -0.5, 2.0))
+    ok = all(e2(f, [x]) == 0.0 for x in np.linspace(-0.09, 0.09, 7))
+    ok = ok and all(e2(f, [x]) == INF for x in (-0.11, 0.11, 0.5, -0.5, 2.0))
     sc = ScaleComposeMap(2.0, -1.0, 1)
     seg = Pwl1D(pwl_indicator(0.0, 1.0), [1.0])
-    ok = ok and scale_compose_eval(sc, seg, [-0.5]) == 0.0
-    ok = ok and scale_compose_eval(sc, seg, [0.5]) == INF
+    ok = ok and sc(seg, [-0.5]) == 0.0 and sc(seg, [0.5]) == INF
     rep.add("gl_rigidity_blowup", ok, 1, 0.0)
 
     return rep
+
+
+# -- properties the gl and radial families share ---------------------------------
+
+def _additivity_errors(fixtures, rng, count):
+    for _ in range(count):
+        e = fixtures[int(rng.integers(0, len(fixtures)))]
+        f = rand.random_finite_expr(rng, e.n)
+        g = rand.random_finite_expr(rng, e.n)
+        x = rng.uniform(-2.0, 2.0, size=e.n)
+        yield (abs(e(Sum([f, g]), x) - e(f, x) - e(g, x)),
+               lambda: {"f": fn_to_json(f), "g": fn_to_json(g), "x": x.tolist()})
+
+
+def _output_convexity(rep, name, fixtures, draw, rng, count):
+    """Midpoint convexity of e(f) along random lines, for f = draw(rng, n)."""
+    ts = np.linspace(-1.0, 1.0, 9)
+    bad = None
+    for _ in range(count):
+        e = fixtures[int(rng.integers(0, len(fixtures)))]
+        f = draw(rng, e.n)
+        base = rng.uniform(-1.0, 1.0, size=e.n)
+        d = rng.normal(size=e.n)
+        if not is_convex_sampled(lambda t: e(f, base + t * d), ts, tol=1e-8):
+            bad = {"f": fn_to_json(f), "base": base.tolist(), "dir": d.tolist()}
+            break
+    rep.add(name, bad is None, count, 0.0, bad)
+
+
+def _linear_response(rep, name, ops, axes, predicate, describe, rng):
+    """The dual-translation-invariance predicate of each operator against its
+    vanishing on linear inputs <a, .> at x: a = x = e_i for the first ``axes``
+    coordinate axes, then three random (a, x)."""
+    mism, bad, count = 0, None, 0
+    for e in ops:
+        count += 1
+        pred = predicate(e)
+        probes = [(u, u) for u in np.eye(e.n)[:axes]]
+        probes += [(rng.normal(size=e.n), rng.uniform(-2.0, 2.0, size=e.n))
+                   for _ in range(3)]
+        emp = max(abs(e(Affine(a, 0.0), x)) for a, x in probes)
+        if pred != (emp <= 1e-9):
+            mism += 1
+            bad = describe(e, pred, emp)
+    rep.add(name, mism == 0, count, float(mism), bad)
 
 
 # -- radial ----------------------------------------------------------------------
@@ -453,118 +386,73 @@ def run_radial_suite(seed=0, trials=100):
     rep = SuiteReport("radial", seed)
     fixtures = _radial_fixtures()
 
-    # independence of the rotation choice (orbit invariance)
-    worst, bad = 0.0, None
     n_rot = max(1, trials // 4)
-    for _ in range(n_rot):
-        e = fixtures[int(rng.integers(0, 3))]
-        f = rand.random_smooth_expr(rng, 3)
-        x = rng.uniform(-2.0, 2.0, size=3)
-        if np.linalg.norm(x) < 0.1:
-            x[0] += 1.0
-        base = canonical_rotation(x, 3)
-        q = rand.random_rotation_fixing_axis(rng, 3)
-        err = abs(radial_eval(e, f, x) - radial_eval(e, f, x, rotation=base @ q))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "x": x.tolist()}
-    rep.add("radial_rotation_choice_free", worst <= 1e-9, n_rot, worst,
-            None if worst <= 1e-9 else bad)
+
+    # independence of the rotation choice (orbit invariance)
+    def rotation_errors():
+        for _ in range(n_rot):
+            e = fixtures[int(rng.integers(0, 3))]
+            f = rand.random_smooth_expr(rng, 3)
+            x = rng.uniform(-2.0, 2.0, size=3)
+            if np.linalg.norm(x) < 0.1:
+                x[0] += 1.0
+            base = canonical_rotation(x, 3)
+            q = rand.random_rotation_fixing_axis(rng, 3)
+            yield (abs(radial_eval(e, f, x) - radial_eval(e, f, x, rotation=base @ q)),
+                   lambda: {"f": fn_to_json(f), "x": x.tolist()})
+    rep.worst("radial_rotation_choice_free", 1e-9, n_rot, rotation_errors())
+
+    n_so = max(1, trials // 2)
 
     # equivariance under rotations of the argument
-    worst, bad = 0.0, None
-    n_so = max(1, trials // 2)
-    for _ in range(n_so):
-        e = fixtures[int(rng.integers(0, len(fixtures)))]
-        n = e.n
-        f = rand.random_smooth_expr(rng, n) if n == 3 else rand.random_finite_expr(rng, n)
-        rho = rand.random_rotation(rng, n)
-        x = rng.uniform(-2.0, 2.0, size=n)
-        err = abs(radial_eval(e, Precompose(rho, f), x) - radial_eval(e, f, rho @ x))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "x": x.tolist()}
-    rep.add("radial_so_equivariance", worst <= 1e-9, n_so, worst,
-            None if worst <= 1e-9 else bad)
+    def rotated_errors():
+        for _ in range(n_so):
+            e = fixtures[int(rng.integers(0, len(fixtures)))]
+            n = e.n
+            f = rand.random_smooth_expr(rng, n) if n == 3 else rand.random_finite_expr(rng, n)
+            rho = rand.random_rotation(rng, n)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            yield (abs(e(Precompose(rho, f), x) - e(f, rho @ x)),
+                   lambda: {"f": fn_to_json(f), "x": x.tolist()})
+    rep.worst("radial_so_equivariance", 1e-9, n_so, rotated_errors())
 
     # equivariance under dilations: value at t*x equals value of f(t .) at x
-    worst, bad = 0.0, None
-    for _ in range(n_so):
-        e = fixtures[int(rng.integers(0, len(fixtures)))]
-        n = e.n
-        f = rand.random_finite_expr(rng, n)
-        t = float(rng.uniform(0.2, 3.0))
-        x = rng.uniform(-2.0, 2.0, size=n)
-        err = abs(radial_eval(e, f, t * x)
-                  - radial_eval(e, Precompose(t * np.eye(n), f), x))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "x": x.tolist(), "t": t}
-    rep.add("radial_dilation_equivariance", worst <= 1e-9, n_so, worst,
-            None if worst <= 1e-9 else bad)
+    def dilated_errors():
+        for _ in range(n_so):
+            e = fixtures[int(rng.integers(0, len(fixtures)))]
+            n = e.n
+            f = rand.random_finite_expr(rng, n)
+            t = float(rng.uniform(0.2, 3.0))
+            x = rng.uniform(-2.0, 2.0, size=n)
+            yield (abs(e(f, t * x) - e(Precompose(t * np.eye(n), f), x)),
+                   lambda: {"f": fn_to_json(f), "x": x.tolist(), "t": t})
+    rep.worst("radial_dilation_equivariance", 1e-9, n_so, dilated_errors())
 
     # monotonicity on ordered pairs
-    worst, bad = 0.0, None
-    for _ in range(trials):
-        e = fixtures[int(rng.integers(0, len(fixtures)))]
-        n = e.n
-        f = rand.random_finite_expr(rng, n)
-        g = Sum([f, rand.random_nonneg_expr(rng, n)])
-        x = rng.uniform(-2.0, 2.0, size=n)
-        err = max(0.0, radial_eval(e, f, x) - radial_eval(e, g, x))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "g": fn_to_json(g), "x": x.tolist()}
-    rep.add("radial_monotone", worst <= 1e-9, trials, worst,
-            None if worst <= 1e-9 else bad)
+    def order_errors():
+        for _ in range(trials):
+            e = fixtures[int(rng.integers(0, len(fixtures)))]
+            n = e.n
+            f = rand.random_finite_expr(rng, n)
+            g = Sum([f, rand.random_nonneg_expr(rng, n)])
+            x = rng.uniform(-2.0, 2.0, size=n)
+            yield (max(0.0, e(f, x) - e(g, x)),
+                   lambda: {"f": fn_to_json(f), "g": fn_to_json(g), "x": x.tolist()})
+    rep.worst("radial_monotone", 1e-9, trials, order_errors())
 
-    # additivity
-    worst, bad = 0.0, None
-    for _ in range(n_so):
-        e = fixtures[int(rng.integers(0, len(fixtures)))]
-        n = e.n
-        f = rand.random_finite_expr(rng, n)
-        g = rand.random_finite_expr(rng, n)
-        x = rng.uniform(-2.0, 2.0, size=n)
-        err = abs(radial_eval(e, Sum([f, g]), x)
-                  - radial_eval(e, f, x) - radial_eval(e, g, x))
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "g": fn_to_json(g), "x": x.tolist()}
-    rep.add("radial_additivity", worst <= 1e-9, n_so, worst,
-            None if worst <= 1e-9 else bad)
+    rep.worst("radial_additivity", 1e-9, n_so, _additivity_errors(fixtures, rng, n_so))
+    _output_convexity(rep, "radial_output_convexity", fixtures[:3], rand.random_smooth_expr,
+                      rng, max(1, trials // 4))
 
-    # output convexity along lines
-    ok, bad = True, None
-    ts = np.linspace(-1.0, 1.0, 9)
-    n_conv = max(1, trials // 4)
-    for _ in range(n_conv):
-        e = fixtures[int(rng.integers(0, 3))]
-        f = rand.random_smooth_expr(rng, 3)
-        base = rng.uniform(-1.0, 1.0, size=3)
-        d = rng.normal(size=3)
-        if not is_convex_sampled(
-                lambda t: radial_eval(e, f, base + t * d), ts, tol=1e-8):
-            ok, bad = False, {"f": fn_to_json(f), "base": base.tolist(),
-                              "dir": d.tolist()}
-            break
-    rep.add("radial_output_convexity", ok, n_conv, 0.0, bad)
-
-    # dual-translation-invariance predicate versus vanishing on linear inputs
-    mism, bad = 0, None
     cases = [OrbitMeasure(3, [(1.0, 0.0, 1.0), (1.0, math.pi, 1.0)]),
              OrbitMeasure(3, [(2.0, 0.0, 1.0)]),
              OrbitMeasure(3, [(1.0, math.pi / 2, 1.0)]),
              OrbitMeasure(2, [(1.0, 0.5, 1.0), (1.0, 0.5 - math.pi, 1.0)]),
              OrbitMeasure(2, [(1.0, 0.5, 1.0)])]
-    for mu in cases:
-        e = RadialEndo(mu, M=32)
-        pred = radial_is_dually_translation_invariant(e)
-        probes = [(np.eye(e.n)[0], np.eye(e.n)[0]),
-                  (np.eye(e.n)[1], np.eye(e.n)[1])]
-        probes += [(rng.normal(size=e.n), rng.uniform(-2.0, 2.0, size=e.n))
-                   for _ in range(3)]
-        emp = max(abs(radial_eval(e, Affine(a, 0.0), x)) for a, x in probes)
-        if pred != (emp <= 1e-9):
-            mism += 1
-            bad = {"mu_n": e.n, "pred": pred, "emp": emp}
-    rep.add("radial_dual_invariance_iff_kills_linear", mism == 0, len(cases),
-            float(mism), bad)
+    _linear_response(rep, "radial_dual_invariance_iff_kills_linear",
+                     (RadialEndo(mu, M=32) for mu in cases), 2,
+                     radial_is_dually_translation_invariant,
+                     lambda e, pred, emp: {"mu_n": e.n, "pred": pred, "emp": emp}, rng)
 
     # unit-radius orbits act as the total mass on rotation-invariant inputs
     e_unit = RadialEndo(OrbitMeasure(3, [(1.0, math.pi / 3, 2.0)]), M=64)
@@ -575,10 +463,9 @@ def run_radial_suite(seed=0, trials=100):
     for fr in (Norm(1.0), Quad(1.0)):
         for _ in range(10):
             x = rng.uniform(-2.0, 2.0, size=3)
-            worst = max(worst, abs(radial_eval(e_unit, fr, x)
-                                   - mass * expr_eval(fr, x)))
+            worst = max(worst, abs(e_unit(fr, x) - mass * expr_eval(fr, x)))
     x1 = np.array([1.0, 0.0, 0.0])
-    off_gap = abs(radial_eval(e_off, Quad(1.0), x1)
+    off_gap = abs(e_off(Quad(1.0), x1)
                   - orbit_total_mass(e_off.mu) * expr_eval(Quad(1.0), x1))
     ok = ok and worst <= 1e-6 and off_gap >= 1.0
     rep.add("radial_scalar_on_invariant_iff_unit_orbits", ok, 22, worst)
@@ -603,18 +490,14 @@ def run_kernel_suite(seed=0, trials=100):
     rep = SuiteReport("kernel", seed)
 
     # second-derivative measure is additive atom by atom
-    worst, bad = 0.0, None
-    n_ma = trials * 10
-    for _ in range(n_ma):
-        f = rand.random_finite_pwl(rng)
-        g = rand.random_finite_pwl(rng)
-        lhs = monge_ampere(pwl_add(f, g))
-        rhs = line_measure_add(monge_ampere(f), monge_ampere(g))
-        err = _measure_distance(lhs, rhs)
-        if err > worst:
-            worst, bad = err, {"f": fn_to_json(f), "g": fn_to_json(g)}
-    rep.add("ma_additivity", worst <= 1e-12, n_ma, worst,
-            None if worst <= 1e-12 else bad)
+    def ma_errors():
+        for _ in range(trials * 10):
+            f = rand.random_finite_pwl(rng)
+            g = rand.random_finite_pwl(rng)
+            lhs = monge_ampere(pwl_add(f, g))
+            rhs = line_measure_add(monge_ampere(f), monge_ampere(g))
+            yield _measure_distance(lhs, rhs), lambda: {"f": fn_to_json(f), "g": fn_to_json(g)}
+    rep.worst("ma_additivity", 1e-12, trials * 10, ma_errors())
 
     # weak convergence smoke: resampled envelopes against a tent weight
     f = PwlFunction([0.0], [0.0], -1.0, 1.0)
@@ -631,81 +514,69 @@ def run_kernel_suite(seed=0, trials=100):
     ok = all(e <= 4.0 / j for e, j in zip(errs, js))
     rep.add("ma_weak_convergence", ok, len(js), max(errs))
 
-    # extraction, decomposition and re-evaluation reproduce each family
-    worst, bad = 0.0, None
-    fams = _one_dim_endos()
+    # each family's live kernel and its decomposition, built once
+    box = (-1.2, 1.2, -8.0, 8.0)
+    fams = [(name, em, kernel_extract_live(em, box)) for name, em in _one_dim_endos()]
+    decomps = [(name, em, kernel_decompose(live, (-1.0, 1.0), 4.0))
+               for name, em, live in fams]
     n_rt = max(1, trials // 10)
-    for name, em in fams:
-        live = kernel_extract_live(em, (-1.2, 1.2, -8.0, 8.0))
-        d = kernel_decompose(live, (-1.0, 1.0), 4.0)
-        for _ in range(n_rt):
-            f = rand.random_finite_pwl(rng)
-            x = float(rng.uniform(-1.0, 1.0))
-            err = abs(kernel_endo_eval(d, f, x) - em(f, x))
-            if err > worst:
-                worst, bad = err, {"endo": name, "f": fn_to_json(f), "x": x}
-    rep.add("kernel_round_trip", worst <= 1e-6, 4 * n_rt, worst,
-            None if worst <= 1e-6 else bad)
 
-    # affine-in-y gauge freedom leaves the operator untouched
-    worst, bad = 0.0, None
+    # extraction, decomposition and re-evaluation reproduce each family
+    def round_trip_errors():
+        for name, em, d in decomps:
+            for _ in range(n_rt):
+                f = rand.random_finite_pwl(rng)
+                x = float(rng.uniform(-1.0, 1.0))
+                yield (abs(d(f, x) - em(f, x)),
+                       lambda: {"endo": name, "f": fn_to_json(f), "x": x})
+    rep.worst("kernel_round_trip", 1e-6, len(decomps) * n_rt, round_trip_errors())
+
     n_gauge = max(1, trials // 10)
     base = Kernel1D(lambda x, y: max(y - x, 0.0) - max(y, 0.0), (-1, 1, -5, 5))
     d1 = kernel_decompose(base, (-1, 1), 2.0)
-    for _ in range(n_gauge):
-        al, be, ga, de = rng.normal(size=4)
-        shifted = Kernel1D(
-            lambda x, y, al=al, be=be, ga=ga, de=de:
-                max(y - x, 0.0) - max(y, 0.0) + (al + be * x) + (ga + de * x) * y,
-            (-1, 1, -5, 5))
-        d2 = kernel_decompose(shifted, (-1, 1), 2.0)
-        for _ in range(5):
-            f = rand.random_finite_pwl(rng)
-            x = float(rng.uniform(-1.0, 1.0))
-            err = abs(kernel_endo_eval(d1, f, x) - kernel_endo_eval(d2, f, x))
-            if err > worst:
-                worst, bad = err, {"gauge": [al, be, ga, de],
-                                   "f": fn_to_json(f), "x": x}
-    rep.add("kernel_gauge_freedom", worst <= 1e-9, 5 * n_gauge, worst,
-            None if worst <= 1e-9 else bad)
+
+    # affine-in-y gauge freedom leaves the operator untouched
+    def gauge_errors():
+        for _ in range(n_gauge):
+            al, be, ga, de = rng.normal(size=4)
+            shifted = Kernel1D(
+                lambda x, y, al=al, be=be, ga=ga, de=de:
+                    max(y - x, 0.0) - max(y, 0.0) + (al + be * x) + (ga + de * x) * y,
+                (-1, 1, -5, 5))
+            d2 = kernel_decompose(shifted, (-1, 1), 2.0)
+            for _ in range(5):
+                f = rand.random_finite_pwl(rng)
+                x = float(rng.uniform(-1.0, 1.0))
+                yield (abs(d1(f, x) - d2(f, x)),
+                       lambda: {"gauge": [al, be, ga, de], "f": fn_to_json(f), "x": x})
+    rep.worst("kernel_gauge_freedom", 1e-9, 5 * n_gauge, gauge_errors())
 
     # probe pairing equals the residual-weighted jump sum
-    worst, bad = 0.0, None
-    for name, em in fams:
-        live = kernel_extract_live(em, (-1.2, 1.2, -8.0, 8.0))
-        d = kernel_decompose(live, (-1.0, 1.0), 4.0)
-        dm = d.as_endomap()
-        for _ in range(5):
-            phi_p, phi_m = _random_hat_parts_1d(rng)
-            f1, f2 = _gw_bases_1d(rng, phi_m)
-            x = float(rng.uniform(-1.0, 1.0))
-            val, ok = gw_probe(dm, x, phi_p, phi_m, (f1, f2), tol=1e-8)
-            map_, mam = monge_ampere(phi_p), monge_ampere(phi_m)
-            expected = ((d.c1(x) + d.c3(x)) * (phi_p(0.0) - phi_m(0.0))
-                        + (d.c2(x) + d.c4(x)) * (phi_p(-1.0) - phi_m(-1.0))
-                        + sum(d.psi_tilde(x, y) * w for y, w in map_.atoms)
-                        - sum(d.psi_tilde(x, y) * w for y, w in mam.atoms))
-            err = abs(val - expected) + (0.0 if ok else 1.0)
-            if err > worst:
-                worst, bad = err, {"endo": name, "x": x}
-    rep.add("kernel_gw_pairing", worst <= 1e-8, 4 * 5, worst,
-            None if worst <= 1e-8 else bad)
+    def pairing_errors():
+        for name, _, d in decomps:
+            for _ in range(5):
+                phi_p, phi_m = random_hat_parts_1d(rng)
+                f1, f2 = gw_bases_1d(rng, phi_m)
+                x = float(rng.uniform(-1.0, 1.0))
+                val, ok = gw_probe(d, x, phi_p, phi_m, (f1, f2), tol=1e-8)
+                map_, mam = monge_ampere(phi_p), monge_ampere(phi_m)
+                expected = ((d.c1(x) + d.c3(x)) * (phi_p(0.0) - phi_m(0.0))
+                            + (d.c2(x) + d.c4(x)) * (phi_p(-1.0) - phi_m(-1.0))
+                            + sum(d.psi_tilde(x, y) * w for y, w in map_.atoms)
+                            - sum(d.psi_tilde(x, y) * w for y, w in mam.atoms))
+                yield abs(val - expected) + (0.0 if ok else 1.0), lambda: {"endo": name, "x": x}
+    rep.worst("kernel_gw_pairing", 1e-8, len(decomps) * 5, pairing_errors())
 
     # monotone predicate matches an empirical ordered-pair search
     xs = np.linspace(-1.0, 1.0, 9)
     ys = np.linspace(-4.0, 4.0, 81)
-    cases = []
-    for name, em in fams:
-        live = kernel_extract_live(em, (-1.2, 1.2, -8.0, 8.0))
-        cases.append((name, em, kernel_is_monotone(live, xs, ys, tol=1e-9)))
-    mono_id = GlEndo(1.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()
-    live_id = kernel_extract_live(mono_id, (-1.2, 1.2, -8.0, 8.0))
-    cases.append(("gl1d_pure_identity", mono_id,
-                  kernel_is_monotone(live_id, xs, ys, tol=1e-9)))
+    mono_id = GlEndo(1.0, LineMeasure([(1.0, 1.0)]), 1)
+    fams.append(("gl1d_pure_identity", mono_id, kernel_extract_live(mono_id, box)))
     mism, bad = 0, None
     fdip = PwlFunction([0.0], [-1.0], -1.0, 1.0)            # |y| - 1
     gpos = PwlFunction([-1.0, 1.0], [0.0, 0.0], -1.0, 1.0)  # (|y| - 1)_+
-    for name, em, pred in cases:
+    for name, em, live in fams:
+        pred = kernel_is_monotone(live, xs, ys, tol=1e-9)
         witness = None
         for x in np.linspace(-1.0, 1.0, 5):
             vf, vg = em(fdip, x), em(gpos, x)
@@ -724,7 +595,7 @@ def run_kernel_suite(seed=0, trials=100):
         if pred != (witness is None):
             mism += 1
             bad = {"endo": name, "pred": pred, "witness": witness}
-    rep.add("kernel_monotone_iff_no_witness", mism == 0, len(cases), float(mism), bad)
+    rep.add("kernel_monotone_iff_no_witness", mism == 0, len(fams), float(mism), bad)
 
     return rep
 

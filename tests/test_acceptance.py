@@ -21,8 +21,8 @@ from convendo.rand import (random_convex_pwl, random_finite_expr,
                            random_line_measure,
                            random_rotation, random_rotation_fixing_axis,
                            random_smooth_expr, rng_from_seed)
-from convendo.suites import (_gw_bases_1d, _gw_bases_nd, _probe_lines,
-                             _radial_hat_parts, _random_hat_parts_1d)
+from convendo.fixtures import (gw_bases_1d, gw_bases_nd, probe_lines,
+                               radial_hat_parts, random_hat_parts_1d)
 
 
 def _report(num, name, ok, detail=""):
@@ -219,10 +219,9 @@ def _one_dim_families():
     span = np.linspace(-3, 3, 49)
     g = PwlFunction(span, span ** 2 / 9.0, -2.0 / 3.0, 2.0 / 3.0)
     return [
-        ("gl1d", GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1)
-         .as_endomap_1d(), 1e-8),
-        ("phi", PhiEndo(phi).as_endomap(), 1e-5),
-        ("ma", MaEndo(g, hat_weight(1.0), 1.0).as_endomap(), 1e-5),
+        ("gl1d", GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1), 1e-8),
+        ("phi", PhiEndo(phi), 1e-5),
+        ("ma", MaEndo(g, hat_weight(1.0), 1.0), 1e-5),
     ]
 
 
@@ -251,7 +250,7 @@ def test_criterion_7_kernel_round_trip():
 
 def test_criterion_8_closing_example_kernel():
     phi = PwlFunction([0.0], [1.0], -1.0, 1.0)
-    em = PhiEndo(phi).as_endomap()
+    em = PhiEndo(phi)
     xs = np.linspace(-1.0, 1.0, 101)
     ys = np.linspace(-3.0, 3.0, 101)
     k = kernel_extract(em, xs, ys)
@@ -283,19 +282,18 @@ def _shipped_endos():
     rad2 = RadialEndo(OrbitMeasure(2, [(1.0, 0.5, 1.0), (0.5, -2.0, 0.5)]), M=1)
     hinge_d = kernel_decompose(
         kernel_extract_live(
-            GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d(),
+            GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1),
             (-1.2, 1.2, -8.0, 8.0)), (-1.0, 1.0), 4.0)
     return {
-        "nd": [("gl_two_atom", gl2.as_endomap(), 2),
-               ("gl_mixed", glm.as_endomap(), 2),
-               ("scale_compose", ScaleComposeMap(2.0, -1.0, 2).as_endomap(), 2),
-               ("radial_3d", rad3.as_endomap(), 3),
-               ("radial_2d", rad2.as_endomap(), 2)],
-        "1d": [("gl1d", GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1)
-                .as_endomap_1d()),
-               ("phi", PhiEndo(phi).as_endomap()),
-               ("ma", MaEndo(g, hat_weight(1.0), 1.0).as_endomap()),
-               ("kernel_decomp", hinge_d.as_endomap())],
+        "nd": [("gl_two_atom", gl2, 2),
+               ("gl_mixed", glm, 2),
+               ("scale_compose", ScaleComposeMap(2.0, -1.0, 2), 2),
+               ("radial_3d", rad3, 3),
+               ("radial_2d", rad2, 2)],
+        "1d": [("gl1d", GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1)),
+               ("phi", PhiEndo(phi)),
+               ("ma", MaEndo(g, hat_weight(1.0), 1.0)),
+               ("kernel_decomp", hinge_d)],
     }
 
 
@@ -306,13 +304,13 @@ def test_criterion_9_gw_well_definedness():
     checked = 0
     for name, em, n in endos["nd"]:
         for _ in range(10):
-            phi_p, phi_m, _ = _radial_hat_parts(rng, n)
-            bases = [_gw_bases_nd(rng, phi_m, n) for _ in range(3)]
+            phi_p, phi_m, _ = radial_hat_parts(rng, n)
+            bases = [gw_bases_nd(rng, phi_m, n) for _ in range(3)]
             fs = [bases[0][0], bases[0][1], bases[1][0], bases[1][1], bases[2][0]]
             x = rng.uniform(-1.5, 1.5, size=n)
             if np.linalg.norm(x) < 0.3:
                 x = x + 0.4
-            lines = _probe_lines(rng, n)
+            lines = probe_lines(rng, n)
             for k in range(1, 5):
                 _, flag = gw_probe(em, x, phi_p, phi_m, (fs[0], fs[k]),
                                    tol=1e-9, lines=lines)
@@ -320,8 +318,8 @@ def test_criterion_9_gw_well_definedness():
                 checked += 1
     for name, em in endos["1d"]:
         for _ in range(10):
-            phi_p, phi_m = _random_hat_parts_1d(rng)
-            bases = [_gw_bases_1d(rng, phi_m) for _ in range(3)]
+            phi_p, phi_m = random_hat_parts_1d(rng)
+            bases = [gw_bases_1d(rng, phi_m) for _ in range(3)]
             fs = [bases[0][0], bases[0][1], bases[1][0], bases[1][1], bases[2][0]]
             x = float(rng.uniform(-1.0, 1.0))
             for k in range(1, 5):
@@ -407,10 +405,10 @@ def test_criterion_11_epi_continuity_smoke():
     families["scale_compose"] = family_devs(
         lambda p, x: scale_compose_eval(sc, RadialPwl(p), x), pts2)
     pts1 = [float(v) for v in rng.uniform(-1.0, 1.0, size=10)]
-    families["phi"] = family_devs(lambda p, x: phi.eval(p, x), pts1)
-    families["ma"] = family_devs(lambda p, x: ma.eval(p, x), pts1)
+    families["phi"] = family_devs(lambda p, x: phi(p, x), pts1)
+    families["ma"] = family_devs(lambda p, x: ma(p, x), pts1)
     families["gl1d"] = family_devs(
-        lambda p, x: gl1.as_endomap_1d()(p, x), pts1)
+        lambda p, x: gl1(p, x), pts1)
 
     ok = True
     details = []

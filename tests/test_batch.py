@@ -3,6 +3,8 @@
 Each property draws a random tree and a block of points that holds the
 origin, interior and exterior points and points exactly on a ball boundary,
 then requires the same +inf rows and finite values within 1e-12 relative.
+The same holds for ``op.eval_many(f, X)`` against ``op(f, x)`` for every
+operator descriptor kind.
 """
 
 import math
@@ -18,6 +20,7 @@ from convendo import (INF, BallIndicator, GlEndo, LineMeasure, Max, OrbitMeasure
                       gl_eval_many, radial_eval, radial_eval_many, ray_domain,
                       scale_compose_eval, scale_compose_eval_many)
 from convendo.expr import ray_domain_many
+from convendo.serialize import endo_from_json, fn_from_json
 from convendo.rand import (random_convex_pwl, random_finite_expr,
                            random_invertible, random_line_measure,
                            rng_from_seed)
@@ -149,3 +152,43 @@ def test_scale_compose_eval_many_matches_scale_compose_eval(seed, n):
     f = Sum([random_tree(rng, n), BallIndicator(r)])
     X = point_block(rng, n, [r / abs(m.mu_scalar)])
     assert_same(scale_compose_eval_many(m, f, X), [scale_compose_eval(m, f, x) for x in X])
+
+
+def _pwl(breakpoints, values, slope_left, slope_right):
+    return {"kind": "pwl", "breakpoints": breakpoints, "values": values,
+            "slope_left": slope_left, "slope_right": slope_right}
+
+
+FINITE = _pwl([-1.0, 0.5, 1.5], [2.0, 0.5, 1.0], -2.0, 3.0)
+BOUNDED = _pwl([-0.73, 0.0, 0.91], [1.0, 0.0, 0.5], "-inf", "inf")
+BALL_TREE = {"kind": "max", "terms": [
+    {"kind": "sum", "terms": [{"kind": "norm", "c": 1.0}, {"kind": "ball_indicator", "r": 1.05}]},
+    {"kind": "affine", "a": [0.3, -0.4, 0.2], "b": 0.1}]}
+GL_NU = {"atoms": [{"s": 1.0, "w": 1.0}, {"s": -0.5, "w": 0.25}]}
+KERNEL_YS = np.linspace(-5.0, 5.0, 41)
+KERNEL_XS = np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("desc, n, fn", [
+    # a bare pwl input: GlEndo sums atoms per point and gl_eval_many's tree per block
+    ({"kind": "gl", "c": -0.5, "nu": GL_NU, "n": 1}, 1, BOUNDED),
+    ({"kind": "gl", "c": 1.5, "nu": GL_NU, "n": 3}, 3, BALL_TREE),
+    ({"kind": "scale_compose", "lambda": 2.0, "mu": -1.5, "n": 1}, 1, BOUNDED),
+    ({"kind": "radial", "M": 8, "mu": {"n": 3, "atoms": [
+        {"t": 1.0, "theta": 0.0, "w": 1.0}, {"t": 0.7, "theta": 1.2, "w": 0.5}]}}, 3, BALL_TREE),
+    ({"kind": "phi_example", "phi": _pwl([-0.8, 0.0, 0.8], [1.6, 1.0, 1.6], "-inf", "inf")},
+     1, FINITE),
+    ({"kind": "ma_example", "g": _pwl([0.0], [0.5], -1.0, 2.0),
+      "zeta": {"kind": "hat", "radius": 1.0}}, 1, FINITE),
+    ({"kind": "kernel", "A": [-1.0, 1.0], "R": 2.0,
+      "psi": {"kind": "grid", "xs": KERNEL_XS.tolist(), "ys": KERNEL_YS.tolist(),
+              "values": (np.maximum(KERNEL_YS - KERNEL_XS[:, None], 0.0)
+                         - np.maximum(KERNEL_YS, 0.0)).tolist()}},
+     1, FINITE),
+], ids=["gl1", "gl3", "scale_compose1", "radial3", "phi_example", "ma_example", "kernel"])
+def test_operator_protocol(desc, n, fn):
+    op, f = endo_from_json(desc), fn_from_json(fn)
+    assert op.n == n
+    axis = np.linspace(-1.0, 1.0, 41 if n == 1 else 7)
+    X = np.stack([m.ravel() for m in np.meshgrid(*[axis] * n, indexing="ij")], axis=1)
+    assert_same(op.eval_many(f, X), [op(f, x if n > 1 else float(x[0])) for x in X])

@@ -67,18 +67,6 @@ def test_ray_domain_zero_vector():
         ray_domain(Quad(1.0), [0.0, 0.0])
 
 
-def test_ray_domain_bisection_fallback():
-    class Opaque:
-        dim = 2
-
-        def _eval(self, x):
-            return 0.0 if abs(x[0]) <= 1.0 else INF
-
-    lo, hi = ray_domain(Opaque(), [2.0, 0.0])
-    assert lo == pytest.approx(-0.5, abs=1e-9)
-    assert hi == pytest.approx(0.5, abs=1e-9)
-
-
 def test_precompose_rejects_singular():
     from convendo import BadShape
     with pytest.raises(BadShape):

@@ -47,6 +47,17 @@ def test_boundary_case_radial_limit():
     assert report["tail_monotone"]
 
 
+def test_ray_interval_attribute_error_propagates():
+    # a fault inside a node's own _ray_interval surfaces from gl_eval
+    class Broken(Quad):
+        def _ray_interval(self, x):
+            return self.no_such_attribute
+
+    e = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 2)
+    with pytest.raises(AttributeError, match="no_such_attribute"):
+        gl_eval(e, Broken(1.0), [1.0, 0.0])
+
+
 def test_origin_not_in_domain():
     e = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
     f = Pwl1D(pwl_indicator(1.0, 2.0), [1.0])

@@ -125,7 +125,7 @@ def test_decompose_rejects_bent_x_slice():
 
 
 def test_detect_tail_radius():
-    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()
+    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
     live = kernel_extract_live(em, (-1.0, 1.0, -2.0 ** 12, 2.0 ** 12))
     r = detect_tail_radius(live, (-1.0, 1.0), start=2.0)
     assert r >= 2.0
@@ -137,7 +137,7 @@ def test_detect_tail_radius():
 # -- extraction --------------------------------------------------------------------
 
 def test_extract_hinge_values():
-    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()
+    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
     xs = np.linspace(-1, 1, 9)
     ys = np.linspace(-3, 3, 13)
     k = kernel_extract(em, xs, ys)
@@ -148,8 +148,7 @@ def test_extract_hinge_values():
 
 
 def test_extract_zero_map():
-    from convendo import EndoMap
-    em = EndoMap(lambda f, x: 0.0, 1)
+    em = lambda f, x: 0.0
     k = kernel_extract(em, np.linspace(-1, 1, 5), np.linspace(-2, 2, 5))
     assert np.allclose(k.grid[2], 0.0)
 
@@ -183,7 +182,7 @@ def test_kernel_monotonicity_predicates():
 
 def test_nonmonotone_witness_for_eval_minus_origin():
     # oracle: f = |y| - 1 <= g = (|y| - 1)_+ but f(x) - f(0) > g(x) - g(0)
-    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()
+    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
     f = PwlFunction([0.0], [-1.0], -1.0, 1.0)
     g = PwlFunction([-1.0, 1.0], [0.0, 0.0], -1.0, 1.0)
     ys = np.linspace(-5, 5, 101)
@@ -198,7 +197,7 @@ def test_phi_endo_parabola_oracle():
     phi = PwlFunction([0.0], [1.0], -1.0, 1.0)
     pe = PhiEndo(phi)
     f = dense_parabola(span=5.0, pieces=4000)
-    assert pe.eval(f, 1.0) == pytest.approx(16.0 / 3.0, abs=1e-4)
+    assert pe(f, 1.0) == pytest.approx(16.0 / 3.0, abs=1e-4)
 
 
 def test_phi_endo_kills_affine():
@@ -206,7 +205,7 @@ def test_phi_endo_kills_affine():
     pe = PhiEndo(phi)
     f = pwl_linear(3.0, 7.0)
     for t in (-2.0, 0.0, 0.4, 1.7):
-        assert pe.eval(f, t) == pytest.approx(0.0, abs=1e-12)
+        assert pe(f, t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phi_endo_indicator_domain():
@@ -214,10 +213,10 @@ def test_phi_endo_indicator_domain():
     phi = pwl_indicator(-1.0, 1.0)
     pe = PhiEndo(phi)
     f = pwl_abs()
-    assert pe.eval(f, 0.5) == 0.0
-    assert pe.eval(f, -0.9) == 0.0
-    assert pe.eval(f, 1.2) == INF
-    assert pe.eval(f, 1.0) == pytest.approx(0.0)  # boundary radial limit
+    assert pe(f, 0.5) == 0.0
+    assert pe(f, -0.9) == 0.0
+    assert pe(f, 1.2) == INF
+    assert pe(f, 1.0) == pytest.approx(0.0)  # boundary radial limit
 
 
 def test_phi_endo_validation():
@@ -270,19 +269,19 @@ def test_ma_endo_examples():
     ma = MaEndo(g, hat_weight(1.0), 1.0)
     # single kink of |.| at 0 with jump 2 and zeta(0) = 1
     for x in (-1.5, 0.3, 2.0):
-        assert ma.eval(pwl_abs(), x) == pytest.approx(2.0 * g(x), abs=1e-12)
-    assert ma.eval(pwl_linear(1.0, 0.0), 0.7) == 0.0
+        assert ma(pwl_abs(), x) == pytest.approx(2.0 * g(x), abs=1e-12)
+    assert ma(pwl_linear(1.0, 0.0), 0.7) == 0.0
     shifted_abs = pwl_make([5.0], [0.0], -1.0, 1.0)
-    assert ma.eval(shifted_abs, 0.7) == 0.0  # kink outside the weight support
+    assert ma(shifted_abs, 0.7) == 0.0  # kink outside the weight support
 
 
 # -- round trips ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("make_endo", [
-    lambda: GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d(),
-    lambda: GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1).as_endomap_1d(),
-    lambda: PhiEndo(PwlFunction([0.0], [1.0], -1.0, 1.0)).as_endomap(),
-    lambda: MaEndo(dense_parabola(span=3.0, pieces=100), hat_weight(1.0), 1.0).as_endomap(),
+    lambda: GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1),
+    lambda: GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1),
+    lambda: PhiEndo(PwlFunction([0.0], [1.0], -1.0, 1.0)),
+    lambda: MaEndo(dense_parabola(span=3.0, pieces=100), hat_weight(1.0), 1.0),
 ])
 def test_live_round_trip(make_endo):
     em = make_endo()
@@ -301,7 +300,7 @@ def test_closing_example_closed_form_kernel():
     # phi(t) = 1 + |t| matches (s + phi(t))^2 / 2 - 2 phi(t) s_+ inside
     # |s| < phi(t) and vanishes outside
     phi = PwlFunction([0.0], [1.0], -1.0, 1.0)
-    em = PhiEndo(phi).as_endomap()
+    em = PhiEndo(phi)
     xs = np.linspace(-1.0, 1.0, 21)
     ys = np.linspace(-3.0, 3.0, 41)
     k = kernel_extract(em, xs, ys)

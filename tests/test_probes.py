@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convendo import (INF, EndoMap, PerturbationNotConvex, epi_converges_probe,
+from convendo import (INF, PerturbationNotConvex, epi_converges_probe,
                       gw_probe, is_convex_sampled, moreau_envelope, pwl_abs,
                       pwl_add, pwl_make, pwl_scale, PwlFunction)
 
@@ -62,7 +62,7 @@ def _hat_parts():
 
 
 def _eval_minus_origin():
-    return EndoMap(lambda f, x: f(x) - f(0.0), 1, name="eval-minus-origin")
+    return lambda f, x: f(x) - f(0.0)
 
 
 def test_gw_probe_hat_values():
@@ -83,7 +83,7 @@ def test_gw_probe_hat_values():
 
 
 def test_gw_probe_zero_map():
-    em = EndoMap(lambda f, x: 0.0, 1, name="zero")
+    em = lambda f, x: 0.0
     plus, minus = _hat_parts()
     f1 = pwl_scale(2.0, minus)
     f2 = pwl_scale(3.0, minus)

@@ -69,7 +69,7 @@ def test_endo_json_round_trips():
 
 
 def test_kernel_descriptor_builds_operator(tmp_path):
-    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()
+    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
     xs = np.linspace(-1.0, 1.0, 41)
     ys = np.linspace(-4.0, 4.0, 161)
     k = kernel_extract(em, xs, ys)
@@ -146,9 +146,9 @@ def test_cli_eval_deterministic_bytes(tmp_path):
     fn = _write(tmp_path, "f.json", {"kind": "norm", "c": 1.3})
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["eval", "--endo", endo, "--fn", fn, "--grid=-1:1:0.01",
-                 "--out", str(out1), "--seed", "9"]) == 0
+                 "--out", str(out1)]) == 0
     assert main(["eval", "--endo", endo, "--fn", fn, "--grid=-1:1:0.01",
-                 "--out", str(out2), "--seed", "9"]) == 0
+                 "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -229,7 +229,7 @@ def test_cli_kernel_extract_and_validity(tmp_path):
     assert float(row["2.0"]) == pytest.approx(-0.5)
 
     # extraction grid outside a grid-kernel descriptor box is a config error
-    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1).as_endomap_1d()
+    em = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
     k = kernel_extract(em, np.linspace(-1, 1, 21), np.linspace(-3, 3, 61))
     gxs, gys, vals = k.grid
     kdesc = _write(tmp_path, "k.json",
@@ -252,6 +252,26 @@ def test_cli_kernel_roundtrip_phi(tmp_path, capsys):
     out = capsys.readouterr().out
     dev = float(out.strip().rsplit("=", 1)[1])
     assert dev <= 1e-5
+
+
+def test_cli_kernel_takes_every_one_variable_operator(tmp_path, capsys):
+    # scale_compose with n = 1 has the kernel psi(x, y) = 2 (y + 1.5 x)_+
+    endo = _write(tmp_path, "e.json", {"kind": "scale_compose", "lambda": 2.0,
+                                       "mu": -1.5, "n": 1})
+    out = tmp_path / "k.csv"
+    assert main(["kernel", "extract", "--endo", endo, "--grid-x=-1:1:0.5",
+                 "--grid-y=-3:3:0.5", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    row = dict(zip(lines[0].split(",")[1:], lines[4].split(",")[1:]))
+    assert float(lines[4].split(",")[0]) == 0.5
+    assert float(row["1.0"]) == pytest.approx(2.0 * 1.75)
+    assert main(["kernel", "roundtrip", "--endo", endo, "--R", "4",
+                 "--trials", "30", "--tol", "1e-9"]) == 0
+    assert "max_deviation" in capsys.readouterr().out
+
+    gl2 = _write(tmp_path, "gl2.json", {"kind": "gl", "c": 0.0, "n": 2,
+                                        "nu": {"atoms": [{"s": 1.0, "w": 1.0}]}})
+    assert main(["kernel", "roundtrip", "--endo", gl2]) == 2
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
