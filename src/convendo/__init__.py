@@ -27,7 +27,8 @@ from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
 from .expr import (Affine, BallIndicator, ConvexExpr, Max, Norm, Precompose,
                    Pwl1D, Quad, RadialPwl, Scale, Sum, expr_eval, expr_eval_many,
                    ray_domain)
-from .probes import EpiReport, epi_converges_probe, gw_probe, is_convex_sampled
+from .probes import (EpiReport, epi_converges_probe, gw_probe, is_convex_block,
+                     is_convex_sampled)
 from .measures import (LineMeasure, OrbitMeasure, line_measure_add,
                        moment_abs, moment_signed, orbit_center,
                        orbit_center_component, orbit_quadrature,

@@ -39,6 +39,9 @@ class ConvexExpr:
     def __call__(self, x):
         return expr_eval(self, x)
 
+    def eval_many(self, X):
+        return expr_eval_many(self, X)
+
 
 class Affine(ConvexExpr):
     def __init__(self, a, b):

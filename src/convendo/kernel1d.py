@@ -328,7 +328,9 @@ class PhiEndo(_PwlOperator):
         if t < dlo - EDGE_TOL or t > dhi + EDGE_TOL:
             return INF
         if not dlo + EDGE_TOL < t < dhi - EDGE_TOL:
-            t = RADIAL_LIMIT * t  # boundary: the radial limit from inside
+            # boundary: the radial limit from inside, from the edge itself
+            # when t lies just outside it
+            t = RADIAL_LIMIT * min(max(t, dlo), dhi)
         a = self.phi(t)
         if a <= 0.0:
             return 0.0

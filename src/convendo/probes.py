@@ -1,7 +1,10 @@
 """Diagnostics for convexity, epi-convergence and operator well-definedness.
 
-Everything here works on opaque evaluators, so the probes apply equally to
-exact piecewise-linear functions, expression trees and operator outputs.
+The probes take functions by protocol, not by type: ``f(x)`` evaluates one
+point and ``f.eval_many(X)`` a block of them, which exact piecewise-linear
+functions and expression trees both provide. ``is_convex_block`` and
+``gw_probe`` evaluate blocks; ``is_convex_sampled`` and
+``epi_converges_probe`` call opaque evaluators one point at a time.
 """
 
 from dataclasses import dataclass, field
@@ -9,38 +12,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PerturbationNotConvex
-from .extreal import INF
 from .expr import ConvexExpr, Sum
 from .pwl import PwlFunction, pwl_add
 
 
-def is_convex_sampled(f, grid, tol=1e-9):
-    """Midpoint convexity certificate on a sampled grid.
+def is_convex_block(F, grid, tol=1e-9):
+    """Midpoint convexity certificate on a sampled grid, in two block calls.
 
-    Checks f((a+b)/2) <= (f(a)+f(b))/2 + tol for every grid pair whose
-    endpoint values are finite. The tolerance is scaled by the magnitude of
-    the finite values seen. Pairs with an infinite midpoint but finite
-    endpoints count as violations.
+    ``F`` maps a 1-D array of samples to the array of their values. Checks
+    F((a+b)/2) <= (F(a)+F(b))/2 + tol for every grid pair whose endpoint
+    values are finite. The tolerance is scaled by the magnitude of the finite
+    values seen. Pairs with an infinite midpoint but finite endpoints count
+    as violations. ``F`` sees the grid once and then each distinct midpoint
+    once; midpoints are told apart by their bit pattern, so dropping the
+    repeats changes no value.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 3:
         raise ValueError("grid needs at least 3 points")
-    vals = np.array([f(x) for x in grid])
+    vals = np.asarray(F(grid), dtype=float)
     finite = np.isfinite(vals)
     if finite.sum() == 0:
         return True
-    scale = max(1.0, float(np.abs(vals[finite]).max()))
-    eff = tol * scale
+    eff = tol * max(1.0, float(np.abs(vals[finite]).max()))
     idx = np.nonzero(finite)[0]
-    for ii, i in enumerate(idx):
-        for j in idx[ii + 1:]:
-            mid = (grid[i] + grid[j]) / 2.0
-            fm = f(mid)
-            if fm == INF:
-                return False
-            if fm > (vals[i] + vals[j]) / 2.0 + eff:
-                return False
-    return True
+    i, j = idx[np.array(np.triu_indices(len(idx), 1))]
+    mids, inv = np.unique(((grid[i] + grid[j]) / 2.0).view(np.int64), return_inverse=True)
+    fm = np.asarray(F(mids.view(float)), dtype=float)[inv]
+    # an infinite midpoint lies above every finite chord
+    return not np.any(fm > (vals[i] + vals[j]) / 2.0 + eff)
+
+
+def is_convex_sampled(f, grid, tol=1e-9):
+    """``is_convex_block`` for an opaque callable ``f`` of one sample."""
+    return is_convex_block(lambda T: [f(t) for t in T], grid, tol)
 
 
 @dataclass
@@ -106,8 +111,11 @@ def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9,
     ``phi_plus - phi_minus`` is the perturbation phi; both parts must be
     convex and agree outside a bounded set. ``base`` is a pair (f1, f2) of
     distinct convex functions with f_i + phi convex; this is certified by a
-    sampled midpoint test before evaluating. By additivity the probe value
-    endo(f + phi)[x] - endo(f)[x] equals
+    sampled midpoint test before evaluating, on ``check_grid`` itself or, when
+    ``lines`` lists (base point, direction) pairs, along each of those lines.
+    The functions are evaluated a block at a time by ``eval_many``: 1-D
+    profiles take an array of samples, trees a (k, n) array of points. By
+    additivity the probe value endo(f + phi)[x] - endo(f)[x] equals
     endo(f + phi_plus)[x] - endo(f + phi_minus)[x], which is what is
     computed, so only convex arguments are ever built.
 
@@ -119,19 +127,18 @@ def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9,
     f1, f2 = base
     if check_grid is None:
         check_grid = np.linspace(-3.0, 3.0, 41)
+    if lines is None:
+        places = [lambda T: T]
+    else:
+        places = [lambda T, b=np.asarray(b), d=np.asarray(d): b + T[:, None] * d
+                  for b, d in lines]
     for f in (f1, f2):
-        if lines is None:
-            def perturbed(s, f=f):
-                return f(s) + phi_plus(s) - phi_minus(s)
-            if not is_convex_sampled(perturbed, check_grid, tol=1e-7):
+        for at in places:
+            def perturbed(T):
+                X = at(T)
+                return f.eval_many(X) + phi_plus.eval_many(X) - phi_minus.eval_many(X)
+            if not is_convex_block(perturbed, check_grid, tol=1e-7):
                 raise PerturbationNotConvex("base plus perturbation fails the midpoint test")
-        else:
-            for bpt, dirn in lines:
-                def perturbed(t, f=f, bpt=bpt, dirn=dirn):
-                    p = np.asarray(bpt) + t * np.asarray(dirn)
-                    return f(p) + phi_plus(p) - phi_minus(p)
-                if not is_convex_sampled(perturbed, check_grid, tol=1e-7):
-                    raise PerturbationNotConvex("base plus perturbation fails the midpoint test")
 
     def value(f):
         return endo(combine(f, phi_plus), x) - endo(combine(f, phi_minus), x)

@@ -193,15 +193,20 @@ def write_eval_csv(path, points, values, n):
     """Rows of x1,...,xn,value with +inf rendered as ``inf``.
 
     ``points`` is a (k, n) array and ``values`` holds k floats. Rows are
-    formatted a block at a time, so the text in memory stays bounded.
+    formatted a block at a time, so the text in memory stays bounded. A grid
+    repeats its coordinates, so each distinct float (by bit pattern) of a
+    block is formatted once and its text reused.
     """
     rows = np.column_stack([np.asarray(points, dtype=float).reshape(-1, n),
                             np.asarray(values, dtype=float)])
     with open(path, "w") as fh:
         fh.write(",".join([f"x{i + 1}" for i in range(n)] + ["value"]) + "\n")
         for block in row_blocks(len(rows)):
+            keys, inv = np.unique(rows[block].view(np.int64), return_inverse=True)
             # repr renders +inf as "inf", the same text as _csv_num
-            fh.writelines(",".join(map(repr, r)) + "\n" for r in rows[block].tolist())
+            text = [repr(v) for v in keys.view(float).tolist()]
+            fh.writelines(",".join(map(text.__getitem__, r)) + "\n"
+                          for r in inv.reshape(-1, n + 1).tolist())
 
 
 def write_kernel_csv(path, xs, ys, values):

@@ -22,7 +22,7 @@ from .gl import (GlEndo, ScaleComposeMap, gl_empirical_monotone_search,
 from .kernel1d import (Kernel1D, MaEndo, PhiEndo, hat_weight, kernel_decompose,
                        kernel_extract_live, kernel_is_monotone, monge_ampere)
 from .measures import LineMeasure, OrbitMeasure, line_measure_add, orbit_total_mass
-from .probes import epi_converges_probe, gw_probe, is_convex_sampled
+from .probes import epi_converges_probe, gw_probe, is_convex_block
 from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
                   pwl_add, pwl_indicator)
 from .radial import (RadialEndo, acts_as_scalar_on_radial, canonical_rotation,
@@ -345,7 +345,7 @@ def _output_convexity(rep, name, fixtures, draw, rng, count):
         f = draw(rng, e.n)
         base = rng.uniform(-1.0, 1.0, size=e.n)
         d = rng.normal(size=e.n)
-        if not is_convex_sampled(lambda t: e(f, base + t * d), ts, tol=1e-8):
+        if not is_convex_block(lambda T: e.eval_many(f, base + T[:, None] * d), ts, tol=1e-8):
             bad = {"f": fn_to_json(f), "base": base.tolist(), "dir": d.tolist()}
             break
     rep.add(name, bad is None, count, 0.0, bad)

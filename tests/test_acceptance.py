@@ -11,7 +11,7 @@ from convendo import (INF, Affine, GlEndo, LineMeasure, MaEndo, Norm,
                       Sum, acts_as_scalar_on_radial, canonical_rotation,
                       expr_eval, gl_empirical_monotone_search, gl_eval,
                       gl_is_dually_translation_invariant, gl_is_monotone,
-                      gw_probe, hat_weight, is_convex_sampled,
+                      gw_probe, hat_weight, is_convex_block, is_convex_sampled,
                       kernel_decompose, kernel_endo_eval, kernel_extract,
                       kernel_extract_live, line_measure_add, legendre,
                       monge_ampere, moreau_envelope, pwl_add, pwl_indicator,
@@ -342,8 +342,8 @@ def test_criterion_10_output_convexity():
             for _ in range(10):
                 base = rng.uniform(-1.0, 1.0, size=n)
                 d = rng.normal(size=n)
-                if not is_convex_sampled(lambda t: em(f, base + t * d), ts,
-                                         tol=1e-8):
+                if not is_convex_block(lambda T: em.eval_many(f, base + T[:, None] * d), ts,
+                                       tol=1e-8):
                     ok = False
     for name, em in endos["1d"]:
         for _ in range(50):

@@ -219,6 +219,19 @@ def test_phi_endo_indicator_domain():
     assert pe(f, 1.0) == pytest.approx(0.0)  # boundary radial limit
 
 
+@pytest.mark.parametrize("eps", [1e-12, 5e-11, 1e-10])
+def test_phi_endo_just_outside_bounded_profile_takes_boundary_value(eps):
+    # within EDGE_TOL outside the domain [-1, 1] of phi, RADIAL_LIMIT * t
+    # alone lands outside it too, where phi is +inf
+    pe = PhiEndo(PwlFunction([-1.0, 0.0, 1.0], [2.0, 1.0, 2.0], -INF, INF))
+    f = PwlFunction([-1.0, 0.5], [1.0, -0.5], -2.0, 3.0)
+    edge = pe(f, 1.0)
+    assert np.isfinite(edge)
+    assert pe(f, 1.0 + eps) == edge
+    assert pe(f, -1.0 - eps) == pe(f, -1.0)
+    assert pe(f, 1.0 + 2e-10) == INF
+
+
 def test_phi_endo_validation():
     lopsided = pwl_make([0.0], [1.0], -1.0, 2.0)
     with pytest.raises(PhiNotEven):

@@ -138,6 +138,24 @@ def test_cli_eval_radial_points_file(tmp_path):
     assert float(rows[1].split(",")[-1]) == pytest.approx(5.0)
 
 
+def test_cli_eval_phi_points_at_profile_edge(tmp_path):
+    endo = _write(tmp_path, "e.json",
+                  {"kind": "phi_example",
+                   "phi": {"kind": "pwl", "breakpoints": [-1.0, 0.0, 1.0],
+                           "values": [2.0, 1.0, 2.0],
+                           "slope_left": "-inf", "slope_right": "inf"}})
+    fn = _write(tmp_path, "f.json", {"kind": "pwl", "breakpoints": [0.0], "values": [0.0],
+                                     "slope_left": -1.0, "slope_right": 1.0})
+    pts = _write(tmp_path, "p.json", [1.0, 1.0 + 1e-12, 1.0 + 5e-11, 1.0 + 1e-10,
+                                      -1.0 - 1e-10, 1.5])
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--endo", endo, "--fn", fn, "--points", pts,
+                 "--out", str(out)]) == 0
+    values = [row.split(",")[1] for row in out.read_text().splitlines()[1:]]
+    assert "nan" not in values
+    assert len(set(values[:5])) == 1 and values[5] == "inf"
+
+
 def test_cli_eval_deterministic_bytes(tmp_path):
     endo = _write(tmp_path, "e.json",
                   {"kind": "gl", "c": 0.5,
