@@ -196,8 +196,7 @@ def main(argv=None):
         if args.command == "kernel" and args.action == "extract" and not args.out:
             raise ConfigError("kernel extract needs --out")
         return args.func(args)
-    except (ConfigError, BadShape, FileNotFoundError, json.JSONDecodeError,
-            KeyError, TypeError) as exc:
+    except (ConfigError, BadShape, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvendoError as exc:

@@ -7,22 +7,20 @@ precompositions with invertible matrices. Every tree evaluates to a value in
 (-inf, +inf] and represents a convex, lower semi-continuous function by
 construction.
 
-Every node evaluates one point (``_eval``, ``_ray_interval``) or a block of
-points, one per row of a (k, n) array (``_eval_batch``,
-``_ray_interval_batch``). The block methods repeat the arithmetic of the
-point methods row by row, so both paths give the same values.
+Every node evaluates a block of points, one per row of a (k, n) array
+(``_eval_batch``, ``_ray_interval_batch``); this is the one evaluation path.
+The one-point names ``f(x)``, ``expr_eval`` and ``ray_domain`` evaluate a
+block of one row. The per-point reference the block path is tested against
+lives in tests/test_batch.py. Coefficients must be finite.
 """
 
 import math
 
 import numpy as np
 
-from .errors import BadShape, DimensionMismatch, NegativeScale, ZeroVector
+from .errors import BadShape, DimensionMismatch, NegativeScale, OriginNotInDomain, ZeroVector
 from .extreal import INF
 from .pwl import PwlFunction
-
-# Open interval of the real line; lo >= hi means empty.
-FULL_LINE = (-INF, INF)
 
 # Most rows one block call evaluates; callers that expand points into many
 # tree points (orbit quadrature, atoms) size their blocks by it too, so
@@ -31,8 +29,8 @@ BLOCK = 8192
 
 
 class ConvexExpr:
-    """Base class; subclasses implement ``_eval``, ``_ray_interval`` and
-    their block forms ``_eval_batch`` and ``_ray_interval_batch``."""
+    """Base class; subclasses implement ``_eval_batch`` and
+    ``_ray_interval_batch`` on (k, n) blocks."""
 
     dim = None  # ambient dimension, or None when any dimension fits
 
@@ -45,19 +43,13 @@ class ConvexExpr:
 
 class Affine(ConvexExpr):
     def __init__(self, a, b):
-        self.a = np.array(a, dtype=float).reshape(-1)
+        self.a = _finite(a, "affine coefficients").reshape(-1)
         self.a.flags.writeable = False
-        self.b = float(b)
+        self.b = float(_finite(b, "affine offset"))
         self.dim = self.a.size
-
-    def _eval(self, x):
-        return float(self.a @ x) + self.b
 
     def _eval_batch(self, X):
         return _rowdot(X, self.a) + self.b
-
-    def _ray_interval(self, x):
-        return FULL_LINE
 
     def _ray_interval_batch(self, X):
         return _full_lines(X)
@@ -67,18 +59,12 @@ class Quad(ConvexExpr):
     """x -> c * ||x||^2 with c >= 0."""
 
     def __init__(self, c):
-        self.c = float(c)
+        self.c = float(_finite(c, "quadratic coefficient"))
         if self.c < 0:
             raise NegativeScale("quadratic coefficient must be >= 0")
 
-    def _eval(self, x):
-        return self.c * float(x @ x)
-
     def _eval_batch(self, X):
-        return self.c * _sqnorms(X)
-
-    def _ray_interval(self, x):
-        return FULL_LINE
+        return self.c * sqnorms(X)
 
     def _ray_interval_batch(self, X):
         return _full_lines(X)
@@ -88,18 +74,12 @@ class Norm(ConvexExpr):
     """x -> c * ||x|| with c >= 0."""
 
     def __init__(self, c):
-        self.c = float(c)
+        self.c = float(_finite(c, "norm coefficient"))
         if self.c < 0:
             raise NegativeScale("norm coefficient must be >= 0")
 
-    def _eval(self, x):
-        return self.c * math.sqrt(float(x @ x))
-
     def _eval_batch(self, X):
-        return self.c * np.sqrt(_sqnorms(X))
-
-    def _ray_interval(self, x):
-        return FULL_LINE
+        return self.c * np.sqrt(sqnorms(X))
 
     def _ray_interval_batch(self, X):
         return _full_lines(X)
@@ -113,18 +93,11 @@ class BallIndicator(ConvexExpr):
         if not self.r > 0:
             raise BadShape("ball radius must be positive")
 
-    def _eval(self, x):
-        return 0.0 if float(x @ x) <= self.r * self.r else INF
-
     def _eval_batch(self, X):
-        return np.where(_sqnorms(X) <= self.r * self.r, 0.0, INF)
-
-    def _ray_interval(self, x):
-        nx = math.sqrt(float(x @ x))
-        return (-self.r / nx, self.r / nx)
+        return np.where(sqnorms(X) <= self.r * self.r, 0.0, INF)
 
     def _ray_interval_batch(self, X):
-        hi = self.r / np.sqrt(_sqnorms(X))
+        hi = self.r / np.sqrt(sqnorms(X))
         return (-hi, hi)
 
 
@@ -135,27 +108,15 @@ class Pwl1D(ConvexExpr):
         if not isinstance(p, PwlFunction):
             raise BadShape("profile must be a PwlFunction")
         self.p = p
-        self.direction = np.array(direction, dtype=float).reshape(-1)
+        self.direction = _finite(direction, "direction").reshape(-1)
         self.direction.flags.writeable = False
         n = math.sqrt(float(self.direction @ self.direction))
         if n == 0.0:
             raise ZeroVector("direction must be nonzero")
         self.dim = self.direction.size
 
-    def _eval(self, x):
-        return self.p(float(self.direction @ x))
-
     def _eval_batch(self, X):
         return self.p.eval_many(_rowdot(X, self.direction))
-
-    def _ray_interval(self, x):
-        alpha = float(self.direction @ x)
-        lo, hi = self.p.domain
-        if alpha == 0.0:
-            return FULL_LINE if self.p(0.0) < INF else (0.0, 0.0)
-        if alpha > 0:
-            return (lo / alpha, hi / alpha)
-        return (hi / alpha, lo / alpha)
 
     def _ray_interval_batch(self, X):
         alpha = _rowdot(X, self.direction)
@@ -165,7 +126,7 @@ class Pwl1D(ConvexExpr):
             a, b = lo / alpha, hi / alpha
         pos = alpha > 0
         out_lo, out_hi = np.where(pos, a, b), np.where(pos, b, a)
-        at_zero = FULL_LINE if self.p(0.0) < INF else (0.0, 0.0)
+        at_zero = (-INF, INF) if self.p(0.0) < INF else (0.0, 0.0)
         out_lo[zero], out_hi[zero] = at_zero
         return (out_lo, out_hi)
 
@@ -192,24 +153,14 @@ class RadialPwl(ConvexExpr):
                 raise BadShape("profile must be even")
         self.p = p
 
-    def _eval(self, x):
-        return self.p(math.sqrt(float(x @ x)))
-
     def _eval_batch(self, X):
-        return self.p.eval_many(np.sqrt(_sqnorms(X)))
-
-    def _ray_interval(self, x):
-        hi = self.p.domain[1]
-        if hi == INF:
-            return FULL_LINE
-        nx = math.sqrt(float(x @ x))
-        return (-hi / nx, hi / nx)
+        return self.p.eval_many(np.sqrt(sqnorms(X)))
 
     def _ray_interval_batch(self, X):
         hi = self.p.domain[1]
         if hi == INF:
             return _full_lines(X)
-        hi = hi / np.sqrt(_sqnorms(X))
+        hi = hi / np.sqrt(sqnorms(X))
         return (-hi, hi)
 
 
@@ -220,24 +171,12 @@ class Sum(ConvexExpr):
             raise BadShape("sum needs at least one term")
         self.dim = _consensus_dim(self.terms)
 
-    def _eval(self, x):
-        total = 0.0
-        for t in self.terms:
-            v = t._eval(x)
-            if v == INF:
-                return INF
-            total += v
-        return total
-
     def _eval_batch(self, X):
         # +inf absorbs every finite summand, so no mask is needed
         total = np.zeros(len(X))
         for t in self.terms:
             total += t._eval_batch(X)
         return total
-
-    def _ray_interval(self, x):
-        return _intersect(t._ray_interval(x) for t in self.terms)
 
     def _ray_interval_batch(self, X):
         return _intersect_batch(X, self.terms)
@@ -250,17 +189,11 @@ class Max(ConvexExpr):
             raise BadShape("max needs at least one term")
         self.dim = _consensus_dim(self.terms)
 
-    def _eval(self, x):
-        return max(t._eval(x) for t in self.terms)
-
     def _eval_batch(self, X):
         out = self.terms[0]._eval_batch(X)
         for t in self.terms[1:]:
             np.maximum(out, t._eval_batch(X), out=out)
         return out
-
-    def _ray_interval(self, x):
-        return _intersect(t._ray_interval(x) for t in self.terms)
 
     def _ray_interval_batch(self, X):
         return _intersect_batch(X, self.terms)
@@ -270,23 +203,16 @@ class Scale(ConvexExpr):
     """lam * f with lam >= 0; the domain is kept when lam == 0."""
 
     def __init__(self, lam, term):
-        self.lam = float(lam)
+        self.lam = float(_finite(lam, "scale factor"))
         if self.lam < 0:
             raise NegativeScale("scale factor must be >= 0")
         self.term = term
         self.dim = term.dim
 
-    def _eval(self, x):
-        v = self.term._eval(x)
-        return INF if v == INF else self.lam * v
-
     def _eval_batch(self, X):
         v = self.term._eval_batch(X)
         v[v != INF] *= self.lam
         return v
-
-    def _ray_interval(self, x):
-        return self.term._ray_interval(x)
 
     def _ray_interval_batch(self, X):
         return self.term._ray_interval_batch(X)
@@ -296,7 +222,7 @@ class Precompose(ConvexExpr):
     """x -> f(M x) for invertible M; houses the linear group action."""
 
     def __init__(self, matrix, term):
-        self.matrix = np.array(matrix, dtype=float)
+        self.matrix = _finite(matrix, "matrix")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise BadShape("matrix must be square")
         if abs(np.linalg.det(self.matrix)) < 1e-300:
@@ -308,21 +234,23 @@ class Precompose(ConvexExpr):
             raise DimensionMismatch(f"matrix is {n}x{n} but term has dim {term.dim}")
         self.dim = n
 
-    def _eval(self, x):
-        return self.term._eval(self.matrix @ x)
-
     def _eval_batch(self, X):
         return self.term._eval_batch(self._apply(X))
-
-    def _ray_interval(self, x):
-        return self.term._ray_interval(self.matrix @ x)
 
     def _ray_interval_batch(self, X):
         return self.term._ray_interval_batch(self._apply(X))
 
     def _apply(self, X):
-        """Rows M x, each computed as the point path's ``M @ x``."""
+        """Rows M x, each computed as a 2-D by 1-D ``M @ x``."""
         return np.matmul(self.matrix, X[:, :, None])[:, :, 0]
+
+
+def _finite(value, what):
+    """``value`` as a float array, refused unless every entry is finite."""
+    v = np.array(value, dtype=float)
+    if not np.isfinite(v).all():
+        raise BadShape(f"{what} must be finite")
+    return v
 
 
 def _consensus_dim(terms):
@@ -335,16 +263,9 @@ def _consensus_dim(terms):
     return dim
 
 
-def _intersect(intervals):
-    lo, hi = -INF, INF
-    for a, b in intervals:
-        lo, hi = max(lo, a), min(hi, b)
-    return (lo, hi)
-
-
 def _intersect_batch(X, terms):
-    lo, hi = _full_lines(X)
-    for t in terms:
+    lo, hi = terms[0]._ray_interval_batch(X)
+    for t in terms[1:]:
         a, b = t._ray_interval_batch(X)
         np.maximum(lo, a, out=lo)
         np.minimum(hi, b, out=hi)
@@ -360,23 +281,20 @@ def _rowdot(X, a):
     """<a, x> for every row x of X.
 
     A stack of 1 x n by n x 1 products runs the inner loop of a 1-D
-    ``a @ x``, so each value equals the point path's bit for bit; ``X @ a``
+    ``a @ x``, so each value equals that dot product bit for bit; ``X @ a``
     sums in another order and differs in the last bit on many rows.
     """
     return np.matmul(X[:, None, :], a)[:, 0]
 
 
-def _sqnorms(X):
-    """||x||^2 for every row x of X, bitwise equal to the point path's."""
+def sqnorms(X):
+    """||x||^2 for every row x of X, bitwise equal to a 1-D ``x @ x``."""
     return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def expr_eval(f, x):
     """Evaluate a ConvexExpr at a point; returns a float (possibly +inf)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if f.dim is not None and f.dim != x.size:
-        raise DimensionMismatch(f"function has dim {f.dim}, point has dim {x.size}")
-    return f._eval(x)
+    return float(f._eval_batch(as_row(x, f.dim))[0])
 
 
 def as_point_block(X, dim):
@@ -389,6 +307,11 @@ def as_point_block(X, dim):
     return X
 
 
+def as_row(x, dim):
+    """The point x as a (1, n) block whose n is ``dim`` (any n when None)."""
+    return as_point_block(np.reshape(x, (1, -1)), dim)
+
+
 def row_blocks(k, size=BLOCK):
     """Slices of at most ``size`` rows covering range(k)."""
     return [slice(i, min(i + size, k)) for i in range(0, k, size)]
@@ -397,7 +320,7 @@ def row_blocks(k, size=BLOCK):
 def expr_eval_many(f, X):
     """Evaluate a ConvexExpr at every row of a (k, n) array; (k,) floats.
 
-    Each value equals ``expr_eval(f, X[i])``, +inf included.
+    ``expr_eval(f, x)`` is the block of the one row x.
     """
     X = as_point_block(X, f.dim)
     out = np.empty(len(X))
@@ -407,10 +330,8 @@ def expr_eval_many(f, X):
 
 
 def ray_domain_many(f, X):
-    """``ray_domain`` at every row of a (k, n) array of nonzero points.
-
-    Returns the arrays (lo, hi).
-    """
+    """The open interval (lo, hi) of { s in R : f(s x) < inf } at every row x
+    of a (k, n) array of nonzero points, as two arrays; lo >= hi is empty."""
     X = as_point_block(X, f.dim)
     if not X.any(axis=1).all():
         raise ZeroVector("ray directions must be nonzero")
@@ -422,12 +343,16 @@ def ray_domain_many(f, X):
 
 def ray_domain(f, x):
     """Interior of { s in R : f(s x) < inf } for nonzero x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if not np.any(x):
-        raise ZeroVector("ray direction must be nonzero")
-    if f.dim is not None and f.dim != x.size:
-        raise DimensionMismatch(f"function has dim {f.dim}, point has dim {x.size}")
-    return f._ray_interval(x)
+    lo, hi = ray_domain_many(f, as_row(x, f.dim))
+    return (float(lo[0]), float(hi[0]))
+
+
+def origin_value(f, n):
+    """f(0) in R^n; an operator input must be finite there."""
+    f0 = expr_eval(f, np.zeros(n))
+    if f0 == INF:
+        raise OriginNotInDomain("f(0) must be finite")
+    return f0
 
 
 def as_expr(f, n):

@@ -13,6 +13,11 @@ limit, approximated by evaluating at lambda * x for lambda -> 1 from below.
 
 :class:`ScaleComposeMap` is f -> lam * f(mu x), defined for every convex f
 with no finiteness restriction at the origin.
+
+Both evaluate trees only in blocks of points (``gl_eval_many``,
+``scale_compose_eval_many``); ``gl_eval``, ``gl_eval_detailed`` and
+``scale_compose_eval`` are blocks of one row. The per-point reference the
+blocks are tested against lives in tests/test_batch.py.
 """
 
 from dataclasses import dataclass
@@ -21,14 +26,18 @@ import numpy as np
 
 from .errors import BadShape, OriginNotInDomain
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
-from .expr import (Affine, Norm, Max, Sum, as_expr, as_point_block, expr_eval,
-                   expr_eval_many, ray_domain, ray_domain_many, row_blocks)
+from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, as_row,
+                   expr_eval_many, origin_value, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
 from .pwl import PwlFunction
 
-# Radial steps lambda = 1 - 2^-k, k = 1..BOUNDARY_STEPS, that
-# gl_eval_detailed reports toward a boundary point; the last is RADIAL_LIMIT.
-BOUNDARY_STEPS = 40
+# Radial steps lambda = 1 - 2^-k, k = 1..40, that gl_eval_detailed reports
+# toward a boundary point; the last is RADIAL_LIMIT.
+BOUNDARY_STEPS = np.array([1.0 - 2.0 ** -k for k in range(1, 41)])
+
+# The cases of a point, indexed by the codes below.
+CASES = ("origin", "interior", "exterior", "boundary")
+ORIGIN, INTERIOR, EXTERIOR, BOUNDARY = range(4)
 
 
 @dataclass(frozen=True)
@@ -81,81 +90,73 @@ def _atom_sum(e, f, x, f0):
 
 def gl_eval(e, f, x):
     """Evaluate the operator; see module docstring for the case split."""
-    value, _ = gl_eval_detailed(e, f, x)
-    return value
+    return float(gl_eval_many(e, f, as_row(x, e.n))[0])
 
 
 def gl_eval_detailed(e, f, x):
     """Like gl_eval but also reports which case fired.
 
-    The report is a dict with key ``case`` in {"origin", "interior",
-    "exterior", "boundary"}; for the boundary case it carries the sampled
-    radial values and whether their tail was monotone (the limit exists
-    along the ray by convexity, so a non-monotone tail signals a numerical
-    problem rather than a mathematical one).
+    The report is a dict with key ``case`` in CASES; for the boundary case it
+    carries the radial values at all BOUNDARY_STEPS, the last of which is
+    the value, and whether their tail was monotone (the limit exists along
+    the ray by convexity, so a non-monotone tail signals a numerical problem
+    rather than a mathematical one).
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    f0 = expr_eval(f, np.zeros(x.size))
-    if f0 == INF:
-        raise OriginNotInDomain("f(0) must be finite")
-    if not np.any(x):
-        return e.c * f0, {"case": "origin"}
-    if len(e.nu) == 0:
-        return e.c * f0, {"case": "interior"}
+    X = as_row(x, e.n)
+    f0 = origin_value(f, e.n)
+    case, value = _block_values(e, f, X, f0)
+    report = {"case": CASES[case[0]]}
+    if case[0] == BOUNDARY:
+        vals = _atom_sum_many(e, f, BOUNDARY_STEPS[:, None] * X, f0)
+        t = vals[-6:]
+        report.update(radial_values=vals.tolist(), tail_monotone=bool(
+            (t[1:] >= t[:-1] - 1e-9).all() or (t[1:] <= t[:-1] + 1e-9).all()))
+    return float(value[0]), report
 
+
+def _block_values(e, f, X, f0):
+    """Case codes and values at a block of at most BLOCK / len(nu) validated rows.
+
+    Nonzero x is interior or exterior when the support [a, b] of nu lies
+    inside, or leaves, the ray domain (lo, hi) of f along x by more than
+    EDGE_TOL; a boundary point takes the last radial step, RADIAL_LIMIT.
+    """
+    case = np.where(X.any(axis=1), INTERIOR, ORIGIN)
+    out = np.full(len(X), e.c * f0)
+    rows = np.flatnonzero(case)
+    if len(e.nu) == 0 or len(rows) == 0:
+        return case, out
     a, b = support_bounds(e.nu)
-    lo, hi = ray_domain(f, x)
-    if a > lo + EDGE_TOL and b < hi - EDGE_TOL:
-        return _atom_sum(e, f, x, f0), {"case": "interior"}
-    if a < lo - EDGE_TOL or b > hi + EDGE_TOL:
-        return INF, {"case": "exterior"}
-
-    # boundary: radial limit along lambda -> 1 from below
-    vals = []
-    for k in range(1, BOUNDARY_STEPS + 1):
-        lam = 1.0 - 2.0 ** (-k)
-        vals.append(_atom_sum(e, f, lam * x, f0))
-    tail = vals[-6:]
-    monotone = all(v2 >= v1 - 1e-9 for v1, v2 in zip(tail, tail[1:])) or \
-        all(v2 <= v1 + 1e-9 for v1, v2 in zip(tail, tail[1:]))
-    return vals[-1], {"case": "boundary", "radial_values": vals,
-                      "tail_monotone": monotone}
+    lo, hi = f._ray_interval_batch(X[rows])
+    exterior = (a < lo - EDGE_TOL) | (b > hi + EDGE_TOL)
+    interior = (a > lo + EDGE_TOL) & (b < hi - EDGE_TOL)
+    case[rows] = np.where(interior, INTERIOR, np.where(exterior, EXTERIOR, BOUNDARY))
+    out[rows[exterior]] = INF
+    rows, lam = rows[~exterior], np.where(interior, 1.0, RADIAL_LIMIT)[~exterior]
+    if len(rows):
+        out[rows] = _atom_sum_many(e, f, lam[:, None] * X[rows], f0)
+    return case, out
 
 
 def _atom_sum_many(e, f, X, f0):
-    # +inf absorbs the finite terms, as the early return of _atom_sum does
+    """The atom sum at every row x of X, with the tree evaluated once on the
+    stacked rows s_i x; X has at most BLOCK / len(nu) rows."""
+    s = np.array(e.nu.positions)
+    V = f._eval_batch((s[:, None, None] * X).reshape(-1, X.shape[1]))
     total = np.full(len(X), e.c * f0)
-    for s, w in e.nu.atoms:
-        total += w * (expr_eval_many(f, s * X) - f0) / (s * s)
+    # +inf absorbs the finite terms, as the early return of _atom_sum does
+    for (s, w), v in zip(e.nu.atoms, V.reshape(len(s), len(X))):
+        total += w * (v - f0) / (s * s)
     return total
 
 
 def gl_eval_many(e, f, X):
-    """``gl_eval`` at every row of a (k, n) array; returns (k,) floats.
-
-    Points are classified a block at a time with the comparisons of
-    ``gl_eval_detailed``, and each atom is summed over the whole block. A
-    boundary point takes the value ``gl_eval`` returns, the last radial step
-    lambda = RADIAL_LIMIT; the earlier steps only feed the detailed report.
-    Every row repeats the arithmetic of the point path.
-    """
+    """The operator at every row of a (k, n) array; returns (k,) floats."""
     X = as_point_block(X, e.n)
-    f0 = expr_eval(f, np.zeros(e.n))
-    if f0 == INF:
-        raise OriginNotInDomain("f(0) must be finite")
-    out = np.full(len(X), e.c * f0)
-    if len(e.nu) == 0:
-        return out
-    a, b = support_bounds(e.nu)
-    for rows in row_blocks(len(X)):
-        idx = rows.start + np.flatnonzero(X[rows].any(axis=1))
-        lo, hi = ray_domain_many(f, X[idx])
-        interior = (a > lo + EDGE_TOL) & (b < hi - EDGE_TOL)
-        exterior = (a < lo - EDGE_TOL) | (b > hi + EDGE_TOL)
-        boundary = ~(interior | exterior)
-        out[idx[interior]] = _atom_sum_many(e, f, X[idx[interior]], f0)
-        out[idx[exterior]] = INF
-        out[idx[boundary]] = _atom_sum_many(e, f, RADIAL_LIMIT * X[idx[boundary]], f0)
+    f0 = origin_value(f, e.n)
+    out = np.empty(len(X))
+    for rows in row_blocks(len(X), max(1, BLOCK // max(1, len(e.nu)))):
+        out[rows] = _block_values(e, f, X[rows], f0)[1]
     return out
 
 
@@ -191,13 +192,11 @@ class ScaleComposeMap:
 
 
 def scale_compose_eval(m, f, x):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = expr_eval(f, m.mu_scalar * x)
-    return INF if v == INF else m.lam * v
+    return float(scale_compose_eval_many(m, f, as_row(x, m.n))[0])
 
 
 def scale_compose_eval_many(m, f, X):
-    """``scale_compose_eval`` at every row of a (k, n) array."""
+    """lam * f(mu x) at every row x of a (k, n) array."""
     X = as_point_block(X, m.n)
     return m.lam * expr_eval_many(f, m.mu_scalar * X)
 

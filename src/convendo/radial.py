@@ -9,6 +9,11 @@ resolution. It acts on a convex function f finite near the origin by
 where R_x is any rotation taking the reference axis e1 to x / ||x||. The
 orbit invariance of mu makes the value independent of that choice; the
 canonical rotation below pins one down deterministically.
+
+Points are evaluated only in blocks (``radial_eval_many``, with one
+rotation matrix per point); ``radial_eval`` and ``minkowski_restrict`` are
+blocks of one and of 2 * len(directions) rows. The per-point reference the
+blocks are tested against lives in tests/test_batch.py.
 """
 
 from dataclasses import dataclass
@@ -16,43 +21,49 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadShape, NotHomogeneous, OriginNotInDomain, UnsupportedDimension, ZeroVector
-from .extreal import INF
-from .expr import (BLOCK, Affine, Max, as_expr, as_point_block, expr_eval,
-                   expr_eval_many, row_blocks)
+from .errors import BadShape, NotHomogeneous, UnsupportedDimension, ZeroVector
+from .expr import (BLOCK, Affine, Max, as_expr, as_point_block, as_row, origin_value,
+                   row_blocks, sqnorms)
 from .measures import OrbitMeasure, orbit_center, orbit_quadrature, orbit_total_mass
 
 
 def canonical_rotation(x, n):
-    """Special orthogonal matrix taking e1 to x / ||x||.
-
-    Built as a product of two reflections (through x/||x|| and through the
-    bisector of e1 and x/||x||), which rotates in the plane spanned by the
-    two directions and fixes its orthogonal complement. The antipodal case
-    uses the rotation by pi in the (e1, e2) coordinate plane.
-    """
+    """Special orthogonal matrix taking e1 to x / ||x||; see canonical_rotations."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != n:
         raise BadShape(f"point has dim {x.size}, expected {n}")
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
+    return canonical_rotations(x[None])[0]
+
+
+def canonical_rotations(X):
+    """The canonical rotation of every nonzero row x of a (k, n) block.
+
+    Each is a product of two reflections (through u = x/||x|| and through
+    the bisector of e1 and u), which rotates in the plane spanned by the two
+    directions and fixes its orthogonal complement. When u[0] < 0 the
+    product is taken for -u and composed with the rotation by pi in the
+    (e1, e2) coordinate plane. Returns (k, n, n).
+    """
+    n = X.shape[1]
+    norms = np.sqrt(sqnorms(X))
+    if not norms.all():
         raise ZeroVector("cannot orient the zero vector")
-    u = x / nx
-    e1 = np.zeros(n)
-    e1[0] = 1.0
+    U = X / norms[:, None]
+    flip = U[:, 0] < 0.0
+    U[flip] = -U[flip]
+    e1 = np.eye(n)[0]
 
-    def reflect(v):
-        v = v / np.linalg.norm(v)
-        return np.eye(n) - 2.0 * np.outer(v, v)
+    def reflect(V):
+        V = V / np.sqrt(sqnorms(V))[:, None]
+        return np.eye(n) - 2.0 * (V[:, :, None] * V[:, None, :])
 
-    # ||u + e1|| >= sqrt(2) on the branch taken, so both reflections are
-    # well conditioned; u == e1 collapses to the identity automatically and
-    # u == -e1 to the pi-rotation in the (e1, e2) plane.
-    if u[0] >= 0.0:
-        return reflect(u) @ reflect(u + e1)
-    pi_rot = np.eye(n)
-    pi_rot[0, 0] = pi_rot[1, 1] = -1.0
-    return reflect(-u) @ reflect(-u + e1) @ pi_rot
+    # ||u + e1|| >= sqrt(2) on either side, so both reflections are well
+    # conditioned; u == e1 collapses to the identity automatically
+    R = np.matmul(reflect(U), reflect(U + e1))
+    if flip.any():
+        pi_rot = np.diag([-1.0, -1.0] + [1.0] * (n - 2))
+        R[flip] = np.matmul(R[flip], pi_rot)
+    return R
 
 
 @dataclass(frozen=True)
@@ -67,8 +78,8 @@ class RadialEndo:
     M: int = 64
 
     def __post_init__(self):
-        if self.M < 1:
-            raise BadShape("M must be >= 1")
+        if not 1 <= self.M <= BLOCK:
+            raise BadShape(f"M must be in [1, {BLOCK}]")
         if self.mu.n > 4:
             raise UnsupportedDimension("radial operators support n in {2, 3, 4}")
 
@@ -97,76 +108,34 @@ class RadialEndo:
 
 
 def radial_eval(e, f, x, rotation=None):
-    """Evaluate the operator; +inf as soon as a weighted sample is +inf.
-
-    ``rotation`` overrides the canonical rotation (it must still take e1 to
-    x / ||x||); the value does not depend on the override beyond quadrature
-    resolution, which is the orbit-invariance of the measure at work.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = e.n
-    f0 = expr_eval(f, np.zeros(n))
-    if f0 == INF:
-        raise OriginNotInDomain("f(0) must be finite")
-    if not np.any(x):
-        return f0 * orbit_total_mass(e.mu)
-    R = canonical_rotation(x, n) if rotation is None else np.asarray(rotation, dtype=float)
-    r = float(np.linalg.norm(x))
-    total = 0.0
-    for p, w in zip(*e.quadrature):
-        if w == 0.0:
-            continue
-        v = expr_eval(f, r * (R @ p))
-        if v == INF:
-            return INF
-        total += w * v
-    return total
+    """Evaluate the operator at one point; see radial_eval_many."""
+    R = None if rotation is None else np.asarray(rotation, dtype=float)[None]
+    return float(radial_eval_many(e, f, as_row(x, e.n), R)[0])
 
 
-def radial_eval_many(e, f, X):
-    """``radial_eval`` with the canonical rotation at every row of X.
+def radial_eval_many(e, f, X, rotations=None):
+    """The operator at every row x of a (k, n) array, summing f(||x|| R_x p)
+    over the quadrature nodes p; +inf where a sample is +inf.
 
-    The rotation of each point is applied to the quadrature nodes as its
-    two reflections, without forming a matrix per point, and the tree is
-    evaluated once per block of points. Values agree with the point path up
-    to rounding; +inf rows are the same.
+    ``rotations`` (k, n, n) overrides the canonical R_x (each must still
+    take e1 to x / ||x||); the value does not depend on the override beyond
+    quadrature resolution, which is the orbit-invariance of the measure.
     """
     n = e.n
     X = as_point_block(X, n)
-    f0 = expr_eval(f, np.zeros(n))
-    if f0 == INF:
-        raise OriginNotInDomain("f(0) must be finite")
-    nodes, weights = e.quadrature
-    keep = weights != 0.0
-    nodes, weights = nodes[keep], weights[keep]
+    f0 = origin_value(f, n)
+    nodes, weights = e.quadrature  # every weight is positive
     out = np.full(len(X), f0 * orbit_total_mass(e.mu))
     idx = np.flatnonzero(X.any(axis=1))
     for rows in row_blocks(len(idx), max(1, BLOCK // max(1, len(weights)))):
         i = idx[rows]
-        Y = _rotated_nodes(X[i], nodes)
-        V = expr_eval_many(f, Y.reshape(-1, n)).reshape(len(i), len(weights))
-        out[i] = np.where(np.isinf(V).any(axis=1), INF, V @ weights)
+        R = canonical_rotations(X[i]) if rotations is None else rotations[i]
+        P = np.matmul(R[:, None], nodes[None, :, :, None])[..., 0]
+        Y = np.sqrt(sqnorms(X[i]))[:, None, None] * P
+        V = f._eval_batch(Y.reshape(-1, n)).reshape(len(i), len(weights))
+        # each row summed left to right from 0.0, a running total over the nodes
+        out[i] = np.cumsum(np.column_stack([np.zeros(len(i)), V * weights]), axis=1)[:, -1]
     return out
-
-
-def _rotated_nodes(X, nodes):
-    """||x|| R_x p for every point x (rows of X) and node p; (k, q, n).
-
-    R_x is ``canonical_rotation(x)``: H(u) H(u + e1) for u = x / ||x|| with
-    u[0] >= 0, else H(u) H(e1 - u) composed with the pi-rotation in the
-    (e1, e2) plane, where H(v) is the reflection through v.
-    """
-    r = np.linalg.norm(X, axis=1)
-    u = X / r[:, None]
-    flip = u[:, 0] < 0.0
-    P = np.broadcast_to(nodes, (len(X),) + nodes.shape).copy()
-    P[flip, :, :2] *= -1.0
-    v = np.where(flip[:, None], -u, u)
-    v[:, 0] += 1.0
-    for w in (v, u):
-        w = w / np.linalg.norm(w, axis=1)[:, None]
-        P -= 2.0 * np.einsum("kqn,kn->kq", P, w)[:, :, None] * w[:, None, :]
-    return r[:, None, None] * P
 
 
 def radial_is_dually_translation_invariant(e, tol=1e-12):
@@ -199,12 +168,8 @@ def minkowski_restrict(e, support_fn, directions, tol=1e-9):
     for t in terms:
         if not isinstance(t, Affine) or t.b != 0.0:
             raise NotHomogeneous("support data must be a max of linear functions")
-    out = []
-    for u in directions:
-        u = np.asarray(u, dtype=float)
-        v1 = radial_eval(e, support_fn, u)
-        v2 = radial_eval(e, support_fn, 2.0 * u)
-        if abs(v2 - 2.0 * v1) > tol * max(1.0, abs(v1)):
-            raise NotHomogeneous("sampled image is not 1-homogeneous")
-        out.append(v1)
-    return np.array(out)
+    U = np.asarray(directions, dtype=float)
+    v1, v2 = np.split(radial_eval_many(e, support_fn, np.concatenate([U, 2.0 * U])), 2)
+    if (np.abs(v2 - 2.0 * v1) > tol * np.maximum(1.0, np.abs(v1))).any():
+        raise NotHomogeneous("sampled image is not 1-homogeneous")
+    return v1

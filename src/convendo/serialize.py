@@ -2,10 +2,12 @@
 
 Non-finite floats cross the wire as the strings "inf" and "-inf"; CSV files
 render +inf as the literal ``inf``. Every descriptor emitted by the library
-(including counterexample dumps) re-parses through this module.
+(including counterexample dumps) re-parses through this module. A missing,
+mistyped or unparsable descriptor field raises BadShape.
 """
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -34,6 +36,15 @@ def _num_in(v):
     if v == "-inf":
         return -INF
     return float(v)
+
+
+@contextmanager
+def _fields(what):
+    """Report a malformed field of a ``what`` descriptor as BadShape."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise BadShape(f"malformed {what} descriptor: {type(exc).__name__}: {exc}") from exc
 
 
 # -- functions ----------------------------------------------------------------
@@ -69,31 +80,29 @@ def fn_to_json(f):
 
 
 def fn_from_json(d):
-    try:
+    with _fields("function"):
         kind = d["kind"]
-    except (TypeError, KeyError):
-        raise BadShape("function descriptor needs a 'kind' field")
-    if kind == "pwl":
-        return PwlFunction(d["breakpoints"], d["values"],
-                           _num_in(d["slope_left"]), _num_in(d["slope_right"]))
-    if kind == "affine":
-        return Affine(d["a"], d["b"])
-    if kind == "quad":
-        return Quad(d["c"])
-    if kind == "norm":
-        return Norm(d["c"])
-    if kind == "ball_indicator":
-        return BallIndicator(d["r"])
-    if kind == "pwl1d":
-        return Pwl1D(fn_from_json(d["pwl"]), d["direction"])
-    if kind == "sum":
-        return Sum([fn_from_json(t) for t in d["terms"]])
-    if kind == "max":
-        return Max([fn_from_json(t) for t in d["terms"]])
-    if kind == "scale":
-        return Scale(d["lambda"], fn_from_json(d["term"]))
-    if kind == "precompose":
-        return Precompose(d["matrix"], fn_from_json(d["term"]))
+        if kind == "pwl":
+            return PwlFunction(d["breakpoints"], d["values"],
+                               _num_in(d["slope_left"]), _num_in(d["slope_right"]))
+        if kind == "affine":
+            return Affine(d["a"], d["b"])
+        if kind == "quad":
+            return Quad(d["c"])
+        if kind == "norm":
+            return Norm(d["c"])
+        if kind == "ball_indicator":
+            return BallIndicator(d["r"])
+        if kind == "pwl1d":
+            return Pwl1D(fn_from_json(d["pwl"]), d["direction"])
+        if kind == "sum":
+            return Sum([fn_from_json(t) for t in d["terms"]])
+        if kind == "max":
+            return Max([fn_from_json(t) for t in d["terms"]])
+        if kind == "scale":
+            return Scale(d["lambda"], fn_from_json(d["term"]))
+        if kind == "precompose":
+            return Precompose(d["matrix"], fn_from_json(d["term"]))
     raise BadShape(f"unknown function kind {kind!r}")
 
 
@@ -104,7 +113,8 @@ def line_measure_to_json(m):
 
 
 def line_measure_from_json(d):
-    return LineMeasure([(a["s"], a["w"]) for a in d["atoms"]])
+    with _fields("line measure"):
+        return LineMeasure([(a["s"], a["w"]) for a in d["atoms"]])
 
 
 def orbit_measure_to_json(m):
@@ -113,7 +123,8 @@ def orbit_measure_to_json(m):
 
 
 def orbit_measure_from_json(d):
-    return OrbitMeasure(d["n"], [(a["t"], a["theta"], a["w"]) for a in d["atoms"]])
+    with _fields("orbit measure"):
+        return OrbitMeasure(d["n"], [(a["t"], a["theta"], a["w"]) for a in d["atoms"]])
 
 
 # -- operators ----------------------------------------------------------------
@@ -137,37 +148,37 @@ def endo_to_json(e):
 
 
 def endo_from_json(d):
-    try:
+    with _fields("operator"):
         kind = d["kind"]
-    except (TypeError, KeyError):
-        raise BadShape("operator descriptor needs a 'kind' field")
-    if kind == "gl":
-        return GlEndo(float(d["c"]), line_measure_from_json(d["nu"]), int(d["n"]))
-    if kind == "scale_compose":
-        return ScaleComposeMap(float(d["lambda"]), float(d["mu"]), int(d["n"]))
-    if kind == "radial":
-        e = RadialEndo(orbit_measure_from_json(d["mu"]), M=int(d.get("M", 64)))
-        # the one rotation rule; the optional key is kept for old descriptors
-        if d.get("rotation_rule", "householder") != "householder":
-            raise BadShape(f"unknown rotation rule {d['rotation_rule']!r}")
-        return e
-    if kind == "phi_example":
-        return PhiEndo(fn_from_json(d["phi"]))
-    if kind == "ma_example":
-        z = d["zeta"]
-        if z.get("kind") != "hat":
-            raise BadShape("zeta supports only {'kind': 'hat', 'radius': r}")
-        return MaEndo(fn_from_json(d["g"]), hat_weight(z["radius"]),
-                      float(z["radius"]),
-                      zeta_descriptor={"kind": "hat", "radius": float(z["radius"])})
-    if kind == "kernel":
+        if kind == "gl":
+            return GlEndo(float(d["c"]), line_measure_from_json(d["nu"]), int(d["n"]))
+        if kind == "scale_compose":
+            return ScaleComposeMap(float(d["lambda"]), float(d["mu"]), int(d["n"]))
+        if kind == "radial":
+            e = RadialEndo(orbit_measure_from_json(d["mu"]), M=int(d.get("M", 64)))
+            # the one rotation rule; the optional key is kept for old descriptors
+            if d.get("rotation_rule", "householder") != "householder":
+                raise BadShape(f"unknown rotation rule {d['rotation_rule']!r}")
+            return e
+        if kind == "phi_example":
+            return PhiEndo(fn_from_json(d["phi"]))
+        if kind == "ma_example":
+            z = d["zeta"]
+            if z.get("kind") != "hat":
+                raise BadShape("zeta supports only {'kind': 'hat', 'radius': r}")
+            return MaEndo(fn_from_json(d["g"]), hat_weight(z["radius"]),
+                          float(z["radius"]),
+                          zeta_descriptor={"kind": "hat", "radius": float(z["radius"])})
+        if kind != "kernel":
+            raise BadShape(f"unknown operator kind {kind!r}")
         psi = d["psi"]
         if psi.get("kind") != "grid":
             raise BadShape("kernel psi supports only the 'grid' form")
         k = Kernel1D.from_grid(psi["xs"], psi["ys"], psi["values"])
         a_lo, a_hi = d["A"]
-        return kernel_decompose(k, (a_lo, a_hi), float(d["R"]))
-    raise BadShape(f"unknown operator kind {kind!r}")
+        R = float(d["R"])
+    # decomposing is computation, not parsing: its errors pass through
+    return kernel_decompose(k, (a_lo, a_hi), R)
 
 
 def load_json(path):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from convendo import (INF, Affine, BallIndicator, DimensionMismatch, Max,
+from convendo import (INF, Affine, BadShape, BallIndicator, DimensionMismatch, Max,
                       Norm, Precompose, Pwl1D, Quad, Scale, Sum, ZeroVector,
                       expr_eval, pwl_indicator, pwl_abs, ray_domain)
 
@@ -71,3 +73,19 @@ def test_precompose_rejects_singular():
     from convendo import BadShape
     with pytest.raises(BadShape):
         Precompose(np.zeros((2, 2)), Quad(1.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: Affine([1.0, v], 0.0),
+    lambda v: Affine([1.0], v),
+    lambda v: Quad(v),
+    lambda v: Norm(v),
+    lambda v: Scale(v, Quad(1.0)),
+    lambda v: Pwl1D(pwl_abs(), [v, 1.0]),
+    lambda v: Precompose([[1.0, 0.0], [v, 1.0]], Quad(1.0)),
+], ids=["affine_a", "affine_b", "quad", "norm", "scale", "pwl1d_direction", "precompose"])
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_coefficient_is_refused(build, v):
+    # Quad(inf) at the origin would be inf * 0 = nan
+    with pytest.raises(BadShape):
+        build(v)

@@ -48,9 +48,9 @@ def test_boundary_case_radial_limit():
 
 
 def test_ray_interval_attribute_error_propagates():
-    # a fault inside a node's own _ray_interval surfaces from gl_eval
+    # a fault inside a node's own _ray_interval_batch surfaces from gl_eval
     class Broken(Quad):
-        def _ray_interval(self, x):
+        def _ray_interval_batch(self, X):
             return self.no_such_attribute
 
     e = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 2)
@@ -117,7 +117,7 @@ def test_monotone_witness_fixture():
     # the witness pair is ordered
     for _ in range(20):
         p = np.random.default_rng(0).uniform(-4, 4, size=2)
-        assert w["f"]._eval(p) <= w["g"]._eval(p) + 1e-12
+        assert w["f"](p) <= w["g"](p) + 1e-12
 
 
 def test_no_witness_when_monotone():

@@ -194,3 +194,12 @@ def test_radial_equivariance_any_input():
             assert rhs == INF
         else:
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_quadrature_resolution_is_bounded_before_allocation():
+    from convendo import BadShape
+    from convendo.expr import BLOCK
+    mu = OrbitMeasure(3, [(1.0, 0.5, 1.0)])
+    with pytest.raises(BadShape):
+        RadialEndo(mu, M=10 ** 9)  # constructing only: the quadrature is never built
+    assert RadialEndo(mu, M=BLOCK).M == BLOCK

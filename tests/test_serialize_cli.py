@@ -320,3 +320,39 @@ def test_counterexample_dumps_reparse():
         for key in ("f", "g"):
             if key in p:
                 fn_from_json(json.loads(json.dumps(p[key])))
+
+
+QUAD = {"kind": "quad", "c": 1.0}
+GL1 = {"kind": "gl", "c": 0.5, "nu": {"atoms": [{"s": 1.0, "w": 1.0}]}, "n": 1}
+
+
+@pytest.mark.parametrize("endo, fn", [
+    ({**GL1, "c": "abc"}, QUAD),
+    ({"kind": "ma_example", "g": {"kind": "pwl", "breakpoints": [0.0], "values": [0.5],
+                                  "slope_left": -1.0, "slope_right": 2.0}, "zeta": [1]}, QUAD),
+    ({**GL1, "nu": {"atoms": [{"s": 1.0}]}}, QUAD),
+    (GL1, {"kind": "affine", "a": [1.0]}),
+    (GL1, {"kind": "sum", "terms": 3}),
+    ({"kind": "scale_compose", "lambda": 1.0, "mu": 1.0, "n": 1}, {"kind": "quad", "c": "inf"}),
+], ids=["gl_c_not_a_number", "ma_zeta_not_an_object", "atom_without_weight",
+        "affine_without_offset", "sum_terms_not_a_list", "quad_infinite"])
+def test_cli_malformed_descriptor_field_exit_2(tmp_path, capsys, endo, fn):
+    out = tmp_path / "x.csv"
+    rc = main(["eval", "--endo", _write(tmp_path, "e.json", endo),
+               "--fn", _write(tmp_path, "f.json", fn),
+               "--points", _write(tmp_path, "p.json", [[0.0], [1.0]]), "--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_type_error_inside_evaluation_propagates(tmp_path, monkeypatch):
+    # a programming fault is not a config error
+    def broken(self, f, X):
+        raise TypeError("fault inside an evaluator")
+
+    monkeypatch.setattr(GlEndo, "eval_many", broken)
+    with pytest.raises(TypeError, match="fault inside"):
+        main(["eval", "--endo", _write(tmp_path, "e.json", GL1),
+              "--fn", _write(tmp_path, "f.json", QUAD), "--grid=0:1:0.5",
+              "--out", str(tmp_path / "x.csv")])
