@@ -20,6 +20,7 @@ Both evaluate trees only in blocks of points (``gl_eval_many``,
 blocks are tested against lives in tests/test_batch.py.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class GlEndo:
     n: int
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise BadShape("c must be finite")
         for s, w in self.nu.atoms:
             if s == 0.0 and w > 0:
                 raise BadShape("nu must not charge 0")
@@ -179,6 +182,8 @@ class ScaleComposeMap:
     n: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu_scalar)):
+            raise BadShape("lam and mu must be finite")
         if not self.lam > 0:
             raise BadShape("lam must be positive")
         if self.mu_scalar == 0.0:

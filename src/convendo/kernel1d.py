@@ -20,10 +20,14 @@ The tail coefficients solve the affine tail equations
 
 at the nodes +-R and +-(R + 1); subtracting the four hinge multiples
 c1 y_+ + c2 (y+1)_+ + c3 (-y)_+ + c4 (-y-1)_+ then kills both tails.
+
+``KernelDecomposition.tails(x)`` evaluates psi once at each of the four
+nodes and returns (c1, c2, c3, c4); an evaluation of the operator at x
+reuses them for every kink, so it costs 4 + (kinks in [-R, R]) psi calls.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,6 +91,8 @@ class Kernel1D:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         values = np.asarray(values, dtype=float)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(values).all()):
+            raise BadShape("grid nodes and values must be finite")
         if values.shape != (xs.size, ys.size):
             raise BadShape("values must be shaped (len(xs), len(ys))")
         if xs.size < 2 or ys.size < 2:
@@ -150,20 +156,39 @@ class KernelDecomposition(_PwlOperator):
     kernel: Kernel1D
     A: tuple
     R: float
-    c1: callable = field(repr=False, default=None)
-    c2: callable = field(repr=False, default=None)
-    c3: callable = field(repr=False, default=None)
-    c4: callable = field(repr=False, default=None)
 
-    def psi_tilde(self, x, y):
+    def tails(self, x):
+        """(c1, c2, c3, c4) at x, from psi at the four nodes +-R, +-(R + 1)."""
+        R, psi = self.R, self.kernel
+        p_hi, p_r = psi(x, R + 1.0), psi(x, R)
+        p_mr, p_lo = psi(x, -R), psi(x, -R - 1.0)
+        return ((R + 1.0) * p_hi - (R + 2.0) * p_r,
+                (R + 1.0) * p_r - R * p_hi,
+                R * p_mr - (R - 1.0) * p_lo,
+                R * p_lo - (R + 1.0) * p_mr)
+
+    def c1(self, x):
+        return self.tails(x)[0]
+
+    def c2(self, x):
+        return self.tails(x)[1]
+
+    def c3(self, x):
+        return self.tails(x)[2]
+
+    def c4(self, x):
+        return self.tails(x)[3]
+
+    def psi_tilde(self, x, y, tails=None):
         """Residual kernel; identically zero outside [-R, R] once the tail
-        validation has passed, so values beyond R are clamped to 0."""
+        validation has passed, so values beyond R are clamped to 0. Pass
+        ``tails=self.tails(x)`` to reuse the coefficients across many y."""
         if abs(y) > self.R + 1e-12:
             return 0.0
-        yp = max(y, 0.0)
-        return (self.kernel(x, y)
-                - (self.c1(x) * yp + self.c2(x) * max(y + 1.0, 0.0)
-                   + self.c3(x) * max(-y, 0.0) + self.c4(x) * max(-y - 1.0, 0.0)))
+        psi = self.kernel(x, y)
+        c1, c2, c3, c4 = self.tails(x) if tails is None else tails
+        return psi - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0)
+                      + c3 * max(-y, 0.0) + c4 * max(-y - 1.0, 0.0))
 
     def __call__(self, f, x):
         return kernel_endo_eval(self, f, x)
@@ -214,20 +239,7 @@ def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
         y, dev = bend
         raise XSliceNotAffine(f"psi(., {y}) is not affine on A: second difference {dev}")
 
-    def c1(x):
-        return (R + 1.0) * psi(x, R + 1.0) - (R + 2.0) * psi(x, R)
-
-    def c2(x):
-        return (R + 1.0) * psi(x, R) - R * psi(x, R + 1.0)
-
-    def c3(x):
-        return R * psi(x, -R) - (R - 1.0) * psi(x, -R - 1.0)
-
-    def c4(x):
-        return R * psi(x, -R - 1.0) - (R + 1.0) * psi(x, -R)
-
-    return KernelDecomposition(kernel=psi, A=(a_lo, a_hi), R=R,
-                               c1=c1, c2=c2, c3=c3, c4=c4)
+    return KernelDecomposition(kernel=psi, A=(a_lo, a_hi), R=R)
 
 
 def kernel_endo_eval(d, f, x):
@@ -237,9 +249,10 @@ def kernel_endo_eval(d, f, x):
     if not a_lo - EDGE_TOL <= x <= a_hi + EDGE_TOL:
         raise OutsideA(f"{x} outside decomposition interval {d.A}")
     ma = monge_ampere(f)
-    total = (d.c1(x) + d.c3(x)) * f(0.0) + (d.c2(x) + d.c4(x)) * f(-1.0)
+    c1, c2, c3, c4 = tails = d.tails(x)
+    total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
     for y, w in ma.atoms:
-        total += d.psi_tilde(x, y) * w
+        total += d.psi_tilde(x, y, tails) * w
     return total
 
 

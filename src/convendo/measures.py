@@ -26,6 +26,8 @@ class LineMeasure:
         pos, wts = [], []
         for s, w in atoms:
             s, w = float(s), float(w)
+            if not (math.isfinite(s) and math.isfinite(w)):
+                raise BadShape("atom positions and weights must be finite")
             if w < 0:
                 raise BadShape("weights must be >= 0")
             if w == 0.0:
@@ -79,7 +81,7 @@ def _check_negative_power(m):
 def moment_abs(m, k):
     """Sum of w * |s|^k over atoms; k in {-2, -1, 0, 1}."""
     if k not in (-2, -1, 0, 1):
-        raise ValueError("k must be in {-2, -1, 0, 1}")
+        raise BadShape("k must be in {-2, -1, 0, 1}")
     if k < 0:
         _check_negative_power(m)
     return float(sum(w * abs(s) ** k for s, w in m.atoms if w > 0))
@@ -88,7 +90,7 @@ def moment_abs(m, k):
 def moment_signed(m, k):
     """Sum of w * s^k over atoms; k in {-2, -1, 0, 1}."""
     if k not in (-2, -1, 0, 1):
-        raise ValueError("k must be in {-2, -1, 0, 1}")
+        raise BadShape("k must be in {-2, -1, 0, 1}")
     if k < 0:
         _check_negative_power(m)
     return float(sum(w * s ** k for s, w in m.atoms if w > 0))
@@ -106,6 +108,8 @@ class OrbitMeasure:
         checked = []
         for t, theta, w in atoms:
             t, theta, w = float(t), float(theta), float(w)
+            if not (math.isfinite(t) and math.isfinite(theta) and math.isfinite(w)):
+                raise BadShape("orbit radii, angles and weights must be finite")
             if t < 0:
                 raise BadShape("orbit radius must be >= 0")
             if w < 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PerturbationNotConvex
+from .errors import BadShape, PerturbationNotConvex
 from .expr import ConvexExpr, Sum
 from .pwl import PwlFunction, pwl_add
 
@@ -29,7 +29,7 @@ def is_convex_block(F, grid, tol=1e-9):
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 3:
-        raise ValueError("grid needs at least 3 points")
+        raise BadShape("grid needs at least 3 points")
     vals = np.asarray(F(grid), dtype=float)
     finite = np.isfinite(vals)
     if finite.sum() == 0:

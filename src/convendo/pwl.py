@@ -99,6 +99,8 @@ class PwlFunction:
         return (lo, hi)
 
     def __call__(self, x):
+        if x != x:
+            raise BadShape("cannot evaluate at nan")
         bp, va = self.breakpoints, self.values
         if x < bp[0]:
             if self.slope_left == -INF:
@@ -116,6 +118,8 @@ class PwlFunction:
     def eval_many(self, xs):
         """Vectorized evaluation; returns a float array with +inf outside."""
         xs = np.asarray(xs, dtype=float)
+        if np.isnan(xs).any():
+            raise BadShape("cannot evaluate at nan")
         bp = np.array(self.breakpoints)
         va = np.array(self.values)
         out = np.empty_like(xs)
@@ -289,34 +293,92 @@ def pwl_max(f, g):
 
 # -- Legendre transform and inf-convolution ----------------------------------
 
+# Relative slack of the widening scan in legendre: far above the rounding of
+# b*y - v and of values computed in floats, far below any real drop.
+SUP_SLACK = 2.0 ** -40
+
+
+def _sup_near(bp, va, y, lo, hi, slack):
+    """First argmax q of bp[q]*y - va[q], and the max, scanning bp[lo:hi]
+    and then widening while the next breakpoint out comes within ``slack``
+    of the running max.
+
+    b*y - v is unimodal in q for exactly convex data. When the data is
+    convex up to an error below slack / 2 in b*y - v, a breakpoint that
+    falls more than slack below the max has passed the peak, and every
+    breakpoint beyond it lies below the max: the result is that of a scan
+    over every breakpoint, ties included.
+    """
+    i, best = lo, bp[lo] * y - va[lo]
+    for q in range(lo + 1, hi):
+        g = bp[q] * y - va[q]
+        if g > best:
+            i, best = q, g
+    while lo > 0:
+        g = bp[lo - 1] * y - va[lo - 1]
+        if g < best - slack:
+            break
+        lo -= 1
+        if g >= best:
+            i, best = lo, g
+    while hi < len(bp):
+        g = bp[hi] * y - va[hi]
+        if g < best - slack:
+            break
+        if g > best:
+            i, best = hi, g
+        hi += 1
+    return i, best
+
+
 def legendre(f):
     """Convex conjugate sup_x (x*y - f(x)), exact on PwlFunction.
 
     Breakpoints of the output are the distinct finite slopes of ``f``; slopes
     of the output are breakpoints of ``f``. Applying it twice reproduces the
     input up to float rounding.
+
+    One pass over the slope sequence, O(k) in the breakpoint count k. Slope
+    j of the sequence lies between breakpoints j - 1 and j, so the sup at a
+    merged group of slopes near y is attained on the group's breakpoints,
+    and the output slope between two groups is the argmax on both groups'
+    breakpoints. Each scan starts there and widens only while b*y - v stays
+    within SUP_SLACK of its max (see ``_sup_near``), so values, slopes and
+    ties are those of a scan over every breakpoint. A scan widens across a
+    whole run of breakpoints only where b*y - v is that flat along it, so
+    the cost returns toward O(k^2) only for slopes within about 1e-12 of
+    each other along most of f.
     """
     bp = f.breakpoints
     va = f.values
-    seq = f.slope_sequence()
+    k = len(bp)
     ys = []
-    for m in seq:
-        if math.isfinite(m) and (not ys or m - ys[-1] > MERGE_TOL):
+    spans = []  # [lo, hi): the breakpoints of each merged group of slopes
+    for j, m in enumerate(f.slope_sequence()):
+        if not math.isfinite(m):
+            continue
+        if not ys or m - ys[-1] > MERGE_TOL:
             ys.append(m)
+            spans.append([max(j - 1, 0), min(j + 1, k)])
+        else:
+            spans[-1][1] = min(j + 1, k)
 
     if not ys:
         # point indicator: conjugate is the linear function bp[0]*y - v0
         return PwlFunction([0.0], [-va[0]], bp[0], bp[0])
 
-    def conj(y):
-        return max(b * y - v for b, v in zip(bp, va))
+    b_max = max(abs(bp[0]), abs(bp[-1]))
+    v_max = max(map(abs, va))
 
-    vals = [conj(y) for y in ys]
+    def sup(y, lo, hi):
+        # the slack scales with a bound on |b*y| + |v| over every breakpoint
+        return _sup_near(bp, va, y, lo, hi, SUP_SLACK * (b_max * abs(y) + v_max))
+
+    vals = [sup(y, lo, hi)[1] for y, (lo, hi) in zip(ys, spans)]
     slopes = []
-    for y1, y2 in zip(ys, ys[1:]):
-        ymid = (y1 + y2) / 2.0
-        i = max(range(len(bp)), key=lambda k: bp[k] * ymid - va[k])
-        slopes.append(bp[i])
+    for g in range(len(ys) - 1):
+        ymid = (ys[g] + ys[g + 1]) / 2.0
+        slopes.append(bp[sup(ymid, spans[g][0], spans[g + 1][1])[0]])
     sl = bp[0] if f.slope_left == -INF else -INF
     sr = bp[-1] if f.slope_right == INF else INF
     return PwlFunction(ys, vals, sl, sr, slopes=slopes)
@@ -338,7 +400,7 @@ def moreau_envelope(f, t):
     """
     t = float(t)
     if not t > 0:
-        raise ValueError("t must be positive")
+        raise BadShape("t must be positive")
     bp, va = f.breakpoints, f.values
 
     pieces = []

@@ -157,3 +157,13 @@ def test_gl_equivariance_spot():
         x = np.array(x)
         assert gl_eval(e, Precompose(m, f), x) == pytest.approx(
             gl_eval(e, f, m @ x), abs=1e-12)
+
+
+@pytest.mark.parametrize("v", [float("nan"), INF, -INF])
+def test_non_finite_parameters_are_refused(v):
+    with pytest.raises(BadShape):
+        GlEndo(v, LineMeasure([(1.0, 1.0)]), 1)
+    with pytest.raises(BadShape):
+        ScaleComposeMap(v, 1.0, 1)
+    with pytest.raises(BadShape):
+        ScaleComposeMap(1.0, v, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convendo import (INF, GlEndo, InfiniteSlope, Kernel1D, LineMeasure,
+from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasure,
                       MaEndo, OutsideA, PhiEndo, PhiNotEven, PwlFunction,
                       TailNotAffine, XSliceNotAffine, detect_tail_radius,
                       example_phi_convexity_certificate, hat_weight,
@@ -337,3 +337,90 @@ def test_pwl_integral_exact():
     assert pwl_integral(f, 0.0, 1.0) == pytest.approx(0.5)
     g = pwl_make([-1.0, 1.0], [1.0, 1.0], -2.0, 3.0)
     assert pwl_integral(g, -1.0, 1.0) == pytest.approx(2.0)
+
+
+# -- tail coefficients once per point -------------------------------------------------
+
+def _endo_eval_per_kink(d, f, x):
+    """The decomposed operator with c1..c4 solved again for every kink."""
+    R, psi = d.R, d.kernel
+
+    def c1(x):
+        return (R + 1.0) * psi(x, R + 1.0) - (R + 2.0) * psi(x, R)
+
+    def c2(x):
+        return (R + 1.0) * psi(x, R) - R * psi(x, R + 1.0)
+
+    def c3(x):
+        return R * psi(x, -R) - (R - 1.0) * psi(x, -R - 1.0)
+
+    def c4(x):
+        return R * psi(x, -R - 1.0) - (R + 1.0) * psi(x, -R)
+
+    total = (c1(x) + c3(x)) * f(0.0) + (c2(x) + c4(x)) * f(-1.0)
+    for y, w in monge_ampere(f).atoms:
+        res = 0.0 if abs(y) > R + 1e-12 else (
+            psi(x, y) - (c1(x) * max(y, 0.0) + c2(x) * max(y + 1.0, 0.0)
+                         + c3(x) * max(-y, 0.0) + c4(x) * max(-y - 1.0, 0.0)))
+        total += res * w
+    return total
+
+
+def _kinked(rng, k, span):
+    """A finite convex PwlFunction with k kinks spread over [-span, span]."""
+    bp = np.sort(rng.uniform(-span, span, k))
+    seq = np.cumsum(rng.uniform(0.1, 1.0, k + 1)) - 2.0
+    va = np.concatenate([[0.5], 0.5 + np.cumsum(seq[1:-1] * np.diff(bp))])
+    return PwlFunction(bp, va, seq[0], seq[-1], slopes=seq[1:-1])
+
+
+@pytest.mark.parametrize("make_endo", [
+    lambda: GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1),
+    lambda: PhiEndo(PwlFunction([0.0], [1.0], -1.0, 1.0)),
+    lambda: MaEndo(dense_parabola(span=3.0, pieces=100), hat_weight(1.0), 1.0),
+    None,
+], ids=["gl", "phi", "ma", "hinge"])
+def test_endo_eval_matches_per_kink_tails_bit_for_bit(make_endo):
+    if make_endo is None:
+        d = kernel_decompose(hinge_kernel(), (-1, 1), 2.0)
+    else:
+        live = kernel_extract_live(make_endo(), (-1.2, 1.2, -8.0, 8.0))
+        d = kernel_decompose(live, (-1.0, 1.0), 4.0)
+    rng = np.random.default_rng(8)
+    for k in (1, 5, 12):
+        f = _kinked(rng, k, 2.5 * d.R)  # kinks inside and outside [-R, R]
+        for x in rng.uniform(-1.0, 1.0, 3).tolist() + [0.0]:
+            assert kernel_endo_eval(d, f, x).hex() == _endo_eval_per_kink(d, f, x).hex()
+            assert d.tails(x) == (d.c1(x), d.c2(x), d.c3(x), d.c4(x))
+
+
+class _CountingKernel(Kernel1D):
+    calls = 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return super().__call__(x, y)
+
+
+def test_endo_eval_makes_four_plus_kinks_psi_calls():
+    psi = _CountingKernel(lambda x, y: max(y - x, 0.0) - max(y, 0.0), (-1, 1, -4, 4))
+    d = kernel_decompose(psi, (-1, 1), 2.0)
+    f = PwlFunction([-3.0, -1.0, 0.5, 1.9, 2.5], [5.0, 1.0, 0.0, 0.5, 1.0], -3.0, 1.0)
+    inside = sum(abs(y) <= d.R for y, _ in monge_ampere(f).atoms)
+    assert inside == 3
+    psi.calls = 0
+    kernel_endo_eval(d, f, 0.25)
+    assert psi.calls == 4 + inside
+
+
+@pytest.mark.parametrize("bad", ["xs", "ys", "values"])
+@pytest.mark.parametrize("v", [float("nan"), INF, -INF])
+def test_grid_kernel_refuses_non_finite(bad, v):
+    grid = {"xs": [-1.0, 0.0, 1.0], "ys": [-1.0, 1.0],
+            "values": [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]}
+    if bad == "values":
+        grid["values"][1][0] = v
+    else:
+        grid[bad][-1] = v
+    with pytest.raises(BadShape):
+        Kernel1D.from_grid(grid["xs"], grid["ys"], grid["values"])

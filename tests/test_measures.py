@@ -127,3 +127,27 @@ def test_orbit_measure_validation():
         OrbitMeasure(3, [(1.0, 0.0, -1.0)])
     with pytest.raises(UnsupportedDimension):
         OrbitMeasure(1, [(1.0, 0.0, 1.0)])
+
+
+@pytest.mark.parametrize("v", [float("nan"), math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(2))
+def test_line_measure_refuses_non_finite(field, v):
+    atom = [1.0, 1.0]
+    atom[field] = v
+    with pytest.raises(BadShape):
+        LineMeasure([tuple(atom)])
+
+
+@pytest.mark.parametrize("v", [float("nan"), math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(3))
+def test_orbit_measure_refuses_non_finite(field, v):
+    atom = [1.0, 0.5, 1.0]
+    atom[field] = v
+    with pytest.raises(BadShape):
+        OrbitMeasure(3, [tuple(atom)])
+
+
+@pytest.mark.parametrize("moment", [moment_abs, moment_signed])
+def test_moment_order_is_checked(moment):
+    with pytest.raises(BadShape):
+        moment(LineMeasure([(1.0, 1.0)]), 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convendo import (INF, Affine, BallIndicator, PerturbationNotConvex, Scale,
+from convendo import (INF, Affine, BadShape, BallIndicator, PerturbationNotConvex, Scale,
                       Sum, epi_converges_probe, gw_probe, is_convex_block,
                       is_convex_sampled, moreau_envelope, pwl_abs, pwl_add,
                       pwl_make, pwl_scale, PwlFunction)
@@ -225,3 +225,8 @@ def test_gw_probe_rejects_nonconvex_base_along_lines():
     bases = gw_bases_nd(rng_from_seed(1), minus, 2)
     val, ok = gw_probe(em, np.ones(2), plus, minus, bases, lines=lines)
     assert ok and val == pytest.approx(hat(np.ones(2)), abs=1e-12)
+
+
+def test_convex_block_needs_three_points():
+    with pytest.raises(BadShape):
+        is_convex_block(lambda T: T, np.array([0.0, 1.0]))

@@ -239,3 +239,118 @@ def test_fenchel_young_hypothesis(seed, y):
         lhs = x * y
         if d(y) < INF:
             assert lhs <= f(x) + d(y) + 1e-9
+
+
+# -- linear-time Legendre transform against a scan over every breakpoint --------
+
+def _legendre_scan(f):
+    """The conjugate with sup_x x*y - f(x) taken over every breakpoint of f."""
+    bp, va = f.breakpoints, f.values
+    ys = []
+    for m in f.slope_sequence():
+        if math.isfinite(m) and (not ys or m - ys[-1] > 1e-12):
+            ys.append(m)
+    if not ys:
+        return PwlFunction([0.0], [-va[0]], bp[0], bp[0])
+    vals = [max(b * y - v for b, v in zip(bp, va)) for y in ys]
+    slopes = []
+    for y1, y2 in zip(ys, ys[1:]):
+        ymid = (y1 + y2) / 2.0
+        slopes.append(bp[max(range(len(bp)), key=lambda q: bp[q] * ymid - va[q])])
+    return PwlFunction(ys, vals, bp[0] if f.slope_left == -INF else -INF,
+                       bp[-1] if f.slope_right == INF else INF, slopes=slopes)
+
+
+def _data(f):
+    return f.breakpoints, f.values, f.slopes, f.slope_left, f.slope_right
+
+
+@st.composite
+def convex_pwl_data(draw, max_breaks=40):
+    """Convex data with breakpoint gaps in [1e-3, 1] and slope gaps that are
+    ordinary, tight (1e-14 to 1e-9) or zero; either tail may be truncated, so
+    one breakpoint with both tails truncated is a point indicator."""
+    k = draw(st.integers(1, max_breaks))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=k - 1, max_size=k - 1))
+    bp = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    sgap = st.one_of(st.floats(1e-3, 2.0), st.floats(1e-14, 1e-9), st.just(0.0))
+    seq = draw(st.floats(-5.0, 5.0)) + np.cumsum(
+        draw(st.lists(sgap, min_size=k + 1, max_size=k + 1)))
+    va = draw(st.floats(-5.0, 5.0)) + np.concatenate(
+        [[0.0], np.cumsum(seq[1:-1] * np.diff(bp))])
+    sl = -INF if draw(st.booleans()) else seq[0]
+    sr = INF if draw(st.booleans()) else seq[-1]
+    return PwlFunction(bp, va, sl, sr, slopes=seq[1:-1] if draw(st.booleans()) else None)
+
+
+_LEGENDRE_INPUTS = st.one_of(
+    convex_pwl_data(),
+    st.integers(0, 10 ** 9).map(lambda s: random_convex_pwl(rng_from_seed(s), max_breaks=24)),
+    st.builds(lambda a, v: PwlFunction([a], [v], -INF, INF),
+              st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LEGENDRE_INPUTS)
+def test_legendre_matches_full_scan_hypothesis(f):
+    g = legendre(f)
+    assert _data(g) == _data(_legendre_scan(f))
+    assert _data(legendre(g)) == _data(_legendre_scan(g))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_legendre_matches_full_scan_at_scale(seed):
+    # 512 breakpoints with runs of slopes 1e-14 to 1e-9 apart between
+    # ordinary gaps, on a line, a half-line and a truncated interval
+    rng = rng_from_seed(seed)
+    k = 512
+    bp = np.cumsum(rng.uniform(0.005, 0.02, k)) - 5.0
+    sgaps = np.where(rng.random(k + 1) < 0.3, 10.0 ** rng.uniform(-14, -9, k + 1),
+                     rng.uniform(0.01, 0.05, k + 1))
+    seq = np.cumsum(sgaps) - 10.0
+    va = np.concatenate([[0.3], 0.3 + np.cumsum(seq[1:-1] * np.diff(bp))])
+    for sl, sr in ((seq[0], seq[-1]), (-INF, seq[-1]), (-INF, INF)):
+        f = PwlFunction(bp, va, sl, sr, slopes=seq[1:-1])
+        g = legendre(f)
+        assert _data(g) == _data(_legendre_scan(f))
+        assert _data(legendre(g)) == _data(_legendre_scan(g))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_legendre_matches_full_scan_where_rounding_flattens(seed):
+    # breakpoint gaps down to 1e-11 and slope gaps straddling the merge
+    # tolerance: b*y - v is flat to rounding across many breakpoints, so the
+    # scan must widen past the merged groups to find the same max and ties
+    rng = rng_from_seed(seed)
+    for _ in range(100):
+        k = int(rng.integers(2, 60))
+        bp = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-11, 0, k - 1))])
+        bp += rng.normal() * 100.0
+        seq = np.cumsum(rng.choice([0.5e-12, 0.99e-12, 1.01e-12, 1.5e-12, 1e-14, 1e-9], k + 1))
+        seq += rng.normal() * 100.0
+        va = rng.normal() * 100.0 + np.concatenate([[0.0], np.cumsum(seq[1:-1] * np.diff(bp))])
+        try:
+            f = PwlFunction(bp, va, seq[0], seq[-1], slopes=seq[1:-1] if seed % 2 else None)
+        except NonConvex:
+            continue
+        try:
+            want = _data(_legendre_scan(f))
+        except NonConvex:
+            with pytest.raises(NonConvex):
+                legendre(f)
+            continue
+        assert _data(legendre(f)) == want
+
+def test_nan_argument_is_refused():
+    f = pwl_abs()
+    with pytest.raises(BadShape):
+        f(float("nan"))
+    with pytest.raises(BadShape):
+        f.eval_many([0.0, float("nan")])
+    assert f(INF) == INF and f.eval_many([-INF]).tolist() == [INF]
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
+def test_moreau_envelope_refuses_non_positive_t(t):
+    with pytest.raises(BadShape):
+        moreau_envelope(pwl_abs(), t)

@@ -324,6 +324,10 @@ def test_counterexample_dumps_reparse():
 
 QUAD = {"kind": "quad", "c": 1.0}
 GL1 = {"kind": "gl", "c": 0.5, "nu": {"atoms": [{"s": 1.0, "w": 1.0}]}, "n": 1}
+SC1 = {"kind": "scale_compose", "lambda": 1.0, "mu": 1.0, "n": 1}
+NAN_GRID_KERNEL = {"kind": "kernel", "A": [-1.0, 1.0], "R": 1.0,
+                   "psi": {"kind": "grid", "xs": [-1.0, 0.0, 1.0], "ys": [-2.0, 0.0, 2.0],
+                           "values": [[0.0] * 3, ["nan", 0.0, 0.0], [0.0] * 3]}}
 
 
 @pytest.mark.parametrize("endo, fn", [
@@ -333,9 +337,18 @@ GL1 = {"kind": "gl", "c": 0.5, "nu": {"atoms": [{"s": 1.0, "w": 1.0}]}, "n": 1}
     ({**GL1, "nu": {"atoms": [{"s": 1.0}]}}, QUAD),
     (GL1, {"kind": "affine", "a": [1.0]}),
     (GL1, {"kind": "sum", "terms": 3}),
-    ({"kind": "scale_compose", "lambda": 1.0, "mu": 1.0, "n": 1}, {"kind": "quad", "c": "inf"}),
+    (SC1, {"kind": "quad", "c": "inf"}),
+    ({**GL1, "c": "nan"}, QUAD),
+    ({**GL1, "c": "-inf"}, QUAD),
+    ({**SC1, "lambda": "inf"}, QUAD),
+    ({**SC1, "mu": "nan"}, QUAD),
+    ({**GL1, "nu": {"atoms": [{"s": 1.0, "w": "nan"}]}}, QUAD),
+    ({**GL1, "nu": {"atoms": [{"s": "inf", "w": 1.0}]}}, QUAD),
+    (NAN_GRID_KERNEL, fn_to_json(pwl_abs())),
 ], ids=["gl_c_not_a_number", "ma_zeta_not_an_object", "atom_without_weight",
-        "affine_without_offset", "sum_terms_not_a_list", "quad_infinite"])
+        "affine_without_offset", "sum_terms_not_a_list", "quad_infinite",
+        "gl_c_nan", "gl_c_minus_inf", "scale_compose_lambda_inf", "scale_compose_mu_nan",
+        "atom_weight_nan", "atom_at_inf", "kernel_grid_value_nan"])
 def test_cli_malformed_descriptor_field_exit_2(tmp_path, capsys, endo, fn):
     out = tmp_path / "x.csv"
     rc = main(["eval", "--endo", _write(tmp_path, "e.json", endo),
@@ -356,3 +369,4 @@ def test_cli_type_error_inside_evaluation_propagates(tmp_path, monkeypatch):
         main(["eval", "--endo", _write(tmp_path, "e.json", GL1),
               "--fn", _write(tmp_path, "f.json", QUAD), "--grid=0:1:0.5",
               "--out", str(tmp_path / "x.csv")])
+
