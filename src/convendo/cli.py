@@ -26,7 +26,8 @@ class ConfigError(Exception):
 
 
 # Most points one --grid may produce (axis length to the power of the
-# dimension); a 128^3 grid fits.
+# dimension), and most nodes of a kernel extract table (len(xs) * len(ys));
+# a 128^3 grid fits.
 MAX_GRID_POINTS = 2 ** 21
 
 
@@ -53,8 +54,8 @@ def _load_points(args, dim):
     if args.points:
         try:
             X = np.array(load_json(args.points), dtype=float)
-        except (ValueError, TypeError):
-            raise ConfigError("--points must be a list of points of equal dimension")
+        except (ValueError, TypeError, OverflowError):
+            raise ConfigError("--points must be a list of finite points of equal dimension")
         if X.ndim == 1:
             X = X.reshape(-1, 1) if X.size else X.reshape(0, dim)
     elif args.grid:
@@ -101,6 +102,9 @@ def cmd_check(args):
 def _kernel_grids(args, endo):
     xs = _parse_grid(args.grid_x) if args.grid_x else np.linspace(-1.0, 1.0, 201)
     ys = _parse_grid(args.grid_y) if args.grid_y else np.linspace(-6.0, 6.0, 201)
+    if xs.size * ys.size > MAX_GRID_POINTS:
+        raise ConfigError(f"a {xs.size} x {ys.size} kernel table has more than "
+                          f"{MAX_GRID_POINTS} nodes")
     if isinstance(endo, KernelDecomposition):
         box = endo.kernel.box
         if (xs[0] < box[0] - 1e-9 or xs[-1] > box[1] + 1e-9

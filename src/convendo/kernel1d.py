@@ -22,8 +22,10 @@ at the nodes +-R and +-(R + 1); subtracting the four hinge multiples
 c1 y_+ + c2 (y+1)_+ + c3 (-y)_+ + c4 (-y-1)_+ then kills both tails.
 
 ``KernelDecomposition.tails(x)`` evaluates psi once at each of the four
-nodes and returns (c1, c2, c3, c4); an evaluation of the operator at x
-reuses them for every kink, so it costs 4 + (kinks in [-R, R]) psi calls.
+nodes and returns (c1, c2, c3, c4). An evaluation of the operator at x
+reads psi(x, .) in one row, ``Kernel1D.row``: the four nodes and the kinks
+in [-R, R]. A grid kernel interpolates a whole row at once; an
+operator-backed kernel applies its operator to one hinge per node.
 """
 
 import math
@@ -36,7 +38,7 @@ from .errors import (BadShape, InfiniteSlope, OutsideA, PhiNegative, PhiNotEven,
 from .expr import as_point_block
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .measures import LineMeasure
-from .probes import is_convex_sampled
+from .probes import is_convex_block, is_convex_sampled
 from .pwl import PwlFunction, pwl_hinge
 
 
@@ -44,17 +46,22 @@ def monge_ampere(f):
     """Second-derivative measure of a finite convex piecewise-linear f.
 
     Atoms sit at the breakpoints and weigh the slope jumps; zero jumps are
-    dropped. Functions with truncated domains are rejected.
+    dropped. Functions with truncated domains are rejected. The breakpoints
+    of a PwlFunction are finite and strictly increasing, so the measure is
+    built without re-checking them; only a jump that overflowed is refused.
     """
     if f.slope_left == -INF or f.slope_right == INF:
         raise InfiniteSlope("Monge-Ampere needs finite tail slopes")
     seq = f.slope_sequence()
-    atoms = []
+    pos, wts = [], []
     for b, m1, m2 in zip(f.breakpoints, seq, seq[1:]):
         jump = m2 - m1
         if jump > 0.0:
-            atoms.append((b, jump))
-    return LineMeasure(atoms)
+            pos.append(b)
+            wts.append(jump)
+    if INF in wts:
+        raise BadShape("atom positions and weights must be finite")
+    return LineMeasure._exact(tuple(pos), tuple(wts))
 
 
 def pwl_integral(f, lo, hi):
@@ -76,6 +83,8 @@ class Kernel1D:
 
     ``kind`` is "callable" for closed-form or operator-backed evaluators and
     "grid" for tabulated values with bilinear interpolation in between.
+    ``psi.row(x, ys)`` evaluates psi(x, .) at many y; ``psi(x, y)`` is a row
+    of one.
     """
 
     def __init__(self, evaluator, box, kind="callable", grid=None):
@@ -99,25 +108,35 @@ class Kernel1D:
             raise BadShape("grids need at least two nodes")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise BadShape("grids must be strictly increasing")
-
-        def ev(x, y):
-            i = int(np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2))
-            j = int(np.clip(np.searchsorted(ys, y) - 1, 0, ys.size - 2))
-            tx = (x - xs[i]) / (xs[i + 1] - xs[i])
-            ty = (y - ys[j]) / (ys[j + 1] - ys[j])
-            return ((1 - tx) * (1 - ty) * values[i, j]
-                    + tx * (1 - ty) * values[i + 1, j]
-                    + (1 - tx) * ty * values[i, j + 1]
-                    + tx * ty * values[i + 1, j + 1])
-
-        return cls(ev, (xs[0], xs[-1], ys[0], ys[-1]), kind="grid",
+        return cls(None, (xs[0], xs[-1], ys[0], ys[-1]), kind="grid",
                    grid=(xs, ys, values))
 
-    def __call__(self, x, y):
+    def row(self, x, ys):
+        """[psi(x, y) for y in ys] as floats, with the box checked once.
+
+        A grid kernel finds the x cell once and the y cells with one
+        searchsorted, then applies the bilinear formula elementwise."""
         x_lo, x_hi, y_lo, y_hi = self.box
-        if not (x_lo - 1e-9 <= x <= x_hi + 1e-9 and y_lo - 1e-9 <= y <= y_hi + 1e-9):
+        x_in = x_lo - 1e-9 <= x <= x_hi + 1e-9
+        if not (x_in and all(y_lo - 1e-9 <= y <= y_hi + 1e-9 for y in ys)):
+            y = next(y for y in ys if not (x_in and y_lo - 1e-9 <= y <= y_hi + 1e-9))
             raise OutsideA(f"({x}, {y}) outside validity box {self.box}")
-        return float(self.evaluator(x, y))
+        if self.grid is None:
+            ev = self.evaluator
+            return [float(ev(x, y)) for y in ys]
+        xs, gy, values = self.grid
+        y = np.asarray(ys, dtype=float)
+        i = int(np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2))
+        j = np.clip(np.searchsorted(gy, y) - 1, 0, gy.size - 2)
+        tx = (x - xs[i]) / (xs[i + 1] - xs[i])
+        ty = (y - gy[j]) / (gy[j + 1] - gy[j])
+        return ((1 - tx) * (1 - ty) * values[i, j]
+                + tx * (1 - ty) * values[i + 1, j]
+                + (1 - tx) * ty * values[i, j + 1]
+                + tx * ty * values[i + 1, j + 1]).tolist()
+
+    def __call__(self, x, y):
+        return self.row(x, (y,))[0]
 
     def is_x_convex(self, xs, ys, tol=1e-9):
         """Sampled convexity of psi(., y), the defining property of kernels."""
@@ -126,8 +145,9 @@ class Kernel1D:
 
 
 def kernel_is_monotone(psi, xs, ys, tol=1e-9):
-    """Monotone operators are exactly those with psi(x, .) convex."""
-    return all(is_convex_sampled(lambda y, x=x: psi(x, y), ys, tol=tol)
+    """Monotone operators are exactly those with psi(x, .) convex; each
+    psi(x, .) is sampled as one row."""
+    return all(is_convex_block(lambda Y, x=x: psi.row(x, Y), ys, tol=tol)
                for x in xs)
 
 
@@ -157,11 +177,16 @@ class KernelDecomposition(_PwlOperator):
     A: tuple
     R: float
 
-    def tails(self, x):
-        """(c1, c2, c3, c4) at x, from psi at the four nodes +-R, +-(R + 1)."""
-        R, psi = self.R, self.kernel
-        p_hi, p_r = psi(x, R + 1.0), psi(x, R)
-        p_mr, p_lo = psi(x, -R), psi(x, -R - 1.0)
+    def _nodes(self):
+        """The four tail nodes R + 1, R, -R, -R - 1."""
+        R = self.R
+        return [R + 1.0, R, -R, -R - 1.0]
+
+    def tails(self, x, row=None):
+        """(c1, c2, c3, c4) at x, from psi at the four nodes; ``row`` may
+        hold psi(x, .) at ``self._nodes()`` already."""
+        R = self.R
+        p_hi, p_r, p_mr, p_lo = self.kernel.row(x, self._nodes()) if row is None else row
         return ((R + 1.0) * p_hi - (R + 2.0) * p_r,
                 (R + 1.0) * p_r - R * p_hi,
                 R * p_mr - (R - 1.0) * p_lo,
@@ -186,12 +211,17 @@ class KernelDecomposition(_PwlOperator):
         if abs(y) > self.R + 1e-12:
             return 0.0
         psi = self.kernel(x, y)
-        c1, c2, c3, c4 = self.tails(x) if tails is None else tails
-        return psi - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0)
-                      + c3 * max(-y, 0.0) + c4 * max(-y - 1.0, 0.0))
+        return _residual(psi, y, self.tails(x) if tails is None else tails)
 
     def __call__(self, f, x):
         return kernel_endo_eval(self, f, x)
+
+
+def _residual(psi, y, tails):
+    """psi(x, y) less the four hinge multiples of the tails at x."""
+    c1, c2, c3, c4 = tails
+    return psi - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0)
+                  + c3 * max(-y, 0.0) + c4 * max(-y - 1.0, 0.0))
 
 
 def _first_bend(rows, tol):
@@ -218,17 +248,17 @@ def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
     """
     a_lo, a_hi = (float(A[0]), float(A[1]))
     R = float(R)
-    if R < 1.0:
+    if not R >= 1.0:
         raise BadShape("decomposition radius must be >= 1")
     x_lo, x_hi, y_lo, y_hi = psi.box
-    if a_lo < x_lo - 1e-9 or a_hi > x_hi + 1e-9:
+    if not (a_lo >= x_lo - 1e-9 and a_hi <= x_hi + 1e-9):
         raise BadShape("A leaves the kernel's validity box")
     if -(R + 1.0) < y_lo - 1e-9 or (R + 1.0) > y_hi + 1e-9:
         raise BadShape("R + 1 leaves the kernel's validity box")
 
     xs = np.linspace(a_lo, a_hi, n_x)
     ys = np.linspace(R, R + 1.0, n_y)
-    bend = _first_bend((((x, sign * R), [psi(x, y) for y in sign * ys])
+    bend = _first_bend((((x, sign * R), psi.row(x, sign * ys))
                         for sign in (+1.0, -1.0) for x in xs), tol)
     if bend:
         (x, edge), dev = bend
@@ -249,10 +279,14 @@ def kernel_endo_eval(d, f, x):
     if not a_lo - EDGE_TOL <= x <= a_hi + EDGE_TOL:
         raise OutsideA(f"{x} outside decomposition interval {d.A}")
     ma = monge_ampere(f)
-    c1, c2, c3, c4 = tails = d.tails(x)
+    cut = d.R + 1e-12
+    row = d.kernel.row(x, d._nodes() + [y for y in ma.positions if not abs(y) > cut])
+    c1, c2, c3, c4 = tails = d.tails(x, row[:4])
     total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
+    inside = iter(row[4:])
     for y, w in ma.atoms:
-        total += d.psi_tilde(x, y, tails) * w
+        # psi_tilde is 0 beyond R; adding 0 * w keeps the sum's sign of zero
+        total += (0.0 if abs(y) > cut else _residual(next(inside), y, tails)) * w
     return total
 
 
@@ -290,7 +324,7 @@ def detect_tail_radius(psi, A, start=1.0, consecutive=8, tol=1e-8, n_x=9, n_y=9)
     R = float(start)
     while 2.0 * R <= y_hi + 1e-9:
         ys = np.linspace(R, 2.0 * R, n_y)
-        if _first_bend(((x, [psi(x, y) for y in sign * ys])
+        if _first_bend(((x, psi.row(x, sign * ys))
                         for sign in (+1.0, -1.0) for x in xs), tol) is None:
             if run == 0:
                 run_start = R

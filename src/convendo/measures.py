@@ -38,6 +38,14 @@ class LineMeasure:
         self.positions = tuple(pos[i] for i in order)
         self.weights = tuple(wts[i] for i in order)
 
+    @classmethod
+    def _exact(cls, positions, weights):
+        """Construction without checks, for tuples of strictly increasing
+        finite positions and finite positive weights."""
+        m = object.__new__(cls)
+        m.positions, m.weights = positions, weights
+        return m
+
     @property
     def atoms(self):
         return tuple(zip(self.positions, self.weights))

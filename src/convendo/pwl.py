@@ -6,8 +6,13 @@ function is ``+inf`` beyond the outermost breakpoint on that side, so finite
 intervals, half-lines and all of the real line are representable domains.
 
 The algebra (add, max, scale), the Legendre transform and inf-convolution are
-closed on this class and exact up to float rounding. The Moreau envelope is
+closed on this class and exact up to float rounding, and each is linear in
+the breakpoint count (up to sorting). The Moreau envelope is
 evaluation-only: it returns a callable, not a new ``PwlFunction``.
+
+The constructor validates its data; explicit ``slopes`` must agree with the
+values. ``PwlFunction._exact`` skips every check and is kept for data that
+are valid by construction, such as the hinges of kernel extraction.
 """
 
 import bisect
@@ -46,7 +51,9 @@ class PwlFunction:
     slope_right : slope on ``[breakpoints[-1], inf)``, or ``+inf``
     slopes : optional interior piece slopes; derived from secants if omitted.
         Operations pass exact slopes here so that slope data never degrades
-        through repeated secant recomputation.
+        through repeated secant recomputation. Each must agree with the
+        values, |v2 - (v1 + m (b2 - b1))| <= 1e-9 max(1, |v1|, |v2|), or
+        BadShape is raised.
     """
 
     __slots__ = ("breakpoints", "values", "slope_left", "slope_right", "slopes")
@@ -77,6 +84,14 @@ class PwlFunction:
             slopes = [float(m) for m in slopes]
             if len(slopes) != len(bp) - 1:
                 raise BadShape("slopes length must be len(breakpoints) - 1")
+            # in value space: a secant test would fail on tight breakpoint
+            # gaps; an offset within 1e-9 passes before the scale is taken
+            for b1, b2, v1, v2, m in zip(bp, bp[1:], va, va[1:], slopes):
+                off = v2 - (v1 + m * (b2 - b1))
+                if not -1e-9 <= off <= 1e-9 and \
+                        not abs(off) <= 1e-9 * max(1.0, abs(v1), abs(v2)):
+                    raise BadShape(f"slope {m} on [{b1}, {b2}] disagrees with "
+                                   f"the values {v1} and {v2}")
 
         seq = [slope_left] + slopes + [slope_right]
         scale = max([1.0] + [abs(m) for m in seq if math.isfinite(m)])
@@ -89,6 +104,17 @@ class PwlFunction:
         self.slopes = tuple(slopes)
         self.slope_left = slope_left
         self.slope_right = slope_right
+
+    @classmethod
+    def _exact(cls, breakpoints, values, slope_left, slope_right, slopes):
+        """Construction without checks, for data that are valid by
+        construction: tuples of floats, finite breakpoints more than
+        MERGE_TOL apart, finite values, slopes that agree with the values
+        and do not decrease."""
+        f = object.__new__(cls)
+        f.breakpoints, f.values, f.slopes = breakpoints, values, slopes
+        f.slope_left, f.slope_right = slope_left, slope_right
+        return f
 
     # -- basic queries ------------------------------------------------------
 
@@ -173,7 +199,10 @@ def pwl_abs():
 
 def pwl_hinge(y):
     """s -> (y - s)_+ as an exact PwlFunction."""
-    return PwlFunction([float(y)], [0.0], -1.0, 0.0)
+    y = float(y)
+    if not math.isfinite(y):
+        raise BadShape("breakpoints and values must be finite")
+    return PwlFunction._exact((y,), (0.0,), -1.0, 0.0, ())
 
 
 def pwl_linear(a, b=0.0):
@@ -212,14 +241,63 @@ def _common_grid(f, g):
     return lo, hi, out
 
 
+def _values(f, xs):
+    """[f(x) for x in xs] in one forward pass over f's breakpoints, for xs
+    that do not decrease; each x lands on the piece that ``__call__`` picks,
+    so the values are its values bit for bit."""
+    bp, va, ms = f.breakpoints, f.values, f.slopes
+    sl, sr, k = f.slope_left, f.slope_right, len(bp)
+    out = []
+    j = 0  # breakpoints <= x
+    for x in xs:
+        while j < k and bp[j] <= x:
+            j += 1
+        if j == 0:
+            out.append(INF if sl == -INF else va[0] + sl * (x - bp[0]))
+        elif j < k:
+            out.append(va[j - 1] + ms[j - 1] * (x - bp[j - 1]))
+        elif x > bp[-1]:
+            out.append(INF if sr == INF else va[-1] + sr * (x - bp[-1]))
+        else:
+            out.append(va[-1])
+    return out
+
+
+def _slopes(f, xs):
+    """[f.slope_on(x) for x in xs] in one forward pass, like ``_values``."""
+    bp, ms, k = f.breakpoints, f.slopes, len(f.breakpoints)
+    out = []
+    j = 0
+    for x in xs:
+        while j < k and bp[j] <= x:
+            j += 1
+        if j == 0:
+            out.append(f.slope_left)
+        elif j < k:
+            out.append(ms[j - 1])
+        elif x > bp[-1]:
+            out.append(f.slope_right)
+        elif k == 1:
+            raise EmptyDomain("point domain has no piece slopes")
+        else:
+            out.append(ms[-1])
+    return out
+
+
+def _midpoints(pts):
+    """Midpoints of neighbouring points; rounding keeps them non-decreasing."""
+    return [(p1 + p2) / 2.0 for p1, p2 in zip(pts, pts[1:])]
+
+
 def pwl_add(f, g):
-    """Exact pointwise sum; domain is the intersection."""
+    """Exact pointwise sum; domain is the intersection.
+
+    Both inputs are read at the merged breakpoints and at the midpoints
+    between them by forward passes, O(k) in the total breakpoint count k."""
     lo, hi, pts = _common_grid(f, g)
-    vals = [f(p) + g(p) for p in pts]
-    slopes = []
-    for p1, p2 in zip(pts, pts[1:]):
-        m = (p1 + p2) / 2.0
-        slopes.append(f.slope_on(m) + g.slope_on(m))
+    vals = [a + b for a, b in zip(_values(f, pts), _values(g, pts))]
+    mids = _midpoints(pts)
+    slopes = [a + b for a, b in zip(_slopes(f, mids), _slopes(g, mids))]
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
     return PwlFunction(pts, vals, sl, sr, slopes=slopes)
@@ -242,50 +320,46 @@ def pwl_scale(lam, f):
 
 
 def pwl_max(f, g):
-    """Exact pointwise maximum, with breakpoints added at crossings."""
-    lo, hi, pts = _common_grid(f, g)
+    """Exact pointwise maximum, with breakpoints added at crossings.
 
-    def crossing(a, b):
-        # both functions are linear on [a, b]; return interior crossing or None
-        da = f(a) - g(a)
-        db = f(b) - g(b)
-        if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
-            return None
-        x = a + da * (b - a) / (da - db)
-        if a + MERGE_TOL < x < b - MERGE_TOL:
-            return x
-        return None
+    Read by forward passes like ``pwl_add``: O(k) up to sorting the
+    crossings in."""
+    lo, hi, pts = _common_grid(f, g)
+    diff = [a - b for a, b in zip(_values(f, pts), _values(g, pts))]
 
     full = list(pts)
-    for a, b in zip(pts, pts[1:]):
-        x = crossing(a, b)
-        if x is not None:
+    # both functions are linear between neighbouring points of pts
+    for a, b, da, db in zip(pts, pts[1:], diff, diff[1:]):
+        if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
+            continue
+        x = a + da * (b - a) / (da - db)
+        if a + MERGE_TOL < x < b - MERGE_TOL:
             full.append(x)
     if lo == -INF:
         # single crossing possible on the common left tail
         a = pts[0]
         dslope = f.slope_left - g.slope_left
-        da = f(a) - g(a)
         # f - g is linear there, so a zero left of a is a sign change; testing
         # f(x) - g(x) at the zero itself would only read rounding noise
         if dslope != 0.0:
-            x = a - da / dslope
+            x = a - diff[0] / dslope
             if x < a - MERGE_TOL:
                 full.append(x)
     if hi == INF:
         b = pts[-1]
         dslope = f.slope_right - g.slope_right
-        db = f(b) - g(b)
         if dslope != 0.0:
-            x = b - db / dslope
+            x = b - diff[-1] / dslope
             if x > b + MERGE_TOL:
                 full.append(x)
     full = sorted(set(full))
-    vals = [max(f(p), g(p)) for p in full]
-    slopes = []
-    for p1, p2 in zip(full, full[1:]):
-        m = (p1 + p2) / 2.0
-        slopes.append(f.slope_on(m) if f(m) >= g(m) else g.slope_on(m))
+    vals = [max(a, b) for a, b in zip(_values(f, full), _values(g, full))]
+    mids = _midpoints(full)
+    upper = [a >= b for a, b in zip(_values(f, mids), _values(g, mids))]
+    # only the upper function's slope is read at each midpoint, as before
+    fs = iter(_slopes(f, [m for m, u in zip(mids, upper) if u]))
+    gs = iter(_slopes(g, [m for m, u in zip(mids, upper) if not u]))
+    slopes = [next(fs) if u else next(gs) for u in upper]
     sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
     sr = INF if hi < INF else max(f.slope_right, g.slope_right)
     return PwlFunction(full, vals, sl, sr, slopes=slopes)

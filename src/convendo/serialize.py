@@ -43,7 +43,8 @@ def _fields(what):
     """Report a malformed field of a ``what`` descriptor as BadShape."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+            OverflowError) as exc:
         raise BadShape(f"malformed {what} descriptor: {type(exc).__name__}: {exc}") from exc
 
 
@@ -175,7 +176,7 @@ def endo_from_json(d):
         if psi.get("kind") != "grid":
             raise BadShape("kernel psi supports only the 'grid' form")
         k = Kernel1D.from_grid(psi["xs"], psi["ys"], psi["values"])
-        a_lo, a_hi = d["A"]
+        a_lo, a_hi = (float(a) for a in d["A"])
         R = float(d["R"])
     # decomposing is computation, not parsing: its errors pass through
     return kernel_decompose(k, (a_lo, a_hi), R)

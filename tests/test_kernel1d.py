@@ -7,7 +7,7 @@ from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasur
                       example_phi_convexity_certificate, hat_weight,
                       kernel_decompose, kernel_endo_eval, kernel_extract,
                       kernel_extract_live, kernel_is_monotone, monge_ampere,
-                      pwl_abs, pwl_integral, pwl_linear, pwl_make)
+                      pwl_abs, pwl_hinge, pwl_integral, pwl_linear, pwl_make)
 
 
 def dense_parabola(span=3.0, pieces=1200, coeff=1.0):
@@ -394,23 +394,30 @@ def test_endo_eval_matches_per_kink_tails_bit_for_bit(make_endo):
             assert d.tails(x) == (d.c1(x), d.c2(x), d.c3(x), d.c4(x))
 
 
-class _CountingKernel(Kernel1D):
-    calls = 0
-
-    def __call__(self, x, y):
-        self.calls += 1
-        return super().__call__(x, y)
+def test_endo_eval_adds_kinks_beyond_R_as_zeros():
+    # a zero kernel gives (c1 + c3) f(0) + (c2 + c4) f(-1) = -0.0 for f < 0
+    # there; each kink beyond R then adds +0.0, as psi_tilde's zeros did
+    d = kernel_decompose(Kernel1D(lambda x, y: 0.0, (-1, 1, -4, 4)), (-1, 1), 2.0)
+    f = PwlFunction([-3.0, 3.0], [-1.0, -1.0], -1.0, 1.0)
+    assert kernel_endo_eval(d, f, 0.5).hex() == _endo_eval_per_kink(d, f, 0.5).hex() == "0x0.0p+0"
+    g = PwlFunction([0.0], [-1.0], 0.0, 0.0)
+    assert kernel_endo_eval(d, g, 0.5).hex() == "-0x0.0p+0"
 
 
 def test_endo_eval_makes_four_plus_kinks_psi_calls():
-    psi = _CountingKernel(lambda x, y: max(y - x, 0.0) - max(y, 0.0), (-1, 1, -4, 4))
-    d = kernel_decompose(psi, (-1, 1), 2.0)
+    calls = []
+
+    def evaluator(x, y):
+        calls.append(y)
+        return max(y - x, 0.0) - max(y, 0.0)
+
+    d = kernel_decompose(Kernel1D(evaluator, (-1, 1, -4, 4)), (-1, 1), 2.0)
     f = PwlFunction([-3.0, -1.0, 0.5, 1.9, 2.5], [5.0, 1.0, 0.0, 0.5, 1.0], -3.0, 1.0)
     inside = sum(abs(y) <= d.R for y, _ in monge_ampere(f).atoms)
     assert inside == 3
-    psi.calls = 0
+    calls.clear()
     kernel_endo_eval(d, f, 0.25)
-    assert psi.calls == 4 + inside
+    assert len(calls) == 4 + inside
 
 
 @pytest.mark.parametrize("bad", ["xs", "ys", "values"])
@@ -424,3 +431,100 @@ def test_grid_kernel_refuses_non_finite(bad, v):
         grid[bad][-1] = v
     with pytest.raises(BadShape):
         Kernel1D.from_grid(grid["xs"], grid["ys"], grid["values"])
+
+
+# -- grid rows against the scalar bilinear formula -------------------------------
+
+def _bilinear(xs, ys, values, x, y):
+    """psi(x, y) of a grid kernel, one point at a time."""
+    i = int(np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2))
+    j = int(np.clip(np.searchsorted(ys, y) - 1, 0, ys.size - 2))
+    tx = (x - xs[i]) / (xs[i + 1] - xs[i])
+    ty = (y - ys[j]) / (ys[j + 1] - ys[j])
+    return float((1 - tx) * (1 - ty) * values[i, j] + tx * (1 - ty) * values[i + 1, j]
+                 + (1 - tx) * ty * values[i, j + 1] + tx * ty * values[i + 1, j + 1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_row_matches_scalar_bilinear_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.05, 0.5, 9)) - 1.0
+    ys = np.cumsum(rng.uniform(0.05, 0.5, 23)) - 3.0
+    values = rng.normal(size=(xs.size, ys.size)) * 10.0 ** rng.integers(-3, 4)
+    k = Kernel1D.from_grid(xs, ys, values)
+    # nodes, points just beside them, points between them and the box edges
+    ys_row = np.concatenate([ys, np.nextafter(ys, INF), np.nextafter(ys, -INF),
+                             rng.uniform(ys[0], ys[-1], 40), [ys[0] - 5e-10, ys[-1] + 5e-10]])
+    ys_row = ys_row[(ys_row >= ys[0] - 1e-9) & (ys_row <= ys[-1] + 1e-9)]
+    for x in np.concatenate([xs, rng.uniform(xs[0], xs[-1], 6), [xs[-1] + 5e-10]]).tolist():
+        got = k.row(x, ys_row.tolist())
+        want = [_bilinear(xs, ys, values, x, y) for y in ys_row.tolist()]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        for y in ys_row[::7].tolist():
+            assert k(x, y).hex() == _bilinear(xs, ys, values, x, y).hex()
+
+
+def test_row_checks_the_box():
+    k = Kernel1D.from_grid([0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(OutsideA, match=r"\(0.5, 1.5\)"):
+        k.row(0.5, [0.2, 1.5, 2.0])
+    with pytest.raises(OutsideA):
+        k.row(1.5, [0.5])
+    with pytest.raises(OutsideA):
+        k.row(0.5, [float("nan")])
+    calls = []
+    live = Kernel1D(lambda x, y: calls.append(y) or 0.0, (-1, 1, -1, 1))
+    with pytest.raises(OutsideA):
+        live.row(0.0, [0.5, 3.0])
+    assert calls == []  # the whole row is checked before anything is evaluated
+    assert live.row(0.0, []) == []
+
+
+# -- hinges and measures built without re-validation -----------------------------
+
+def _fields(f):
+    return [(type(v), v) for v in (f.breakpoints, f.values, f.slopes)] + \
+        [(type(f.slope_left), f.slope_left), (type(f.slope_right), f.slope_right)] + \
+        [tuple(map(type, f.breakpoints + f.values))]
+
+
+@pytest.mark.parametrize("y", [0, 2, -3.5, -0.0, 1e-300, 1e308, np.float64(0.7),
+                               np.float32(1.25), True])
+def test_hinge_equals_validated_construction(y):
+    assert _fields(pwl_hinge(y)) == _fields(PwlFunction([float(y)], [0.0], -1.0, 0.0))
+
+
+@pytest.mark.parametrize("y", [float("nan"), INF, -INF, np.float64("nan")])
+def test_hinge_refuses_non_finite_as_validated_construction(y):
+    with pytest.raises(BadShape) as want:
+        PwlFunction([float(y)], [0.0], -1.0, 0.0)
+    with pytest.raises(BadShape) as got:
+        pwl_hinge(y)
+    assert str(got.value) == str(want.value)
+
+
+def _measure_fields(m):
+    return [(type(m.positions), m.positions), (type(m.weights), m.weights),
+            tuple(map(type, m.positions + m.weights))]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_monge_ampere_equals_validated_measure(seed):
+    rng = np.random.default_rng(seed)
+    for k in (1, 2, 7, 40):
+        f = _kinked(rng, k, 3.0)
+        seq = f.slope_sequence()
+        atoms = [(b, m2 - m1) for b, m1, m2 in zip(f.breakpoints, seq, seq[1:])]
+        assert _measure_fields(monge_ampere(f)) == _measure_fields(LineMeasure(atoms))
+    # flat pieces give zero jumps, which are dropped
+    f = PwlFunction([-1.0, 0.0, 1.0], [1.0, 1.0, 2.0], 0.0, 1.0)
+    assert monge_ampere(f).atoms == ((0.0, 1.0),)
+
+
+def test_monge_ampere_refuses_an_overflowing_jump_as_validated_measure():
+    f = PwlFunction([0.0], [0.0], -1.5e308, 1.5e308)
+    with pytest.raises(BadShape) as want:
+        LineMeasure([(0.0, f.slope_right - f.slope_left)])
+    with pytest.raises(BadShape) as got:
+        monge_ampere(f)
+    assert str(got.value) == str(want.value)

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convendo import (INF, BadShape, EmptyDomain, NegativeScale, NonConvex,
+from convendo import pwl
+from convendo import (INF, BadShape, ConvendoError, EmptyDomain, NegativeScale, NonConvex,
                       PwlFunction, inf_convolve, legendre, moreau_envelope,
                       pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_make,
                       pwl_max, pwl_scale)
@@ -354,3 +356,170 @@ def test_nan_argument_is_refused():
 def test_moreau_envelope_refuses_non_positive_t(t):
     with pytest.raises(BadShape):
         moreau_envelope(pwl_abs(), t)
+
+
+# -- one-pass pwl_add / pwl_max against bisecting every point --------------------
+
+def _pwl_add_bisect(f, g):
+    """The sum with each point and midpoint looked up by f(x) and slope_on."""
+    lo, hi, pts = pwl._common_grid(f, g)
+    vals = [f(p) + g(p) for p in pts]
+    slopes = [f.slope_on((p1 + p2) / 2.0) + g.slope_on((p1 + p2) / 2.0)
+              for p1, p2 in zip(pts, pts[1:])]
+    sl = -INF if lo > -INF else f.slope_left + g.slope_left
+    sr = INF if hi < INF else f.slope_right + g.slope_right
+    return PwlFunction(pts, vals, sl, sr, slopes=slopes)
+
+
+def _pwl_max_bisect(f, g):
+    """The maximum with each point and midpoint looked up by f(x) and slope_on."""
+    lo, hi, pts = pwl._common_grid(f, g)
+    full = list(pts)
+    for a, b in zip(pts, pts[1:]):
+        da, db = f(a) - g(a), f(b) - g(b)
+        if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
+            continue
+        x = a + da * (b - a) / (da - db)
+        if a + 1e-12 < x < b - 1e-12:
+            full.append(x)
+    if lo == -INF and f.slope_left != g.slope_left:
+        x = pts[0] - (f(pts[0]) - g(pts[0])) / (f.slope_left - g.slope_left)
+        if x < pts[0] - 1e-12:
+            full.append(x)
+    if hi == INF and f.slope_right != g.slope_right:
+        x = pts[-1] - (f(pts[-1]) - g(pts[-1])) / (f.slope_right - g.slope_right)
+        if x > pts[-1] + 1e-12:
+            full.append(x)
+    full = sorted(set(full))
+    vals = [max(f(p), g(p)) for p in full]
+    slopes = []
+    for p1, p2 in zip(full, full[1:]):
+        m = (p1 + p2) / 2.0
+        slopes.append(f.slope_on(m) if f(m) >= g(m) else g.slope_on(m))
+    sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
+    sr = INF if hi < INF else max(f.slope_right, g.slope_right)
+    return PwlFunction(full, vals, sl, sr, slopes=slopes)
+
+
+def _outcome(op, f, g):
+    """Every field of op(f, g) by float.hex, or the error it raises."""
+    try:
+        h = op(f, g)
+    except ConvendoError as exc:
+        return type(exc), str(exc)
+    return [[v.hex() for v in vs] for vs in _data(h)[:3]] + \
+        [h.slope_left.hex(), h.slope_right.hex()]
+
+
+@st.composite
+def pwl_pairs(draw):
+    """Two inputs: independent, or the second a shifted copy of the first
+    (breakpoints that coincide, merge or nearly merge, many crossings).
+    Tails are truncated at random, so both may share an unbounded tail, and
+    point indicators give an empty common interior."""
+    f = draw(_LEGENDRE_INPUTS)
+    if draw(st.booleans()):
+        return f, draw(_LEGENDRE_INPUTS)
+    dx = draw(st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 1e-9])) * draw(st.sampled_from([1, -1]))
+    dx += draw(st.sampled_from([0.0, 0.0, 0.3]))
+    dv = draw(st.floats(-1.0, 1.0))
+    g = PwlFunction([b + dx for b in f.breakpoints], [v + dv for v in f.values],
+                    draw(st.sampled_from([f.slope_left, -INF, f.slope_left - 0.5])),
+                    draw(st.sampled_from([f.slope_right, INF, f.slope_right + 0.5])))
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pwl_pairs())
+def test_add_and_max_match_bisection_hypothesis(pair):
+    f, g = pair
+    assert _outcome(pwl_add, f, g) == _outcome(_pwl_add_bisect, f, g)
+    assert _outcome(pwl_max, f, g) == _outcome(_pwl_max_bisect, f, g)
+
+
+@pytest.mark.parametrize("b", [1e4, 3.0e5, 2.0 ** 20, -7.5e6])
+@pytest.mark.parametrize("side", [-INF, INF])
+def test_add_and_max_match_bisection_where_midpoints_round_onto_a_breakpoint(b, side):
+    # neighbouring floats more than MERGE_TOL apart: the midpoint between a
+    # point and its neighbour rounds onto one of them, and slope_on of a
+    # single-breakpoint input raises EmptyDomain there
+    # there, and slope_on at the last breakpoint reads the last piece
+    near = math.nextafter(b, side)
+    at_b = (PwlFunction([b], [0.0], -1.0, 1.0),
+            PwlFunction([b - 1.0, b], [1.0, 0.0], -2.0, 1.0),
+            PwlFunction([b, b + 1.0], [0.0, 1.0], -1.0, 2.0))
+    at_near = (PwlFunction([near], [0.0], -2.0, 2.0),
+               PwlFunction([near], [-1.0], -0.5, 0.5),
+               PwlFunction([near, near + 3.0 * abs(near - b)], [5.0, 5.0], -3.0, 3.0))
+    for one, other in itertools.product(at_b, at_near):
+        for f, g in ((one, other), (other, one)):
+            assert _outcome(pwl_add, f, g) == _outcome(_pwl_add_bisect, f, g)
+            assert _outcome(pwl_max, f, g) == _outcome(_pwl_max_bisect, f, g)
+
+
+def test_add_and_max_match_bisection_where_midpoints_overflow():
+    # the midpoint of two breakpoints near the float maximum is inf
+    for f, g in ((PwlFunction([1e308, 1.5e308], [0.0, 0.0], -1.0, 1.0),
+                  PwlFunction([1.2e308], [0.0], -1.0, 1.0)),
+                 (PwlFunction([1e308, 1.5e308], [0.0, 0.0], -1.0, 1.0),
+                  PwlFunction([1.1e308, 1.6e308], [0.0, 0.0], -INF, INF)),
+                 # the right tail's slope is that of the last piece, so the
+                 # overflowed midpoints still give the right slopes
+                 (PwlFunction([1e308, 1.5e308], [0.0, 5e307], -1.0, 1.0),
+                  PwlFunction([1.2e308], [0.0], 0.0, 0.0))):
+        for a, b in ((f, g), (g, f)):
+            assert _outcome(pwl_add, a, b) == _outcome(_pwl_add_bisect, a, b)
+            assert _outcome(pwl_max, a, b) == _outcome(_pwl_max_bisect, a, b)
+
+
+def test_add_and_max_keep_the_sign_of_zero():
+    f = PwlFunction([0.0], [0.0], -1.0, 1.0)
+    g = PwlFunction([0.0], [-0.0], -2.0, 2.0)
+    for a, b in ((f, g), (g, f)):
+        assert _outcome(pwl_add, a, b) == _outcome(_pwl_add_bisect, a, b)
+        assert _outcome(pwl_max, a, b) == _outcome(_pwl_max_bisect, a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_add_and_max_match_bisection_at_scale(seed):
+    # 512 breakpoints each: interpolants of one parabola on interleaved
+    # nodes, which cross in most intervals
+    rng = rng_from_seed(seed)
+    pairs = []
+    for sl, sr in ((-12.0, 12.0), (-INF, 12.0), (-12.0, INF), (-INF, INF)):
+        bp = np.sort(rng.uniform(-5.0, 5.0, 512))
+        f = PwlFunction(bp, bp ** 2, sl, sr)
+        g = PwlFunction(bp + 0.004, (bp + 0.004) ** 2 + 1e-5, -12.5, 12.5)
+        pairs += [(f, g), (g, f)]
+    for f, g in pairs:
+        assert _outcome(pwl_add, f, g) == _outcome(_pwl_add_bisect, f, g)
+        assert _outcome(pwl_max, f, g) == _outcome(_pwl_max_bisect, f, g)
+
+
+# -- slopes passed to the constructor must agree with the values ----------------
+
+def test_slopes_disagreeing_with_values_are_refused():
+    # the values jump to 5 at 1 while both slopes say flat: f(0.999) = 0.0,
+    # f(1.0) = 5.0 was accepted as a convex function
+    with pytest.raises(BadShape):
+        PwlFunction([0, 1, 2], [0, 5, 0], 0, 0, slopes=[0, 0])
+    with pytest.raises(BadShape):
+        PwlFunction([0.0, 1.0], [0.0, 1.0], 0.0, 2.0, slopes=[float("nan")])
+    with pytest.raises(BadShape):
+        PwlFunction([0.0, 1.0], [0.0, 1.0], 0.0, INF, slopes=[INF])
+    # relative to the values, and to at least 1: 1e-10 of 1e6 and 5e-10
+    # near 0 pass, 1e-8 of either does not
+    PwlFunction([0.0, 1.0], [1e6, 1e6 + 1e-4], 0.0, 1.0, slopes=[0.0])
+    PwlFunction([0.0, 1.0], [0.0, 5e-10], 0.0, 1.0, slopes=[0.0])
+    with pytest.raises(BadShape):
+        PwlFunction([0.0, 1.0], [1e6, 1e6 + 1e-2], 0.0, 1.0, slopes=[0.0])
+    with pytest.raises(BadShape):
+        PwlFunction([0.0, 1.0], [0.0, 1e-8], 0.0, 1.0, slopes=[0.0])
+
+
+def test_slopes_are_checked_in_value_space():
+    # a gap of 1e-10 turns the values' rounding into a secant error of about
+    # 1e-6; the slopes still agree with the values to rounding
+    f = PwlFunction([0.0, 1e-10, 1.0], [1.0, 1.0 + 3e-10, 4.0], -1.0, 5.0, slopes=[3.0, 3.0])
+    assert f.slopes == (3.0, 3.0)
+    assert abs((f.values[1] - f.values[0]) / 1e-10 - 3.0) > 1e-9

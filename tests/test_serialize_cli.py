@@ -187,7 +187,7 @@ def test_cli_grid_rejects_non_finite_and_oversized(tmp_path, capsys, grid):
                                 {"kind": "pwl", "breakpoints": [0.0], "values": [0.0],
                                  "slope_left": -1.0, "slope_right": 1.0}])
 @pytest.mark.parametrize("points", [[[0.5], [float("nan")]], [[float("inf")]],
-                                    [[0.5], [1.0, 2.0]], [[[0.5]]]])
+                                    [[0.5], [1.0, 2.0]], [[[0.5]]], [[10 ** 400]]])
 def test_cli_points_rejects_non_finite_and_ragged(tmp_path, fn, points):
     endo = _write(tmp_path, "e.json",
                   {"kind": "gl", "c": 0.5, "nu": {"atoms": [{"s": 1.0, "w": 1.0}]},
@@ -259,6 +259,23 @@ def test_cli_kernel_extract_and_validity(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("gx, gy", [("-1:1:2e-6", "-1:1:0.5"), ("-1:1:0.001", "-1100:1100:1"),
+                                    ("0:1:1e-6", "0:1:1e-6")])
+def test_cli_kernel_extract_refuses_oversized_table(tmp_path, capsys, monkeypatch, gx, gy):
+    # each axis fits MAX_GRID_POINTS, their product does not: refused before
+    # the table is allocated or the operator is called
+    def never(endo, xs, ys):
+        raise AssertionError("kernel_extract called")
+
+    monkeypatch.setattr("convendo.cli.kernel_extract", never)
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "extract", "--endo", _write(tmp_path, "e.json", GL1),
+               f"--grid-x={gx}", f"--grid-y={gy}", "--out", str(out)])
+    assert rc == 2
+    assert "kernel table" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_kernel_roundtrip_phi(tmp_path, capsys):
     endo = _write(tmp_path, "e.json",
                   {"kind": "phi_example",
@@ -328,6 +345,7 @@ SC1 = {"kind": "scale_compose", "lambda": 1.0, "mu": 1.0, "n": 1}
 NAN_GRID_KERNEL = {"kind": "kernel", "A": [-1.0, 1.0], "R": 1.0,
                    "psi": {"kind": "grid", "xs": [-1.0, 0.0, 1.0], "ys": [-2.0, 0.0, 2.0],
                            "values": [[0.0] * 3, ["nan", 0.0, 0.0], [0.0] * 3]}}
+ZERO_GRID_KERNEL = {**NAN_GRID_KERNEL, "psi": {**NAN_GRID_KERNEL["psi"], "values": [[0.0] * 3] * 3}}
 
 
 @pytest.mark.parametrize("endo, fn", [
@@ -345,10 +363,15 @@ NAN_GRID_KERNEL = {"kind": "kernel", "A": [-1.0, 1.0], "R": 1.0,
     ({**GL1, "nu": {"atoms": [{"s": 1.0, "w": "nan"}]}}, QUAD),
     ({**GL1, "nu": {"atoms": [{"s": "inf", "w": 1.0}]}}, QUAD),
     (NAN_GRID_KERNEL, fn_to_json(pwl_abs())),
+    ({**ZERO_GRID_KERNEL, "A": [None, 1.0]}, fn_to_json(pwl_abs())),
+    ({**ZERO_GRID_KERNEL, "A": ["nan", 1.0]}, fn_to_json(pwl_abs())),
+    ({**ZERO_GRID_KERNEL, "R": "nan"}, fn_to_json(pwl_abs())),
+    (SC1, {"kind": "quad", "c": 10 ** 400}),
 ], ids=["gl_c_not_a_number", "ma_zeta_not_an_object", "atom_without_weight",
         "affine_without_offset", "sum_terms_not_a_list", "quad_infinite",
         "gl_c_nan", "gl_c_minus_inf", "scale_compose_lambda_inf", "scale_compose_mu_nan",
-        "atom_weight_nan", "atom_at_inf", "kernel_grid_value_nan"])
+        "atom_weight_nan", "atom_at_inf", "kernel_grid_value_nan", "kernel_A_null",
+        "kernel_A_nan", "kernel_R_nan", "quad_c_beyond_float"])
 def test_cli_malformed_descriptor_field_exit_2(tmp_path, capsys, endo, fn):
     out = tmp_path / "x.csv"
     rc = main(["eval", "--endo", _write(tmp_path, "e.json", endo),
