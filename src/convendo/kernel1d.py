@@ -177,6 +177,10 @@ class KernelDecomposition(_PwlOperator):
     A: tuple
     R: float
 
+    def _inside(self, y):
+        """Whether the residual reads psi at y: |y| <= R, up to 1e-12."""
+        return not abs(y) > self.R + 1e-12
+
     def _nodes(self):
         """The four tail nodes R + 1, R, -R, -R - 1."""
         R = self.R
@@ -208,7 +212,7 @@ class KernelDecomposition(_PwlOperator):
         """Residual kernel; identically zero outside [-R, R] once the tail
         validation has passed, so values beyond R are clamped to 0. Pass
         ``tails=self.tails(x)`` to reuse the coefficients across many y."""
-        if abs(y) > self.R + 1e-12:
+        if not self._inside(y):
             return 0.0
         psi = self.kernel(x, y)
         return _residual(psi, y, self.tails(x) if tails is None else tails)
@@ -279,14 +283,13 @@ def kernel_endo_eval(d, f, x):
     if not a_lo - EDGE_TOL <= x <= a_hi + EDGE_TOL:
         raise OutsideA(f"{x} outside decomposition interval {d.A}")
     ma = monge_ampere(f)
-    cut = d.R + 1e-12
-    row = d.kernel.row(x, d._nodes() + [y for y in ma.positions if not abs(y) > cut])
+    row = d.kernel.row(x, d._nodes() + [y for y in ma.positions if d._inside(y)])
     c1, c2, c3, c4 = tails = d.tails(x, row[:4])
     total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
     inside = iter(row[4:])
     for y, w in ma.atoms:
         # psi_tilde is 0 beyond R; adding 0 * w keeps the sum's sign of zero
-        total += (0.0 if abs(y) > cut else _residual(next(inside), y, tails)) * w
+        total += (_residual(next(inside), y, tails) if d._inside(y) else 0.0) * w
     return total
 
 

@@ -11,8 +11,13 @@ the breakpoint count (up to sorting). The Moreau envelope is
 evaluation-only: it returns a callable, not a new ``PwlFunction``.
 
 The constructor validates its data; explicit ``slopes`` must agree with the
-values. ``PwlFunction._exact`` skips every check and is kept for data that
-are valid by construction, such as the hinges of kernel extraction.
+values. The operations build their outputs with ``PwlFunction._from_op``,
+which validates everything but that agreement: their slopes are exact pieces
+of their inputs, while their values carry the rounding of terms that can be
+far larger than the values themselves (``v + m * (x - b)``, ``b * y - v``),
+so no tolerance in the values' own scale tells the two apart.
+``PwlFunction._exact`` skips every check and is kept for data that are valid
+by construction, such as the hinges of kernel extraction.
 """
 
 import bisect
@@ -50,15 +55,27 @@ class PwlFunction:
         truncated domain
     slope_right : slope on ``[breakpoints[-1], inf)``, or ``+inf``
     slopes : optional interior piece slopes; derived from secants if omitted.
-        Operations pass exact slopes here so that slope data never degrades
-        through repeated secant recomputation. Each must agree with the
-        values, |v2 - (v1 + m (b2 - b1))| <= 1e-9 max(1, |v1|, |v2|), or
-        BadShape is raised.
+        Operations pass exact slopes (through ``_from_op``) so that slope
+        data never degrades through repeated secant recomputation. Slopes
+        given here must agree with the
+        values, |v2 - (v1 + m (b2 - b1))| <= 1e-9 max(1, |v1|, |v2|,
+        |m| max(|b1|, |b2|)), or BadShape is raised.
     """
 
     __slots__ = ("breakpoints", "values", "slope_left", "slope_right", "slopes")
 
     def __init__(self, breakpoints, values, slope_left, slope_right, slopes=None):
+        self._setup(breakpoints, values, slope_left, slope_right, slopes, True)
+
+    @classmethod
+    def _from_op(cls, breakpoints, values, slope_left, slope_right, slopes):
+        """Validated construction of an operation's output, whose slopes are
+        not checked against its values (see the module docstring)."""
+        f = object.__new__(cls)
+        f._setup(breakpoints, values, slope_left, slope_right, slopes, False)
+        return f
+
+    def _setup(self, breakpoints, values, slope_left, slope_right, slopes, agree):
         bp = [float(b) for b in breakpoints]
         va = [float(v) for v in values]
         if len(bp) != len(va) or len(bp) < 1:
@@ -85,11 +102,14 @@ class PwlFunction:
             if len(slopes) != len(bp) - 1:
                 raise BadShape("slopes length must be len(breakpoints) - 1")
             # in value space: a secant test would fail on tight breakpoint
-            # gaps; an offset within 1e-9 passes before the scale is taken
-            for b1, b2, v1, v2, m in zip(bp, bp[1:], va, va[1:], slopes):
+            # gaps; the scale holds the terms values are computed from, and
+            # an offset within 1e-9 passes before it is taken
+            for b1, b2, v1, v2, m in zip(bp, bp[1:], va, va[1:], slopes) if agree else ():
                 off = v2 - (v1 + m * (b2 - b1))
-                if not -1e-9 <= off <= 1e-9 and \
-                        not abs(off) <= 1e-9 * max(1.0, abs(v1), abs(v2)):
+                if -1e-9 <= off <= 1e-9:
+                    continue
+                tol = 1e-9 * max(1.0, abs(v1), abs(v2), abs(m) * max(abs(b1), abs(b2)))
+                if not abs(off) <= tol < INF:
                     raise BadShape(f"slope {m} on [{b1}, {b2}] disagrees with "
                                    f"the values {v1} and {v2}")
 
@@ -241,52 +261,59 @@ def _common_grid(f, g):
     return lo, hi, out
 
 
-def _values(f, xs):
-    """[f(x) for x in xs] in one forward pass over f's breakpoints, for xs
-    that do not decrease; each x lands on the piece that ``__call__`` picks,
-    so the values are its values bit for bit."""
-    bp, va, ms = f.breakpoints, f.values, f.slopes
-    sl, sr, k = f.slope_left, f.slope_right, len(bp)
+def _pieces(f, xs):
+    """The piece of f that each of the xs lies on, for xs that do not
+    decrease, in one forward pass over f's breakpoints: 0 is the left tail,
+    j in 1..k-1 the piece from breakpoint j-1 to breakpoint j, k the last
+    breakpoint itself and k + 1 the right tail (k breakpoints). A breakpoint
+    belongs to the piece on its right, as in ``__call__`` and ``slope_on``."""
+    bp = f.breakpoints
+    k, last = len(bp), bp[-1]
     out = []
     j = 0  # breakpoints <= x
     for x in xs:
         while j < k and bp[j] <= x:
             j += 1
-        if j == 0:
-            out.append(INF if sl == -INF else va[0] + sl * (x - bp[0]))
-        elif j < k:
-            out.append(va[j - 1] + ms[j - 1] * (x - bp[j - 1]))
-        elif x > bp[-1]:
-            out.append(INF if sr == INF else va[-1] + sr * (x - bp[-1]))
-        else:
-            out.append(va[-1])
+        out.append(j + 1 if j == k and x > last else j)
     return out
 
 
-def _slopes(f, xs):
-    """[f.slope_on(x) for x in xs] in one forward pass, like ``_values``."""
-    bp, ms, k = f.breakpoints, f.slopes, len(f.breakpoints)
+def _values(f, xs, pieces=None):
+    """[f(x) for x in xs] from their ``_pieces`` (found here if not given),
+    bit for bit."""
+    bp, va, ms = f.breakpoints, f.values, f.slopes
+    sl, sr, k = f.slope_left, f.slope_right, len(bp)
     out = []
-    j = 0
-    for x in xs:
-        while j < k and bp[j] <= x:
-            j += 1
-        if j == 0:
-            out.append(f.slope_left)
-        elif j < k:
-            out.append(ms[j - 1])
-        elif x > bp[-1]:
-            out.append(f.slope_right)
-        elif k == 1:
-            raise EmptyDomain("point domain has no piece slopes")
+    for x, j in zip(xs, _pieces(f, xs) if pieces is None else pieces):
+        if 0 < j < k:
+            out.append(va[j - 1] + ms[j - 1] * (x - bp[j - 1]))
+        elif j == 0:
+            out.append(INF if sl == -INF else va[0] + sl * (x - bp[0]))
+        elif j == k:
+            out.append(va[-1])
         else:
-            out.append(ms[-1])
+            out.append(INF if sr == INF else va[-1] + sr * (x - bp[-1]))
     return out
+
+
+def _slopes(f, pieces):
+    """[f.slope_on(x) for x in xs] from their ``_pieces``: the last
+    breakpoint reads the last interior piece, which a point domain lacks."""
+    k = len(f.breakpoints)
+    if k == 1 and 1 in pieces:
+        raise EmptyDomain("point domain has no piece slopes")
+    seq = f.slope_sequence()
+    return [seq[j - (j >= k)] for j in pieces]
 
 
 def _midpoints(pts):
-    """Midpoints of neighbouring points; rounding keeps them non-decreasing."""
-    return [(p1 + p2) / 2.0 for p1, p2 in zip(pts, pts[1:])]
+    """Midpoints of neighbouring points; rounding keeps them non-decreasing.
+    Where p1 + p2 overflows, p1 / 2 + p2 / 2 is the same midpoint."""
+    mids = [(p1 + p2) / 2.0 for p1, p2 in zip(pts, pts[1:])]
+    if mids and (mids[0] == -INF or mids[-1] == INF):
+        mids = [m if -INF < m < INF else p1 / 2.0 + p2 / 2.0
+                for m, p1, p2 in zip(mids, pts, pts[1:])]
+    return mids
 
 
 def pwl_add(f, g):
@@ -297,10 +324,11 @@ def pwl_add(f, g):
     lo, hi, pts = _common_grid(f, g)
     vals = [a + b for a, b in zip(_values(f, pts), _values(g, pts))]
     mids = _midpoints(pts)
-    slopes = [a + b for a, b in zip(_slopes(f, mids), _slopes(g, mids))]
+    slopes = [a + b for a, b in zip(_slopes(f, _pieces(f, mids)),
+                                    _slopes(g, _pieces(g, mids)))]
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
-    return PwlFunction(pts, vals, sl, sr, slopes=slopes)
+    return PwlFunction._from_op(pts, vals, sl, sr, slopes)
 
 
 def pwl_scale(lam, f):
@@ -314,9 +342,20 @@ def pwl_scale(lam, f):
             return m
         return lam * m
 
-    return PwlFunction(f.breakpoints, [lam * v for v in f.values],
-                       sc(f.slope_left), sc(f.slope_right),
-                       slopes=[lam * m for m in f.slopes])
+    return PwlFunction._from_op(f.breakpoints, [lam * v for v in f.values],
+                                sc(f.slope_left), sc(f.slope_right),
+                                [lam * m for m in f.slopes])
+
+
+def _upper_slopes(f, g, xs):
+    """[f.slope_on(x) if f(x) >= g(x) else g.slope_on(x) for x in xs]: only
+    the upper function's slope is read, so a point domain below the other
+    function raises nothing."""
+    fp, gp = _pieces(f, xs), _pieces(g, xs)
+    upper = [a >= b for a, b in zip(_values(f, xs, fp), _values(g, xs, gp))]
+    fs = iter(_slopes(f, [j for j, u in zip(fp, upper) if u]))
+    gs = iter(_slopes(g, [j for j, u in zip(gp, upper) if not u]))
+    return [next(fs) if u else next(gs) for u in upper]
 
 
 def pwl_max(f, g):
@@ -354,15 +393,10 @@ def pwl_max(f, g):
                 full.append(x)
     full = sorted(set(full))
     vals = [max(a, b) for a, b in zip(_values(f, full), _values(g, full))]
-    mids = _midpoints(full)
-    upper = [a >= b for a, b in zip(_values(f, mids), _values(g, mids))]
-    # only the upper function's slope is read at each midpoint, as before
-    fs = iter(_slopes(f, [m for m, u in zip(mids, upper) if u]))
-    gs = iter(_slopes(g, [m for m, u in zip(mids, upper) if not u]))
-    slopes = [next(fs) if u else next(gs) for u in upper]
+    slopes = _upper_slopes(f, g, _midpoints(full))
     sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
     sr = INF if hi < INF else max(f.slope_right, g.slope_right)
-    return PwlFunction(full, vals, sl, sr, slopes=slopes)
+    return PwlFunction._from_op(full, vals, sl, sr, slopes)
 
 
 # -- Legendre transform and inf-convolution ----------------------------------
@@ -455,7 +489,7 @@ def legendre(f):
         slopes.append(bp[sup(ymid, spans[g][0], spans[g + 1][1])[0]])
     sl = bp[0] if f.slope_left == -INF else -INF
     sr = bp[-1] if f.slope_right == INF else INF
-    return PwlFunction(ys, vals, sl, sr, slopes=slopes)
+    return PwlFunction._from_op(ys, vals, sl, sr, slopes)
 
 
 def inf_convolve(f, g):

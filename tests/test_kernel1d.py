@@ -418,6 +418,24 @@ def test_endo_eval_makes_four_plus_kinks_psi_calls():
     calls.clear()
     kernel_endo_eval(d, f, 0.25)
     assert len(calls) == 4 + inside
+    # the cut sits at R + 1e-12: kinks at -R and R + 5e-13 are read, ones
+    # at -R - 2e-12 and R + 2e-12 are not, in kernel_endo_eval and
+    # psi_tilde alike
+    bp = [-2.0 - 2e-12, -2.0, 1.5, 2.0 + 5e-13, 2.0 + 2e-12]
+    ms = [-2.5, -1.0, 0.5, 1.0]
+    va = [1.0]
+    for b1, b2, m in zip(bp, bp[1:], ms):
+        va.append(va[-1] + m * (b2 - b1))
+    g = PwlFunction(bp, va, -3.0, 3.0, slopes=ms)
+    kinks = [y for y, _ in monge_ampere(g).atoms]
+    assert kinks == bp
+    for y, read in zip(kinks, (False, True, True, True, False)):
+        calls.clear()
+        d.psi_tilde(0.25, y, d.tails(0.25))
+        assert len(calls) == 4 + read
+    calls.clear()
+    kernel_endo_eval(d, g, 0.25)
+    assert len(calls) == 4 + 3
 
 
 @pytest.mark.parametrize("bad", ["xs", "ys", "values"])
