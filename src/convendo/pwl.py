@@ -97,6 +97,9 @@ class PwlFunction:
         if slopes is None:
             slopes = [(v2 - v1) / (b2 - b1)
                       for b1, b2, v1, v2 in zip(bp, bp[1:], va, va[1:])]
+            if bp[-1] - bp[0] == INF:  # a width may overflow: its secant in halves
+                slopes = [m if b2 - b1 < INF else (v2 / 2 - v1 / 2) / (b2 / 2 - b1 / 2)
+                          for m, b1, b2, v1, v2 in zip(slopes, bp, bp[1:], va, va[1:])]
         else:
             slopes = [float(m) for m in slopes]
             if len(slopes) != len(bp) - 1:
@@ -371,7 +374,10 @@ def pwl_max(f, g):
     for a, b, da, db in zip(pts, pts[1:], diff, diff[1:]):
         if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
             continue
-        x = a + da * (b - a) / (da - db)
+        if b - a < INF:
+            x = a + da * (b - a) / (da - db)
+        else:  # the width overflows: interpolate in halves
+            x = 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2))
         if a + MERGE_TOL < x < b - MERGE_TOL:
             full.append(x)
     if lo == -INF:

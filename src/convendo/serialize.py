@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import BadShape
+from .errors import BadShape, NegativeScale, ZeroVector
 from .extreal import INF
 from .expr import (Affine, BallIndicator, Max, Norm, Precompose, Pwl1D, Quad,
                    Scale, Sum, row_blocks)
@@ -40,11 +40,12 @@ def _num_in(v):
 
 @contextmanager
 def _fields(what):
-    """Report a malformed field of a ``what`` descriptor as BadShape."""
+    """Report a malformed field of a ``what`` descriptor, or a value its
+    constructor refuses as negative or zero, as BadShape."""
     try:
         yield
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,
-            OverflowError) as exc:
+            OverflowError, NegativeScale, ZeroVector) as exc:
         raise BadShape(f"malformed {what} descriptor: {type(exc).__name__}: {exc}") from exc
 
 
@@ -195,36 +196,38 @@ def dump_json(obj, path):
 
 # -- CSV ----------------------------------------------------------------------
 
-def _csv_num(v):
-    if v == INF:
-        return "inf"
-    return repr(float(v))
+def _write_rows(fh, rows):
+    """Write the rows of a 2-D float array as CSV lines, a block at a time.
+
+    Each distinct float (by bit pattern) of a block is formatted once by
+    ``repr`` (+inf reads ``inf``) into a table of its texts ending in "," and
+    then in "\\n"; one fancy index of that table and one join lay out the block.
+    """
+    for block in row_blocks(len(rows)):
+        keys, inv = np.unique(rows[block].view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)
+        table = np.concatenate([text + ",", text + "\n"])
+        idx = inv.reshape(-1, rows.shape[1])
+        idx[:, -1] += len(text)
+        fh.write("".join(table[idx].ravel().tolist()))
 
 
 def write_eval_csv(path, points, values, n):
     """Rows of x1,...,xn,value with +inf rendered as ``inf``.
 
     ``points`` is a (k, n) array and ``values`` holds k floats. Rows are
-    formatted a block at a time, so the text in memory stays bounded. A grid
-    repeats its coordinates, so each distinct float (by bit pattern) of a
-    block is formatted once and its text reused.
+    formatted a block at a time, so the text in memory stays bounded.
     """
     rows = np.column_stack([np.asarray(points, dtype=float).reshape(-1, n),
                             np.asarray(values, dtype=float)])
     with open(path, "w") as fh:
         fh.write(",".join([f"x{i + 1}" for i in range(n)] + ["value"]) + "\n")
-        for block in row_blocks(len(rows)):
-            keys, inv = np.unique(rows[block].view(np.int64), return_inverse=True)
-            # repr renders +inf as "inf", the same text as _csv_num
-            text = [repr(v) for v in keys.view(float).tolist()]
-            fh.writelines(",".join(map(text.__getitem__, r)) + "\n"
-                          for r in inv.reshape(-1, n + 1).tolist())
+        _write_rows(fh, rows)
 
 
 def write_kernel_csv(path, xs, ys, values):
     """Kernel table: rows are x, columns are y, header row holds y values."""
-    lines = [",".join(["x\\y"] + [repr(float(y)) for y in ys])]
-    for x, row in zip(xs, values):
-        lines.append(",".join([repr(float(x))] + [_csv_num(v) for v in row]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x\\y,")
+        _write_rows(fh, np.asarray(ys, dtype=float)[None])
+        _write_rows(fh, np.column_stack([xs, values]).astype(float))

@@ -483,6 +483,18 @@ def test_add_and_max_read_midpoints_that_overflow():
     assert h.slopes == (-1.0, 1.0)
 
 
+def test_max_finds_a_crossing_whose_width_overflows():
+    # b - a overflows on [-1e308, 1e308]: the crossing is interpolated in
+    # halves, and so is each input's secant slope, so both read 0.5 at 0
+    f = PwlFunction([-1e308, 1e308], [0.0, 1.0], -1.0, 1.0)
+    g = PwlFunction([-1e308, 1e308], [1.0, 0.0], -1.0, 1.0)
+    assert f.slopes == (5e-309,) and g.slopes == (-5e-309,)
+    for a, b in ((f, g), (g, f)):
+        h = pwl_max(a, b)
+        assert h.breakpoints == (-1e308, 0.0, 1e308)
+        assert h(0.0) == 0.5
+
+
 def test_add_and_max_keep_the_sign_of_zero():
     f = PwlFunction([0.0], [0.0], -1.0, 1.0)
     g = PwlFunction([0.0], [-0.0], -2.0, 2.0)

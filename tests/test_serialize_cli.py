@@ -9,12 +9,13 @@ import pytest
 from convendo import (INF, GlEndo, LineMeasure, OrbitMeasure, PhiEndo,
                       PwlFunction, RadialEndo, ScaleComposeMap, pwl_abs)
 from convendo.cli import main
+from convendo.expr import BLOCK
 from convendo.kernel1d import kernel_extract
 from convendo.rand import random_convex_pwl, random_finite_expr, rng_from_seed
 from convendo.serialize import (endo_from_json, endo_to_json, fn_from_json,
                                 fn_to_json, line_measure_from_json,
                                 line_measure_to_json, orbit_measure_from_json,
-                                orbit_measure_to_json)
+                                orbit_measure_to_json, write_eval_csv)
 
 
 def test_pwl_json_round_trip_with_inf_slopes():
@@ -367,11 +368,16 @@ ZERO_GRID_KERNEL = {**NAN_GRID_KERNEL, "psi": {**NAN_GRID_KERNEL["psi"], "values
     ({**ZERO_GRID_KERNEL, "A": ["nan", 1.0]}, fn_to_json(pwl_abs())),
     ({**ZERO_GRID_KERNEL, "R": "nan"}, fn_to_json(pwl_abs())),
     (SC1, {"kind": "quad", "c": 10 ** 400}),
+    (SC1, {"kind": "norm", "c": -1.0}),
+    (SC1, {"kind": "quad", "c": -1.0}),
+    (SC1, {"kind": "scale", "lambda": -0.5, "term": QUAD}),
+    (SC1, {"kind": "pwl1d", "direction": [0.0], "pwl": fn_to_json(pwl_abs())}),
 ], ids=["gl_c_not_a_number", "ma_zeta_not_an_object", "atom_without_weight",
         "affine_without_offset", "sum_terms_not_a_list", "quad_infinite",
         "gl_c_nan", "gl_c_minus_inf", "scale_compose_lambda_inf", "scale_compose_mu_nan",
         "atom_weight_nan", "atom_at_inf", "kernel_grid_value_nan", "kernel_A_null",
-        "kernel_A_nan", "kernel_R_nan", "quad_c_beyond_float"])
+        "kernel_A_nan", "kernel_R_nan", "quad_c_beyond_float", "norm_c_negative",
+        "quad_c_negative", "scale_lambda_negative", "pwl1d_direction_zero"])
 def test_cli_malformed_descriptor_field_exit_2(tmp_path, capsys, endo, fn):
     out = tmp_path / "x.csv"
     rc = main(["eval", "--endo", _write(tmp_path, "e.json", endo),
@@ -393,3 +399,21 @@ def test_cli_type_error_inside_evaluation_propagates(tmp_path, monkeypatch):
               "--fn", _write(tmp_path, "f.json", QUAD), "--grid=0:1:0.5",
               "--out", str(tmp_path / "x.csv")])
 
+
+# -- the CSV writer against one repr per cell -----------------------------------
+
+CELLS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, INF, 0.1, -2.5, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_write_eval_csv_matches_a_naive_writer(tmp_path, n, rows):
+    # every block repeats the same few coordinates; values come as a list
+    points = np.array([[CELLS[(3 * i + 2 * j) % len(CELLS)] for j in range(n)]
+                       for i in range(rows)]).reshape(rows, n)
+    values = [CELLS[(5 * i + 1) % len(CELLS)] * (1 + i % 2) for i in range(rows)]
+    out = tmp_path / "x.csv"
+    write_eval_csv(out, points, values, n)
+    lines = [",".join([f"x{i + 1}" for i in range(n)] + ["value"])]
+    lines += [",".join(repr(float(v)) for v in [*p, y]) for p, y in zip(points, values)]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
