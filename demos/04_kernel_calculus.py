@@ -39,7 +39,7 @@ hinge_kernel = Kernel1D(lambda x, y: max(y - x, 0.0) - max(y, 0.0),
                         (-1, 1, -4, 4))
 d = kernel_decompose(hinge_kernel, (-1, 1), 2.0)
 print("\ntail coefficients at x = 0.5:",
-      [round(c(0.5), 12) for c in (d.c1, d.c2, d.c3, d.c4)])
+      [round(c, 12) for c in d.tails(0.5)])
 parab = PwlFunction(np.linspace(-3, 3, 1201), np.linspace(-3, 3, 1201) ** 2,
                     -6.0, 6.0)
 print("rebuilt value:", round(kernel_endo_eval(d, parab, 0.5), 9),

@@ -63,8 +63,7 @@ class GlEndo:
     def __call__(self, f, x):
         """The value at x. A bare PwlFunction (n == 1) is summed atom by atom
         without the case split of ``gl_eval``: an atom outside the domain
-        gives +inf and a point on its boundary takes the value there. That
-        cheaper sum carries every psi evaluation of an extracted gl kernel."""
+        gives +inf and a point on its boundary takes the value there."""
         if isinstance(f, PwlFunction) and self.n == 1:
             f0 = f(0.0)
             if f0 == INF:
@@ -75,6 +74,15 @@ class GlEndo:
     def eval_many(self, f, X):
         return gl_eval_many(self, as_expr(f, self.n), X)
 
+    def kernel_row(self, x, ys):
+        """[self(pwl_hinge(y), x) for y in ys] (n == 1), atom by atom as ``_atom_sum``."""
+        y = np.asarray(ys, dtype=float)
+        f0 = np.where(0.0 < y, y, 0.0)
+        total = self.c * f0
+        for s, w in self.nu.atoms:  # weights are > 0
+            total = total + w * (np.where(s * x < y, y - s * x, 0.0) - f0) / (s * s)
+        return total
+
     def as_endomap_1d(self):
         return self
 
@@ -82,8 +90,6 @@ class GlEndo:
 def _atom_sum(e, f, x, f0):
     total = e.c * f0
     for s, w in e.nu.atoms:
-        if w == 0.0:
-            continue
         fv = f(s * x)
         if fv == INF:
             return INF
@@ -194,6 +200,11 @@ class ScaleComposeMap:
 
     def eval_many(self, f, X):
         return scale_compose_eval_many(self, as_expr(f, self.n), X)
+
+    def kernel_row(self, x, ys):
+        """[self(pwl_hinge(y), x) for y in ys] for n == 1: lam (y - mu x)_+."""
+        y = np.asarray(ys, dtype=float)
+        return self.lam * np.where(self.mu_scalar * x < y, y - self.mu_scalar * x, 0.0)
 
 
 def scale_compose_eval(m, f, x):

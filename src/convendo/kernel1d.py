@@ -21,11 +21,9 @@ The tail coefficients solve the affine tail equations
 at the nodes +-R and +-(R + 1); subtracting the four hinge multiples
 c1 y_+ + c2 (y+1)_+ + c3 (-y)_+ + c4 (-y-1)_+ then kills both tails.
 
-``KernelDecomposition.tails(x)`` evaluates psi once at each of the four
-nodes and returns (c1, c2, c3, c4). An evaluation of the operator at x
-reads psi(x, .) in one row, ``Kernel1D.row``: the four nodes and the kinks
-in [-R, R]. A grid kernel interpolates a whole row at once; an
-operator-backed kernel applies its operator to one hinge per node.
+psi(x, .) is read as one row, ``Kernel1D.row(x, ys)``. The built-in 1-D
+operators give a row of hinge values in one numpy pass, ``op.kernel_row(x,
+ys)``; an opaque callable is applied to one hinge per y.
 """
 
 import math
@@ -35,10 +33,10 @@ import numpy as np
 
 from .errors import (BadShape, InfiniteSlope, OutsideA, PhiNegative, PhiNotEven,
                      TailNotAffine, XSliceNotAffine)
-from .expr import as_point_block
+from .expr import BLOCK, as_point_block, row_blocks
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .measures import LineMeasure
-from .probes import is_convex_block, is_convex_sampled
+from .probes import is_convex_block
 from .pwl import PwlFunction, pwl_hinge
 
 
@@ -81,19 +79,17 @@ def pwl_integral(f, lo, hi):
 class Kernel1D:
     """Continuous kernel psi(x, y) with a declared validity box.
 
-    ``kind`` is "callable" for closed-form or operator-backed evaluators and
-    "grid" for tabulated values with bilinear interpolation in between.
-    ``psi.row(x, ys)`` evaluates psi(x, .) at many y; ``psi(x, y)`` is a row
-    of one.
+    psi is given at one point by ``evaluator(x, y)``, at many y in one pass
+    by ``row(x, ys)``, or by a ``grid`` with bilinear interpolation between
+    nodes. ``psi.row(x, ys)`` reads psi(x, .); ``psi(x, y)`` is a row of one.
     """
 
-    def __init__(self, evaluator, box, kind="callable", grid=None):
-        self.evaluator = evaluator
+    def __init__(self, evaluator, box, grid=None, row=None):
         self.box = tuple(float(v) for v in box)  # (x_lo, x_hi, y_lo, y_hi)
         if not (self.box[0] < self.box[1] and self.box[2] < self.box[3]):
             raise BadShape("validity box is empty")
-        self.kind = kind
         self.grid = grid  # (xs, ys, values) for grid kernels
+        self._row = row or (lambda x, ys: [evaluator(x, y) for y in ys])
 
     @classmethod
     def from_grid(cls, xs, ys, values):
@@ -108,24 +104,18 @@ class Kernel1D:
             raise BadShape("grids need at least two nodes")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise BadShape("grids must be strictly increasing")
-        return cls(None, (xs[0], xs[-1], ys[0], ys[-1]), kind="grid",
-                   grid=(xs, ys, values))
+        return cls(None, (xs[0], xs[-1], ys[0], ys[-1]), grid=(xs, ys, values))
 
     def row(self, x, ys):
-        """[psi(x, y) for y in ys] as floats, with the box checked once.
-
-        A grid kernel finds the x cell once and the y cells with one
-        searchsorted, then applies the bilinear formula elementwise."""
+        """[psi(x, y) for y in ys] as floats; the box is checked first."""
         x_lo, x_hi, y_lo, y_hi = self.box
-        x_in = x_lo - 1e-9 <= x <= x_hi + 1e-9
-        if not (x_in and all(y_lo - 1e-9 <= y <= y_hi + 1e-9 for y in ys)):
-            y = next(y for y in ys if not (x_in and y_lo - 1e-9 <= y <= y_hi + 1e-9))
-            raise OutsideA(f"({x}, {y}) outside validity box {self.box}")
-        if self.grid is None:
-            ev = self.evaluator
-            return [float(ev(x, y)) for y in ys]
-        xs, gy, values = self.grid
         y = np.asarray(ys, dtype=float)
+        out = ~((y_lo - 1e-9 <= y) & (y <= y_hi + 1e-9) & (x_lo - 1e-9 <= x <= x_hi + 1e-9))
+        if out.any():
+            raise OutsideA(f"({x}, {ys[int(np.argmax(out))]}) outside validity box {self.box}")
+        if self.grid is None:
+            return np.asarray(self._row(x, ys), dtype=float).tolist()
+        xs, gy, values = self.grid  # the x cell once, the y cells in one searchsorted
         i = int(np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2))
         j = np.clip(np.searchsorted(gy, y) - 1, 0, gy.size - 2)
         tx = (x - xs[i]) / (xs[i + 1] - xs[i])
@@ -140,7 +130,7 @@ class Kernel1D:
 
     def is_x_convex(self, xs, ys, tol=1e-9):
         """Sampled convexity of psi(., y), the defining property of kernels."""
-        return all(is_convex_sampled(lambda x, y=y: self(x, y), xs, tol=tol)
+        return all(is_convex_block(lambda X, y=y: [self(x, y) for x in X.tolist()], xs, tol)
                    for y in ys)
 
 
@@ -151,23 +141,20 @@ def kernel_is_monotone(psi, xs, ys, tol=1e-9):
                for x in xs)
 
 
-class _PwlOperator:
-    """An operator on finite piecewise-linear functions of one variable.
+def _pwl_points(f, X):
+    """The x of a (k, 1) block, for an operator on finite PwlFunctions."""
+    if not isinstance(f, PwlFunction):
+        raise BadShape("this operator expects a {'kind': 'pwl'} input")
+    return as_point_block(X, 1)[:, 0]
 
-    Subclasses define ``op(f, x)``; ``op.eval_many(f, X)`` calls it at every
-    row of a (k, 1) array.
-    """
 
-    n = 1
-
-    def eval_many(self, f, X):
-        if not isinstance(f, PwlFunction):
-            raise BadShape("this operator expects a {'kind': 'pwl'} input")
-        return np.array([self(f, x) for x in as_point_block(X, 1)[:, 0].tolist()])
+def _hinge(y, p):
+    """(y - p)_+ as ``pwl_hinge(y)(p)`` computes it, elementwise."""
+    return np.where(p < y, y - p, 0.0)
 
 
 @dataclass
-class KernelDecomposition(_PwlOperator):
+class KernelDecomposition:
     """Tail coefficients and compactly supported residual of a kernel.
 
     Called as ``d(f, x)``, it is the operator the kernel represents.
@@ -176,10 +163,7 @@ class KernelDecomposition(_PwlOperator):
     kernel: Kernel1D
     A: tuple
     R: float
-
-    def _inside(self, y):
-        """Whether the residual reads psi at y: |y| <= R, up to 1e-12."""
-        return not abs(y) > self.R + 1e-12
+    n = 1
 
     def _nodes(self):
         """The four tail nodes R + 1, R, -R, -R - 1."""
@@ -196,36 +180,44 @@ class KernelDecomposition(_PwlOperator):
                 R * p_mr - (R - 1.0) * p_lo,
                 R * p_lo - (R + 1.0) * p_mr)
 
-    def c1(self, x):
-        return self.tails(x)[0]
+    def residual(self, x, ys):
+        """The tails (c1, c2, c3, c4) at x and [psi_tilde(x, y) for y in ys],
+        psi less the tails' four hinge multiples, which is 0 beyond |y| = R +
+        1e-12; psi(x, .) is read as one row, at the nodes and the ys within."""
+        x = float(x)
+        if not self.A[0] - EDGE_TOL <= x <= self.A[1] + EDGE_TOL:
+            raise OutsideA(f"{x} outside decomposition interval {self.A}")
+        cut = self.R + 1e-12
+        row = self.kernel.row(x, self._nodes() + [y for y in ys if not abs(y) > cut])
+        c1, c2, c3, c4 = tails = self.tails(x, row[:4])
+        psi = iter(row[4:])
+        res = [next(psi) - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0) + c3 * max(-y, 0.0)
+                            + c4 * max(-y - 1.0, 0.0)) if not abs(y) > cut else 0.0 for y in ys]
+        return tails, res
 
-    def c2(self, x):
-        return self.tails(x)[1]
+    def eval_many(self, f, X):
+        """The operator at the rows of a (k, 1) array: the kinks of f once, a
+        (k, kinks) table of residuals, and the jump sum kink by kink for all x."""
+        xs = _pwl_points(f, X).tolist()
+        ma = monge_ampere(f)
+        out = np.empty(len(xs))
+        for rows in row_blocks(len(xs), max(1, BLOCK // (4 + len(ma)))):
+            tails, res = zip(*(self.residual(x, ma.positions) for x in xs[rows]))
+            c1, c2, c3, c4 = np.array(tails).T
+            # a kink beyond R adds 0 * w, which keeps the sum's sign of zero
+            terms = np.column_stack([(c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0),
+                                     np.multiply(res, ma.weights)])
+            out[rows] = np.cumsum(terms, axis=1)[:, -1]
+        return out
 
-    def c3(self, x):
-        return self.tails(x)[2]
-
-    def c4(self, x):
-        return self.tails(x)[3]
-
-    def psi_tilde(self, x, y, tails=None):
-        """Residual kernel; identically zero outside [-R, R] once the tail
-        validation has passed, so values beyond R are clamped to 0. Pass
-        ``tails=self.tails(x)`` to reuse the coefficients across many y."""
-        if not self._inside(y):
-            return 0.0
-        psi = self.kernel(x, y)
-        return _residual(psi, y, self.tails(x) if tails is None else tails)
+    def kernel_row(self, x, ys):
+        """[self(pwl_hinge(y), x) for y in ys], from one unit kink at each y."""
+        y = np.asarray(ys, dtype=float)
+        (c1, c2, c3, c4), res = self.residual(x, y.tolist())
+        return (c1 + c3) * _hinge(y, 0.0) + (c2 + c4) * _hinge(y, -1.0) + res
 
     def __call__(self, f, x):
         return kernel_endo_eval(self, f, x)
-
-
-def _residual(psi, y, tails):
-    """psi(x, y) less the four hinge multiples of the tails at x."""
-    c1, c2, c3, c4 = tails
-    return psi - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0)
-                  + c3 * max(-y, 0.0) + c4 * max(-y - 1.0, 0.0))
 
 
 def _first_bend(rows, tol):
@@ -267,8 +259,8 @@ def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
     if bend:
         (x, edge), dev = bend
         raise TailNotAffine(f"psi({x}, .) bends beyond {edge}: second difference {dev}")
-    bend = _first_bend(((y, [psi(x, y) for x in xs]) for sign in (+1.0, -1.0)
-                        for y in sign * np.linspace(R + 1e-6, R + 1.0, 5)), tol)
+    ys = np.concatenate([sign * np.linspace(R + 1e-6, R + 1.0, 5) for sign in (+1.0, -1.0)])
+    bend = _first_bend(zip(ys, np.array([psi.row(x, ys) for x in xs]).T), tol)
     if bend:
         y, dev = bend
         raise XSliceNotAffine(f"psi(., {y}) is not affine on A: second difference {dev}")
@@ -278,40 +270,31 @@ def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
 
 def kernel_endo_eval(d, f, x):
     """Apply the decomposed operator to a finite piecewise-linear input."""
-    x = float(x)
-    a_lo, a_hi = d.A
-    if not a_lo - EDGE_TOL <= x <= a_hi + EDGE_TOL:
-        raise OutsideA(f"{x} outside decomposition interval {d.A}")
     ma = monge_ampere(f)
-    row = d.kernel.row(x, d._nodes() + [y for y in ma.positions if d._inside(y)])
-    c1, c2, c3, c4 = tails = d.tails(x, row[:4])
+    (c1, c2, c3, c4), res = d.residual(x, ma.positions)
     total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
-    inside = iter(row[4:])
-    for y, w in ma.atoms:
-        # psi_tilde is 0 beyond R; adding 0 * w keeps the sum's sign of zero
-        total += (_residual(next(inside), y, tails) if d._inside(y) else 0.0) * w
+    for r, w in zip(res, ma.weights):
+        total += r * w  # psi_tilde is 0 beyond R, and 0 * w keeps the sign of zero
     return total
 
 
+def _hinge_row(endo):
+    """endo's ``kernel_row`` when n == 1, else one call of endo per hinge."""
+    return getattr(endo, "n", 1) == 1 and getattr(endo, "kernel_row", None) or (
+        lambda x, ys: [endo(pwl_hinge(y), x) for y in ys])
+
+
 def kernel_extract(endo, xs, ys):
-    """Tabulate psi(x, y) = endo((y - .)_+)[x] on a grid kernel."""
+    """Tabulate psi(x, y) = endo((y - .)_+)[x] on a grid kernel, one row per x."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    values = np.empty((xs.size, ys.size))
-    for j, y in enumerate(ys):
-        hinge = pwl_hinge(y)
-        for i, x in enumerate(xs):
-            values[i, j] = endo(hinge, x)
-    return Kernel1D.from_grid(xs, ys, values)
+    row = _hinge_row(endo)
+    return Kernel1D.from_grid(xs, ys, [row(x, ys) for x in xs.tolist()])
 
 
 def kernel_extract_live(endo, box):
     """Operator-backed kernel evaluated exactly on demand (no grid)."""
-
-    def ev(x, y):
-        return endo(pwl_hinge(y), x)
-
-    return Kernel1D(ev, box, kind="callable")
+    return Kernel1D(None, box, row=_hinge_row(endo))
 
 
 def detect_tail_radius(psi, A, start=1.0, consecutive=8, tol=1e-8, n_x=9, n_y=9):
@@ -346,7 +329,7 @@ def detect_tail_radius(psi, A, start=1.0, consecutive=8, tol=1e-8, n_x=9, n_y=9)
 # -- worked operator families -------------------------------------------------
 
 
-class PhiEndo(_PwlOperator):
+class PhiEndo:
     """Operator f -> (t -> integral of f - f(0) over [-phi(t), phi(t)]).
 
     ``phi`` is an even, non-negative convex piecewise-linear profile. When
@@ -354,6 +337,8 @@ class PhiEndo(_PwlOperator):
     boundary values are radial limits from inside, which keeps the output
     lower semi-continuous and finite near 0.
     """
+
+    n = 1
 
     def __init__(self, phi, check_points=41):
         dlo, dhi = phi.domain
@@ -370,21 +355,36 @@ class PhiEndo(_PwlOperator):
             raise PhiNegative("phi must be non-negative")
         self.phi = phi
 
-    def __call__(self, f, t):
-        if f.slope_left == -INF or f.slope_right == INF:
-            raise InfiniteSlope("input must be a finite piecewise-linear function")
+    def _half_width(self, t):
         t = float(t)
         dlo, dhi = self.phi.domain
         if t < dlo - EDGE_TOL or t > dhi + EDGE_TOL:
             return INF
         if not dlo + EDGE_TOL < t < dhi - EDGE_TOL:
-            # boundary: the radial limit from inside, from the edge itself
-            # when t lies just outside it
+            # boundary: the radial limit from inside (from the edge just outside)
             t = RADIAL_LIMIT * min(max(t, dlo), dhi)
-        a = self.phi(t)
-        if a <= 0.0:
-            return 0.0
+        return self.phi(t)
+
+    def __call__(self, f, t):
+        if f.slope_left == -INF or f.slope_right == INF:
+            raise InfiniteSlope("input must be a finite piecewise-linear function")
+        a = self._half_width(t)
+        if not 0.0 < a < INF:
+            return INF if a == INF else 0.0
         return pwl_integral(f, -a, a) - 2.0 * a * f(0.0)
+
+    def eval_many(self, f, X):
+        # point by point: the trapezoid order of each value fixes its bits
+        return np.array([self(f, t) for t in _pwl_points(f, X).tolist()])
+
+    def kernel_row(self, t, ys):
+        """[self(pwl_hinge(y), t) for y in ys]: only the trapezoid from -a is not 0."""
+        y = np.asarray(ys, dtype=float)
+        a = self._half_width(t)
+        if not 0.0 < a < INF:
+            return np.full(y.shape, INF if a == INF else 0.0)
+        q = np.where((-a < y) & (y < a), y, a)
+        return 0.5 * (_hinge(y, -a) + _hinge(y, q)) * (q + a) - 2.0 * a * _hinge(y, 0.0)
 
     def as_endomap(self):
         return self
@@ -438,12 +438,14 @@ def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
                               term_slopes=np.array(term2), tol=tol)
 
 
-class MaEndo(_PwlOperator):
+class MaEndo:
     """Operator f -> (x -> g(x) * sum of zeta(|y_j|) * jump_j).
 
     ``zeta`` is a non-negative continuous weight with the declared compact
     support radius; ``g`` is a finite convex piecewise-linear factor.
     """
+
+    n = 1
 
     def __init__(self, g, zeta, support_radius, check_points=33,
                  zeta_descriptor=None):
@@ -457,13 +459,23 @@ class MaEndo(_PwlOperator):
         self.support_radius = float(support_radius)
         self.zeta_descriptor = zeta_descriptor
 
-    def __call__(self, f, x):
-        ma = monge_ampere(f)
+    def _total(self, f):
         total = 0.0
-        for y, w in ma.atoms:
+        for y, w in monge_ampere(f).atoms:
             if abs(y) <= self.support_radius:
                 total += self.zeta(abs(y)) * w
-        return self.g(float(x)) * total
+        return total
+
+    def __call__(self, f, x):
+        return self.g(float(x)) * self._total(f)
+
+    def eval_many(self, f, X):
+        return self.g.eval_many(_pwl_points(f, X)) * self._total(f)
+
+    def kernel_row(self, x, ys):
+        """[self(pwl_hinge(y), x) for y in ys]: g(x) zeta(|y|) on |y| <= radius."""
+        z = [self.zeta(abs(y)) if abs(y) <= self.support_radius else 0.0 for y in map(float, ys)]
+        return self.g(float(x)) * (0.0 + np.array(z, dtype=float))  # 0.0 + as in _total
 
     def as_endomap(self):
         return self

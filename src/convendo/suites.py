@@ -560,11 +560,11 @@ def run_kernel_suite(seed=0, trials=100):
                 x = float(rng.uniform(-1.0, 1.0))
                 val, ok = gw_probe(d, x, phi_p, phi_m, (f1, f2), tol=1e-8)
                 map_, mam = monge_ampere(phi_p), monge_ampere(phi_m)
-                c1, c2, c3, c4 = tails = d.tails(x)
+                (c1, c2, c3, c4), res = d.residual(x, map_.positions + mam.positions)
                 expected = ((c1 + c3) * (phi_p(0.0) - phi_m(0.0))
                             + (c2 + c4) * (phi_p(-1.0) - phi_m(-1.0))
-                            + sum(d.psi_tilde(x, y, tails) * w for y, w in map_.atoms)
-                            - sum(d.psi_tilde(x, y, tails) * w for y, w in mam.atoms))
+                            + sum(r * w for r, w in zip(res, map_.weights))
+                            - sum(r * w for r, w in zip(res[len(map_):], mam.weights)))
                 yield abs(val - expected) + (0.0 if ok else 1.0), lambda: {"endo": name, "x": x}
     rep.worst("kernel_gw_pairing", 1e-8, len(decomps) * 5, pairing_errors())
 

@@ -3,7 +3,7 @@ import pytest
 
 from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasure,
                       MaEndo, OutsideA, PhiEndo, PhiNotEven, PwlFunction,
-                      TailNotAffine, XSliceNotAffine, detect_tail_radius,
+                      ScaleComposeMap, TailNotAffine, XSliceNotAffine, detect_tail_radius,
                       example_phi_convexity_certificate, hat_weight,
                       kernel_decompose, kernel_endo_eval, kernel_extract,
                       kernel_extract_live, kernel_is_monotone, monge_ampere,
@@ -47,17 +47,18 @@ def test_decompose_hinge_kernel_coefficients():
     # y >= 2, zero for y <= -2, so c1 = x, c2 = -x, c3 = c4 = 0
     d = kernel_decompose(hinge_kernel(), (-1, 1), 2.0)
     for x in (-1.0, -0.3, 0.0, 0.5, 1.0):
-        assert d.c1(x) == pytest.approx(x, abs=1e-12)
-        assert d.c2(x) == pytest.approx(-x, abs=1e-12)
-        assert d.c3(x) == pytest.approx(0.0, abs=1e-12)
-        assert d.c4(x) == pytest.approx(0.0, abs=1e-12)
+        c1, c2, c3, c4 = d.tails(x)
+        assert c1 == pytest.approx(x, abs=1e-12)
+        assert c2 == pytest.approx(-x, abs=1e-12)
+        assert c3 == pytest.approx(0.0, abs=1e-12)
+        assert c4 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decompose_zero_kernel():
     k = Kernel1D(lambda x, y: 0.0, (-1, 1, -4, 4))
     d = kernel_decompose(k, (-1, 1), 2.0)
-    assert d.c1(0.3) == 0.0 and d.c4(-0.7) == 0.0
-    assert d.psi_tilde(0.2, 0.7) == 0.0
+    assert d.tails(0.3)[0] == 0.0 and d.tails(-0.7)[3] == 0.0
+    assert d.residual(0.2, [0.7])[1] == [0.0]
     f = dense_parabola()
     assert kernel_endo_eval(d, f, 0.5) == 0.0
 
@@ -78,12 +79,13 @@ def test_decompose_affine_kernel_gives_zero_map():
 def test_psi_tilde_vanishes_on_tails():
     d = kernel_decompose(hinge_kernel(), (-1, 1), 2.0)
     for x in (-0.8, 0.0, 0.9):
+        c1, c2, c3, c4 = d.tails(x)
         for y in (2.0, 2.5, 3.0, -2.0, -2.7):
             raw = (d.kernel(x, y)
-                   - (d.c1(x) * max(y, 0.0) + d.c2(x) * max(y + 1.0, 0.0)
-                      + d.c3(x) * max(-y, 0.0) + d.c4(x) * max(-y - 1.0, 0.0)))
+                   - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0)
+                      + c3 * max(-y, 0.0) + c4 * max(-y - 1.0, 0.0)))
             assert raw == pytest.approx(0.0, abs=1e-12)
-            assert d.psi_tilde(x, y) == pytest.approx(0.0, abs=1e-12)
+            assert d.residual(x, [y])[1][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hinge_kernel_reconstruction_matches_parabola():
@@ -391,12 +393,12 @@ def test_endo_eval_matches_per_kink_tails_bit_for_bit(make_endo):
         f = _kinked(rng, k, 2.5 * d.R)  # kinks inside and outside [-R, R]
         for x in rng.uniform(-1.0, 1.0, 3).tolist() + [0.0]:
             assert kernel_endo_eval(d, f, x).hex() == _endo_eval_per_kink(d, f, x).hex()
-            assert d.tails(x) == (d.c1(x), d.c2(x), d.c3(x), d.c4(x))
+            assert d.tails(x) == d.residual(x, [])[0]
 
 
 def test_endo_eval_adds_kinks_beyond_R_as_zeros():
     # a zero kernel gives (c1 + c3) f(0) + (c2 + c4) f(-1) = -0.0 for f < 0
-    # there; each kink beyond R then adds +0.0, as psi_tilde's zeros did
+    # there; each kink beyond R then adds +0.0, as psi_tilde's zeros do
     d = kernel_decompose(Kernel1D(lambda x, y: 0.0, (-1, 1, -4, 4)), (-1, 1), 2.0)
     f = PwlFunction([-3.0, 3.0], [-1.0, -1.0], -1.0, 1.0)
     assert kernel_endo_eval(d, f, 0.5).hex() == _endo_eval_per_kink(d, f, 0.5).hex() == "0x0.0p+0"
@@ -420,7 +422,7 @@ def test_endo_eval_makes_four_plus_kinks_psi_calls():
     assert len(calls) == 4 + inside
     # the cut sits at R + 1e-12: kinks at -R and R + 5e-13 are read, ones
     # at -R - 2e-12 and R + 2e-12 are not, in kernel_endo_eval and
-    # psi_tilde alike
+    # residual alike
     bp = [-2.0 - 2e-12, -2.0, 1.5, 2.0 + 5e-13, 2.0 + 2e-12]
     ms = [-2.5, -1.0, 0.5, 1.0]
     va = [1.0]
@@ -431,7 +433,7 @@ def test_endo_eval_makes_four_plus_kinks_psi_calls():
     assert kinks == bp
     for y, read in zip(kinks, (False, True, True, True, False)):
         calls.clear()
-        d.psi_tilde(0.25, y, d.tails(0.25))
+        d.residual(0.25, [y])
         assert len(calls) == 4 + read
     calls.clear()
     kernel_endo_eval(d, g, 0.25)
@@ -546,3 +548,154 @@ def test_monge_ampere_refuses_an_overflowing_jump_as_validated_measure():
     with pytest.raises(BadShape) as got:
         monge_ampere(f)
     assert str(got.value) == str(want.value)
+
+
+# -- kernel rows against one operator call per hinge -----------------------------
+
+def _per_hinge(op, x, ys):
+    """The oracle of ``op.kernel_row``: one operator call on each hinge."""
+    return [op(pwl_hinge(y), x) for y in ys]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def _grid_decomposition():
+    xs, ys = np.linspace(-1.0, 1.0, 9), np.linspace(-5.0, 5.0, 41)
+    X = xs[:, None]
+    values = np.maximum(ys - X, 0.0) - 0.5 * np.maximum(ys, 0.0) + 0.25 * X * ys + 0.1 * X
+    return kernel_decompose(Kernel1D.from_grid(xs, ys, values), (-1.0, 1.0), 2.0)
+
+
+ROW_YS = [-3.0, -2.0, -1.0, -0.0, 0.0, 1e-300, 0.37, 1.0, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("x", [-1.0, -0.4, 0.0, 0.8, 1.0])
+def test_gl_and_scale_compose_rows_match_the_hinge_oracle(x):
+    e = GlEndo(-0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25), (2.0, 0.7), (1e-3, 3.0)]), 1)
+    m = ScaleComposeMap(2.0, -1.5, 1)
+    # atoms whose s x lands on y, and mu x
+    ys = ROW_YS + [s * x for s in e.nu.positions] + [-1.5 * x]
+    assert _hexes(e.kernel_row(x, ys)) == _hexes(_per_hinge(e, x, ys))
+    assert _hexes(m.kernel_row(x, ys)) == _hexes(_per_hinge(m, x, ys))
+
+
+@pytest.mark.parametrize("phi", [
+    PwlFunction([0.0], [1.0], -1.0, 1.0),
+    PwlFunction([-1.0, 0.0, 1.0], [2.0, 1.0, 2.0], -INF, INF),  # truncated to [-1, 1]
+    PwlFunction([0.0], [0.0], -1.0, 1.0),                        # a = 0 at t = 0
+], ids=["unbounded", "truncated", "zero_at_0"])
+@pytest.mark.parametrize("t", [0.0, 0.3, -0.95, 1.0, -1.0, 1.0 + 5e-11, -1.0 - 5e-11, 1.5])
+def test_phi_rows_match_the_hinge_oracle(phi, t):
+    pe = PhiEndo(phi)
+    # the trapezoid's ends: y = +-a (a = phi(t) inside, the radial limit on
+    # the boundary, +inf outside the truncated domain)
+    a = pe._half_width(t)
+    ys = ROW_YS + ([a, -a, np.nextafter(a, 0.0), -np.nextafter(a, 0.0)] if a < INF else [])
+    row = pe.kernel_row(t, ys)
+    assert _hexes(row) == _hexes(_per_hinge(pe, t, ys))
+    if phi.slope_left == -INF and abs(t) > 1.0 + 1e-10:
+        assert (row == INF).all()
+
+
+@pytest.mark.parametrize("x", [-1.5, 0.0, 0.4, 2.0])
+def test_ma_rows_match_the_hinge_oracle(x):
+    g = PwlFunction([-1.0, 0.5, 1.5], [2.0, -0.5, 1.0], -3.0, 2.0)
+    # a weight that is not 0 at the radius, so that the cut |y| <= 1.2 shows
+    ma = MaEndo(g, lambda u: 0.5 + u * u, 1.2)
+    ys = ROW_YS + [1.2, -1.2, np.nextafter(1.2, 2.0), -np.nextafter(1.2, 2.0)]
+    assert _hexes(ma.kernel_row(x, ys)) == _hexes(_per_hinge(ma, x, ys))
+
+
+@pytest.mark.parametrize("make", ["grid", "live"])
+@pytest.mark.parametrize("x", [-1.0, -1.0 - 5e-11, -0.3, 0.0, 0.9, 1.0 + 5e-11])
+def test_decomposition_rows_match_the_hinge_oracle(make, x):
+    if make == "grid":
+        d = _grid_decomposition()
+    else:
+        live = kernel_extract_live(GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1),
+                                   (-1.2, 1.2, -8.0, 8.0))
+        d = kernel_decompose(live, (-1.0, 1.0), 2.0)
+    R = d.R
+    # kinks at the 1e-12 cut: +-R +- 5e-13 are read, +-R +- 2e-12 are not
+    ys = ROW_YS + [s * R + e for s in (1.0, -1.0) for e in (0.0, 5e-13, -5e-13, 2e-12, -2e-12)]
+    assert _hexes(d.kernel_row(x, ys)) == _hexes(_per_hinge(d, x, ys))
+
+
+def test_decomposition_row_outside_A_raises_as_the_hinge_oracle():
+    d = _grid_decomposition()
+    with pytest.raises(OutsideA) as want:
+        _per_hinge(d, 1.5, [0.5])
+    with pytest.raises(OutsideA) as got:
+        d.kernel_row(1.5, [0.5])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("op", [
+    GlEndo(0.5, LineMeasure([(1.0, 1.0), (-0.5, 0.25)]), 1),
+    ScaleComposeMap(2.0, -1.5, 1),
+    PhiEndo(PwlFunction([0.0], [1.0], -1.0, 1.0)),
+    MaEndo(PwlFunction([0.0], [0.5], -1.0, 2.0), hat_weight(1.0), 1.0),
+    _grid_decomposition(),
+], ids=["gl", "scale_compose", "phi", "ma", "kernel"])
+def test_live_row_refuses_a_y_outside_the_box_as_the_hinge_oracle(op):
+    box = (-1.0, 1.0, -4.0, 4.0)
+    oracle = Kernel1D(lambda x, y: op(pwl_hinge(y), x), box)
+    for x, ys in ((0.5, [0.5, 4.5, -6.0]), (0.5, [float("nan")]), (1.5, [0.5])):
+        with pytest.raises(OutsideA) as want:
+            oracle.row(x, ys)
+        with pytest.raises(OutsideA) as got:
+            kernel_extract_live(op, box).row(x, ys)
+        assert str(got.value) == str(want.value)
+
+
+def test_gl_kernel_of_more_dimensions_is_refused_as_before():
+    with pytest.raises(BadShape, match="1-dimensional"):
+        kernel_extract(GlEndo(1.0, LineMeasure([(1.0, 1.0)]), 2), [0.0, 1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("make", ["grid", "live"])
+def test_decomposition_eval_many_matches_each_point(make):
+    if make == "grid":
+        d = _grid_decomposition()
+    else:
+        live = kernel_extract_live(PhiEndo(PwlFunction([0.0], [1.0], -1.0, 1.0)),
+                                   (-1.2, 1.2, -8.0, 8.0))
+        d = kernel_decompose(live, (-1.0, 1.0), 4.0)
+    rng = np.random.default_rng(3)
+    X = np.concatenate([[-1.0, -1.0 - 5e-11, 0.0, 1.0], rng.uniform(-1.0, 1.0, 396)])[:, None]
+    for k in (0, 1, 7, 60):  # 60 kinks put the 400 points in three blocks
+        f = _kinked(rng, k, 2.5 * d.R) if k else pwl_linear(0.5, -2.0)
+        got = d.eval_many(f, X)
+        assert _hexes(got) == _hexes([d(f, x) for x in X[:, 0].tolist()])
+        assert _hexes(got[:8]) == _hexes([_endo_eval_per_kink(d, f, x) for x in X[:8, 0]])
+
+
+def test_kernel_extract_calls_no_operator_on_a_hinge(tmp_path, monkeypatch):
+    import json
+
+    from convendo import kernel1d
+    from convendo.cli import main
+    calls = []
+    monkeypatch.setattr(kernel1d, "pwl_hinge", lambda y: calls.append(y) or pwl_hinge(y))
+    for cls in (GlEndo, PhiEndo, MaEndo, kernel1d.KernelDecomposition):
+        monkeypatch.setattr(cls, "__call__", lambda self, f, x: calls.append(f) or 0.0)
+    pwl = {"kind": "pwl", "breakpoints": [-1.0, 0.5], "values": [1.0, 0.0],
+           "slope_left": -2.0, "slope_right": 1.0}
+    xs, ys = np.linspace(-1.0, 1.0, 5), np.linspace(-3.0, 3.0, 13)
+    descriptors = [
+        {"kind": "gl", "c": 0.5, "n": 1, "nu": {"atoms": [{"s": 1.0, "w": 1.0}]}},
+        {"kind": "phi_example", "phi": {**pwl, "breakpoints": [0.0], "values": [1.0],
+                                        "slope_left": -1.0, "slope_right": 1.0}},
+        {"kind": "ma_example", "g": pwl, "zeta": {"kind": "hat", "radius": 1.0}},
+        {"kind": "kernel", "A": [-1.0, 1.0], "R": 2.0, "psi": {
+            "kind": "grid", "xs": xs.tolist(), "ys": ys.tolist(),
+            "values": (np.maximum(ys - xs[:, None], 0.0) - np.maximum(ys, 0.0)).tolist()}},
+    ]
+    for i, desc in enumerate(descriptors):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(desc))
+        assert main(["kernel", "extract", "--endo", str(path), "--grid-x=-1:1:0.25",
+                     "--grid-y=-3:3:0.5", "--out", str(tmp_path / f"{i}.csv")]) == 0
+    assert calls == []
