@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from convendo import kernel1d
 from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasure,
                       MaEndo, OutsideA, PhiEndo, PhiNotEven, PwlFunction,
                       ScaleComposeMap, TailNotAffine, XSliceNotAffine, detect_tail_radius,
@@ -8,6 +11,7 @@ from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasur
                       kernel_decompose, kernel_endo_eval, kernel_extract,
                       kernel_extract_live, kernel_is_monotone, monge_ampere,
                       pwl_abs, pwl_hinge, pwl_integral, pwl_linear, pwl_make)
+from convendo.cli import main
 
 
 def dense_parabola(span=3.0, pieces=1200, coeff=1.0):
@@ -673,10 +677,6 @@ def test_decomposition_eval_many_matches_each_point(make):
 
 
 def test_kernel_extract_calls_no_operator_on_a_hinge(tmp_path, monkeypatch):
-    import json
-
-    from convendo import kernel1d
-    from convendo.cli import main
     calls = []
     monkeypatch.setattr(kernel1d, "pwl_hinge", lambda y: calls.append(y) or pwl_hinge(y))
     for cls in (GlEndo, PhiEndo, MaEndo, kernel1d.KernelDecomposition):
