@@ -76,7 +76,7 @@ class GlEndo:
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys] (n == 1), atom by atom as ``_atom_sum``."""
-        y = np.asarray(ys, dtype=float)
+        y = _hinge_ys(self, ys)
         f0 = np.where(0.0 < y, y, 0.0)
         total = self.c * f0
         for s, w in self.nu.atoms:  # weights are > 0
@@ -85,6 +85,13 @@ class GlEndo:
 
     def as_endomap_1d(self):
         return self
+
+
+def _hinge_ys(op, ys):
+    """ys as an array; hinges, like any bare pwl input, fit only n == 1."""
+    if op.n != 1:
+        raise BadShape("a bare pwl function fits only 1-dimensional operators")
+    return np.asarray(ys, dtype=float)
 
 
 def _atom_sum(e, f, x, f0):
@@ -203,7 +210,7 @@ class ScaleComposeMap:
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys] for n == 1: lam (y - mu x)_+."""
-        y = np.asarray(ys, dtype=float)
+        y = _hinge_ys(self, ys)
         return self.lam * np.where(self.mu_scalar * x < y, y - self.mu_scalar * x, 0.0)
 
 

@@ -33,10 +33,10 @@ import numpy as np
 
 from .errors import (BadShape, InfiniteSlope, OutsideA, PhiNegative, PhiNotEven,
                      TailNotAffine, XSliceNotAffine)
-from .expr import BLOCK, as_point_block, row_blocks
+from .expr import as_point_block
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .measures import LineMeasure
-from .probes import is_convex_block
+from .probes import is_convex_block, is_convex_sampled
 from .pwl import PwlFunction, pwl_hinge
 
 
@@ -130,7 +130,7 @@ class Kernel1D:
 
     def is_x_convex(self, xs, ys, tol=1e-9):
         """Sampled convexity of psi(., y), the defining property of kernels."""
-        return all(is_convex_block(lambda X, y=y: [self(x, y) for x in X.tolist()], xs, tol)
+        return all(is_convex_sampled(lambda x, y=y: self(x, y), xs, tol=tol)
                    for y in ys)
 
 
@@ -196,19 +196,9 @@ class KernelDecomposition:
         return tails, res
 
     def eval_many(self, f, X):
-        """The operator at the rows of a (k, 1) array: the kinks of f once, a
-        (k, kinks) table of residuals, and the jump sum kink by kink for all x."""
-        xs = _pwl_points(f, X).tolist()
+        """The operator at the rows of a (k, 1) array, the kinks of f found once."""
         ma = monge_ampere(f)
-        out = np.empty(len(xs))
-        for rows in row_blocks(len(xs), max(1, BLOCK // (4 + len(ma)))):
-            tails, res = zip(*(self.residual(x, ma.positions) for x in xs[rows]))
-            c1, c2, c3, c4 = np.array(tails).T
-            # a kink beyond R adds 0 * w, which keeps the sum's sign of zero
-            terms = np.column_stack([(c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0),
-                                     np.multiply(res, ma.weights)])
-            out[rows] = np.cumsum(terms, axis=1)[:, -1]
-        return out
+        return np.array([kernel_endo_eval(self, f, x, ma) for x in _pwl_points(f, X).tolist()])
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys], from one unit kink at each y."""
@@ -268,20 +258,20 @@ def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
     return KernelDecomposition(kernel=psi, A=(a_lo, a_hi), R=R)
 
 
-def kernel_endo_eval(d, f, x):
-    """Apply the decomposed operator to a finite piecewise-linear input."""
-    ma = monge_ampere(f)
+def kernel_endo_eval(d, f, x, ma=None):
+    """Apply the decomposed operator to a finite piecewise-linear input; ``ma``
+    may hold ``monge_ampere(f)`` already."""
+    ma = monge_ampere(f) if ma is None else ma
     (c1, c2, c3, c4), res = d.residual(x, ma.positions)
     total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
     for r, w in zip(res, ma.weights):
-        total += r * w  # psi_tilde is 0 beyond R, and 0 * w keeps the sign of zero
+        total += r * w  # the residual is 0 beyond R, and 0 * w keeps the sign of zero
     return total
 
 
 def _hinge_row(endo):
-    """endo's ``kernel_row`` when n == 1, else one call of endo per hinge."""
-    return getattr(endo, "n", 1) == 1 and getattr(endo, "kernel_row", None) or (
-        lambda x, ys: [endo(pwl_hinge(y), x) for y in ys])
+    """endo's ``kernel_row``, or one call of endo per hinge."""
+    return getattr(endo, "kernel_row", None) or (lambda x, ys: [endo(pwl_hinge(y), x) for y in ys])
 
 
 def kernel_extract(endo, xs, ys):
@@ -289,7 +279,8 @@ def kernel_extract(endo, xs, ys):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     row = _hinge_row(endo)
-    return Kernel1D.from_grid(xs, ys, [row(x, ys) for x in xs.tolist()])
+    return Kernel1D.from_grid(xs, ys, np.reshape([row(x, ys) for x in xs.tolist()],
+                                                 (xs.size, ys.size)))
 
 
 def kernel_extract_live(endo, box):

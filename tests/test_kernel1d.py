@@ -657,6 +657,18 @@ def test_live_row_refuses_a_y_outside_the_box_as_the_hinge_oracle(op):
 def test_gl_kernel_of_more_dimensions_is_refused_as_before():
     with pytest.raises(BadShape, match="1-dimensional"):
         kernel_extract(GlEndo(1.0, LineMeasure([(1.0, 1.0)]), 2), [0.0, 1.0], [0.0, 1.0])
+    for op in (GlEndo(1.0, LineMeasure([(1.0, 1.0)]), 2), ScaleComposeMap(2.0, -1.5, 2)):
+        with pytest.raises(BadShape) as want:
+            op(pwl_hinge(1.0), 0.0)
+        with pytest.raises(BadShape) as got:
+            op.kernel_row(0.0, [1.0])
+        assert str(got.value) == str(want.value)
+
+
+def test_kernel_extract_without_x_nodes_reports_the_node_count():
+    for op in (ScaleComposeMap(2.0, -1.5, 1), lambda f, x: f(x)):
+        with pytest.raises(BadShape, match="at least two nodes"):
+            kernel_extract(op, [], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("make", ["grid", "live"])
@@ -669,7 +681,7 @@ def test_decomposition_eval_many_matches_each_point(make):
         d = kernel_decompose(live, (-1.0, 1.0), 4.0)
     rng = np.random.default_rng(3)
     X = np.concatenate([[-1.0, -1.0 - 5e-11, 0.0, 1.0], rng.uniform(-1.0, 1.0, 396)])[:, None]
-    for k in (0, 1, 7, 60):  # 60 kinks put the 400 points in three blocks
+    for k in (0, 1, 7, 60):
         f = _kinked(rng, k, 2.5 * d.R) if k else pwl_linear(0.5, -2.0)
         got = d.eval_many(f, X)
         assert _hexes(got) == _hexes([d(f, x) for x in X[:, 0].tolist()])
