@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, OriginNotInDomain
+from .errors import BadShape
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, as_row,
                    expr_eval_many, origin_value, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
-from .pwl import PwlFunction
 
 # Radial steps lambda = 1 - 2^-k, k = 1..40, that gl_eval_detailed reports
 # toward a boundary point; the last is RADIAL_LIMIT.
@@ -61,24 +60,19 @@ class GlEndo:
                 raise BadShape("nu must not charge 0")
 
     def __call__(self, f, x):
-        """The value at x. A bare PwlFunction (n == 1) is summed atom by atom
-        without the case split of ``gl_eval``: an atom outside the domain
-        gives +inf and a point on its boundary takes the value there."""
-        if isinstance(f, PwlFunction) and self.n == 1:
-            f0 = f(0.0)
-            if f0 == INF:
-                raise OriginNotInDomain("f(0) must be finite")
-            return _atom_sum(self, f, x, f0)
         return gl_eval(self, as_expr(f, self.n), x)
 
     def eval_many(self, f, X):
         return gl_eval_many(self, as_expr(f, self.n), X)
 
     def kernel_row(self, x, ys):
-        """[self(pwl_hinge(y), x) for y in ys] (n == 1), atom by atom as ``_atom_sum``."""
+        """[self(pwl_hinge(y), x) for y in ys] (n == 1), atom by atom as
+        ``_atom_sum_many``; the origin takes c f(0) alone."""
         y = _hinge_ys(self, ys)
         f0 = np.where(0.0 < y, y, 0.0)
         total = self.c * f0
+        if x == 0.0:
+            return total
         for s, w in self.nu.atoms:  # weights are > 0
             total = total + w * (np.where(s * x < y, y - s * x, 0.0) - f0) / (s * s)
         return total
@@ -92,16 +86,6 @@ def _hinge_ys(op, ys):
     if op.n != 1:
         raise BadShape("a bare pwl function fits only 1-dimensional operators")
     return np.asarray(ys, dtype=float)
-
-
-def _atom_sum(e, f, x, f0):
-    total = e.c * f0
-    for s, w in e.nu.atoms:
-        fv = f(s * x)
-        if fv == INF:
-            return INF
-        total += w * (fv - f0) / (s * s)
-    return total
 
 
 def gl_eval(e, f, x):
@@ -160,7 +144,7 @@ def _atom_sum_many(e, f, X, f0):
     s = np.array(e.nu.positions)
     V = f._eval_batch((s[:, None, None] * X).reshape(-1, X.shape[1]))
     total = np.full(len(X), e.c * f0)
-    # +inf absorbs the finite terms, as the early return of _atom_sum does
+    # +inf absorbs the finite terms
     for (s, w), v in zip(e.nu.atoms, V.reshape(len(s), len(X))):
         total += w * (v - f0) / (s * s)
     return total

@@ -211,15 +211,16 @@ class KernelDecomposition:
 
 
 def _first_bend(rows, tol):
-    """The first (label, dev) among ``rows`` of (label, samples) pairs whose
-    largest second difference dev exceeds tol times the samples' magnitude
-    (at least 1); None when every row is affine. A generator of rows is
-    sampled only up to the first bend."""
+    """The first (label, dev) among ``rows`` of (label, samples) pairs with a
+    non-finite sample (dev nan) or a largest second difference dev above tol
+    times the samples' magnitude (at least 1); None when every row is affine.
+    A generator of rows is sampled only up to the first bend."""
     for label, vals in rows:
-        scale = max(1.0, max(abs(v) for v in vals))
-        v = np.asarray(vals)
-        dev = float(np.max(np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2]))) if len(vals) > 2 else 0.0
-        if dev > tol * scale:
+        v = np.asarray(vals, dtype=float)
+        if not np.isfinite(v).all():
+            return label, math.nan
+        dev = float(np.max(np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2]))) if v.size > 2 else 0.0
+        if dev > tol * max(1.0, float(np.max(np.abs(v)))):
             return label, dev
     return None
 

@@ -165,28 +165,20 @@ class PwlFunction:
         return va[i] + self.slopes[i] * (x - bp[i])
 
     def eval_many(self, xs):
-        """Vectorized evaluation; returns a float array with +inf outside."""
+        """Vectorized evaluation: x reads va[a] + seq[j] (x - bp[a]), with j
+        the count of breakpoints <= x, a = max(j - 1, 0) and seq the slope
+        sequence, so a truncated tail's infinite slope gives +inf by itself;
+        the last breakpoint reads its value."""
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise BadShape("cannot evaluate at nan")
         bp = np.array(self.breakpoints)
-        va = np.array(self.values)
-        out = np.empty_like(xs)
-        left = xs < bp[0]
-        right = xs > bp[-1]
-        mid = ~(left | right)
-        out[left] = INF if self.slope_left == -INF else \
-            va[0] + self.slope_left * (xs[left] - bp[0])
-        out[right] = INF if self.slope_right == INF else \
-            va[-1] + self.slope_right * (xs[right] - bp[-1])
-        if len(bp) == 1:
-            out[mid] = va[0]
-        elif mid.any():
-            idx = np.minimum(np.searchsorted(bp, xs[mid], side="right") - 1, len(bp) - 2)
-            m = np.array(self.slopes)
-            out[mid] = va[idx] + m[idx] * (xs[mid] - bp[idx])
-            out[xs == bp[-1]] = va[-1]
-        return out
+        j = np.searchsorted(bp, xs, side="right")
+        a = np.maximum(j - 1, 0)
+        seq = np.array(self.slope_sequence())
+        with np.errstate(invalid="ignore"):  # inf * 0 on the last breakpoint
+            out = np.take(self.values, a) + seq[j] * (xs - bp[a])
+        return np.where(xs == bp[-1], self.values[-1], out)
 
     def slope_on(self, x):
         """Slope of the piece whose interior contains x (tails included)."""

@@ -261,7 +261,7 @@ KERNEL_XS = np.linspace(-1.0, 1.0, 9)
 
 
 @pytest.mark.parametrize("desc, n, fn", [
-    # a bare pwl input: GlEndo sums atoms per point and gl_eval_many's tree per block
+    # a bare pwl input, through Pwl1D like any other input
     ({"kind": "gl", "c": -0.5, "nu": GL_NU, "n": 1}, 1, BOUNDED),
     ({"kind": "gl", "c": 1.5, "nu": GL_NU, "n": 3}, 3, BALL_TREE),
     ({"kind": "scale_compose", "lambda": 2.0, "mu": -1.5, "n": 1}, 1, BOUNDED),

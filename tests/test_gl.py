@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convendo import (INF, Affine, BadShape, GlEndo, LineMeasure, Max, Norm,
-                      OriginNotInDomain, Pwl1D, Quad, ScaleComposeMap, Sum,
+                      OriginNotInDomain, Pwl1D, PwlFunction, Quad, ScaleComposeMap, Sum,
                       gl_empirical_monotone_search, gl_eval, gl_eval_detailed,
                       gl_is_dually_translation_invariant, gl_is_monotone,
                       pwl_indicator, scale_compose_eval)
@@ -60,9 +60,24 @@ def test_ray_interval_attribute_error_propagates():
 
 def test_origin_not_in_domain():
     e = GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 1)
-    f = Pwl1D(pwl_indicator(1.0, 2.0), [1.0])
-    with pytest.raises(OriginNotInDomain):
-        gl_eval(e, f, [1.5])
+    f = pwl_indicator(1.0, 2.0)
+    # the tree, and the bare profile through the call and the block
+    for call in (lambda: gl_eval(e, Pwl1D(f, [1.0]), [1.5]), lambda: e(f, 1.5),
+                 lambda: e.eval_many(f, [[1.5]])):
+        with pytest.raises(OriginNotInDomain, match=r"^f\(0\) must be finite$"):
+            call()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.3, -0.8, 3.0, 1.0],
+                         ids=["origin", "negative_zero", "interior", "interior_left",
+                              "exterior", "boundary"])
+def test_bare_pwl_call_is_the_one_row_block(x):
+    # on the boundary both read the RADIAL_LIMIT step, not the value there
+    f = PwlFunction([-1.0, 0.0, 1.0], [3.0, 0.0, 5.0], -INF, INF)
+    e = GlEndo(1.0, LineMeasure([(1.0, 1.0), (-0.5, 2.0)]), 1)
+    assert e(f, x).hex() == float(e.eval_many(f, [[x]])[0]).hex()
+    if x == 1.0:
+        assert e(f, x) == 16.99999999998454
 
 
 def test_zero_measure_is_c_f0():

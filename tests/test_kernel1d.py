@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,30 @@ def test_decompose_rejects_bent_x_slice():
     k = Kernel1D(lambda x, y: x * x * y, (-1, 1, -4, 4))
     with pytest.raises(XSliceNotAffine):
         kernel_decompose(k, (-1, 1), 2.0)
+
+
+def test_decompose_rejects_non_finite_samples():
+    # nan > tol * scale is false, so a nan row passed both affine checks
+    k = Kernel1D(lambda x, y: float("nan"), (-1, 1, -4, 4))
+    with pytest.raises(TailNotAffine, match="second difference nan"):
+        kernel_decompose(k, (-1, 1), 2.0)
+    # one +inf sample: its second differences, +-inf, are not above tol * inf
+    for row in ([0.0, INF, 2.0, 3.0], [INF] * 4, [1.0, float("nan"), 1.0]):
+        label, dev = kernel1d._first_bend([("affine", [0.0, 1.0, 2.0, 3.0]), ("bad", row)],
+                                          1e-8)
+        assert label == "bad" and math.isnan(dev)
+
+
+def test_roundtrip_of_a_truncated_phi_is_refused(tmp_path, capsys):
+    # the operator is +inf where the decomposition reads nan, and the nan
+    # trials used to drop out of the maximum deviation
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"kind": "phi_example", "phi": {
+        "kind": "pwl", "breakpoints": [-0.5, 0.0, 0.5], "values": [1.5, 1.0, 1.5],
+        "slope_left": "-inf", "slope_right": "inf"}}))
+    assert main(["kernel", "roundtrip", "--endo", str(path), "--trials", "50",
+                 "--seed", "3", "--tol", "1e-6"]) == 3
+    assert "bends beyond" in capsys.readouterr().err
 
 
 def test_detect_tail_radius():

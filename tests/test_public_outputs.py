@@ -1,12 +1,16 @@
 """Public outputs against pinned goldens.
 
-The demos' stdout and the ``convendo eval`` CSVs of ``gl`` (a grid with
+The demos' stdout, the ``convendo eval`` CSVs of ``gl`` (a grid with
 interior, exterior and boundary points, and a file of boundary points) and
-``scale_compose`` inputs must stay byte-identical to the files in
-tests/golden/. The radial CSV is checked against the per-point reference in
-tests/test_batch.py instead.
+``scale_compose`` inputs, the ``convendo kernel extract`` CSV of a 1-D ``gl``
+operator and the ``convendo kernel roundtrip`` stdout and ``--out`` JSON of a
+1-D ``gl`` and a ``phi_example`` operator must stay byte-identical to the
+files in tests/golden/. The radial CSV is checked against the per-point
+reference in tests/test_batch.py instead.
 """
 
+import contextlib
+import io
 import json
 import runpy
 from pathlib import Path
@@ -40,6 +44,13 @@ BOUNDARY_POINTS = ([[0.0, 0.0], [0.3, 0.4], [2.0, 2.0], [1.2, 1.6]]
                    + (2.0 * np.stack([np.cos(ANGLES), np.sin(ANGLES)], axis=1)).tolist())
 SCALE_COMPOSE2 = {"kind": "scale_compose", "lambda": 2.0, "mu": -1.5, "n": 2}
 
+GL1 = {"kind": "gl", "c": 1.0, "nu": {"atoms": [{"s": 1.0, "w": 1.0}, {"s": -0.5, "w": 2.0}]},
+       "n": 1}
+PHI = {"kind": "phi_example", "phi": {"kind": "pwl", "breakpoints": [-0.5, 0.0, 0.5],
+                                      "values": [1.25, 1.0, 1.25],
+                                      "slope_left": -0.75, "slope_right": 0.75}}
+ROUNDTRIP_CASES = {"gl1": GL1, "phi": PHI}
+
 EVAL_CASES = {
     "gl2_grid": (GL2, BALL_TREE2, "--grid=-2:2:0.25"),
     "gl2_boundary_points": (GL2_WIDE, RAY_TREE2, BOUNDARY_POINTS),
@@ -70,3 +81,24 @@ def test_demo_stdout_matches_golden(demo, capsys):
 def test_eval_csv_matches_golden(name, tmp_path):
     text = eval_csv(tmp_path, name, *EVAL_CASES[name])
     assert text == (GOLDEN / f"eval_{name}.csv").read_text()
+
+
+def test_kernel_extract_csv_matches_golden(tmp_path):
+    endo, out = tmp_path / "gl1.json", tmp_path / "gl1.csv"
+    endo.write_text(json.dumps(GL1))
+    assert main(["kernel", "extract", "--endo", str(endo), "--grid-x=-1:1:0.25",
+                 "--grid-y=-3:3:0.5", "--out", str(out)]) == 0
+    assert out.read_text() == (GOLDEN / "kernel_extract_gl1.csv").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_CASES))
+def test_kernel_roundtrip_matches_golden(name, tmp_path):
+    endo, out = tmp_path / f"{name}.json", tmp_path / "rt.json"
+    endo.write_text(json.dumps(ROUNDTRIP_CASES[name]))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["kernel", "roundtrip", "--endo", str(endo), "--seed", "3",
+                   "--trials", "50", "--out", str(out)])
+    assert rc == 0
+    text = stdout.getvalue() + out.read_text() + "\n"
+    assert text == (GOLDEN / f"kernel_roundtrip_{name}.txt").read_text()

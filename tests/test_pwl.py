@@ -108,11 +108,23 @@ def test_max_keeps_crossing_on_shared_tail():
 def test_eval_many_matches_call():
     f = PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -2.0, 3.0)
     assert f.eval_many([1.3])[0] == f(1.3) == 0.9
+    fixed = [
+        f,
+        PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -INF, 3.0),   # truncated left
+        PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -2.0, INF),   # truncated right
+        PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -INF, INF),   # both
+        PwlFunction([0.5], [2.0], -1.0, 3.0),                        # one breakpoint
+        PwlFunction([0.5], [2.0], -INF, INF),                        # point indicator
+        PwlFunction([-1.0, 0.0, 1.0], [1.0, -0.0, -0.0], -1.0, 0.0),  # -0.0 values
+        PwlFunction([-1.0, 0.0], [-0.0, -0.0], -INF, INF),
+    ]
     rng = rng_from_seed(22)
-    for _ in range(50):
-        f = random_convex_pwl(rng)
-        xs = np.concatenate([f.breakpoints, rng.uniform(-5.0, 5.0, size=20)])
-        assert f.eval_many(xs).tolist() == [f(x) for x in xs.tolist()]
+    for g in fixed + [random_convex_pwl(rng) for _ in range(50)]:
+        xs = np.concatenate([g.breakpoints, [-INF, INF, -0.0, 0.0, 0.2, 0.7 + 1e-9, 0.5],
+                             rng.uniform(-5.0, 5.0, size=20)])
+        want = [g(x).hex() for x in xs.tolist()]
+        assert [v.hex() for v in g.eval_many(xs).tolist()] == want
+        assert [float(g.eval_many(x)).hex() for x in xs.tolist()] == want
 
 
 def test_legendre_standard_pairs():
