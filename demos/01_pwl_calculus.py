@@ -7,8 +7,8 @@ algebra below is exact up to float rounding; nothing is discretized.
 
 import numpy as np
 
-from convendo import (inf_convolve, legendre, moreau_envelope, pwl_abs,
-                      pwl_add, pwl_indicator, pwl_make, pwl_max, pwl_scale,
+from convendo import (PwlFunction, inf_convolve, legendre, moreau_envelope,
+                      pwl_abs, pwl_add, pwl_indicator, pwl_max, pwl_scale,
                       epi_converges_probe)
 
 # ------------------------------------------------------------------ basics
@@ -22,13 +22,13 @@ box = pwl_indicator(-1.0, 1.0)
 print("\nindicator domain:", box.domain, " box(2) =", box(2.0))
 
 # Sums merge breakpoints and intersect domains exactly.
-s = pwl_add(f, pwl_make([1.0], [0.0], -1.0, 1.0))
+s = pwl_add(f, PwlFunction([1.0], [0.0], -1.0, 1.0))
 print("\n|x| + |x-1|:", s)
 clipped = pwl_add(box, f)
 print("|x| restricted to [-1,1]:", clipped)
 
 # Max inserts breakpoints at crossings, scale rescales values and slopes.
-flat = pwl_max(f, pwl_make([0.0], [1.0], 0.0, 0.0))
+flat = pwl_max(f, PwlFunction([0.0], [1.0], 0.0, 0.0))
 print("\nmax(|x|, 1):", flat)
 print("2|x|:", pwl_scale(2.0, f))
 

@@ -13,12 +13,12 @@ import numpy as np
 from convendo import (GlEndo, Kernel1D, LineMeasure, MaEndo, PhiEndo,
                       PwlFunction, hat_weight, kernel_decompose,
                       kernel_endo_eval, kernel_extract, kernel_extract_live,
-                      kernel_is_monotone, monge_ampere, pwl_abs, pwl_make)
+                      kernel_is_monotone, monge_ampere, pwl_abs)
 
 # ------------------------------------------------- second-derivative data
 # For piecewise-linear f the distributional second derivative is a sum of
 # point masses at the kinks, weighted by the slope jumps.
-f = pwl_make([-1.0, 1.0], [0.0, 0.0], -1.0, 1.0)
+f = PwlFunction([-1.0, 1.0], [0.0, 0.0], -1.0, 1.0)
 print("kinks of max(0, x-1, -x-1):", monge_ampere(f).atoms)
 print("kinks of |x|:", monge_ampere(pwl_abs()).atoms)
 

@@ -23,7 +23,7 @@ from .errors import (AtomAtZero, BadShape, ConvendoError, DimensionMismatch,
 from .extreal import INF
 from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
                   pwl_abs, pwl_add, pwl_hinge, pwl_indicator, pwl_linear,
-                  pwl_make, pwl_max, pwl_scale)
+                  pwl_max, pwl_scale)
 from .expr import (Affine, BallIndicator, ConvexExpr, Max, Norm, Precompose,
                    Pwl1D, Quad, RadialPwl, Scale, Sum, expr_eval, expr_eval_many,
                    ray_domain)

@@ -51,19 +51,17 @@ def _parse_grid(text, dim=1):
 
 def _load_points(args, dim):
     """Evaluation points as a finite (k, dim) float array."""
-    if args.points:
+    if args.points is not None:
         try:
             X = np.array(load_json(args.points), dtype=float)
         except (ValueError, TypeError, OverflowError):
             raise ConfigError("--points must be a list of finite points of equal dimension")
         if X.ndim == 1:
             X = X.reshape(-1, 1) if X.size else X.reshape(0, dim)
-    elif args.grid:
+    else:
         axis = _parse_grid(args.grid, dim)
         mesh = np.meshgrid(*([axis] * dim), indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
-    else:
-        raise ConfigError("one of --points or --grid is required")
     if X.ndim != 2 or X.shape[1] != dim:
         raise ConfigError(f"points have shape {X.shape}, operator wants dim {dim}")
     bad = ~np.isfinite(X).all(axis=1)
@@ -99,7 +97,15 @@ def cmd_check(args):
     return 1
 
 
-def _kernel_grids(args, endo):
+def _load_1d_endo(args):
+    endo = endo_from_json(load_json(args.endo))
+    if endo.n != 1:
+        raise ConfigError("kernel commands need a one-dimensional operator")
+    return endo
+
+
+def cmd_kernel_extract(args):
+    endo = _load_1d_endo(args)
     xs = _parse_grid(args.grid_x) if args.grid_x else np.linspace(-1.0, 1.0, 201)
     ys = _parse_grid(args.grid_y) if args.grid_y else np.linspace(-6.0, 6.0, 201)
     if xs.size * ys.size > MAX_GRID_POINTS:
@@ -110,31 +116,20 @@ def _kernel_grids(args, endo):
         if (xs[0] < box[0] - 1e-9 or xs[-1] > box[1] + 1e-9
                 or ys[0] < box[2] - 1e-9 or ys[-1] > box[3] + 1e-9):
             raise ConfigError("extraction grid leaves the kernel's validity box")
-    return xs, ys
+    gxs, gys, vals = kernel_extract(endo, xs, ys).grid
+    write_kernel_csv(args.out, gxs, gys, vals)
+    return 0
 
 
-def cmd_kernel(args):
-    endo = endo_from_json(load_json(args.endo))
-    if endo.n != 1:
-        raise ConfigError("kernel commands need a one-dimensional operator")
-    if args.action == "extract":
-        xs, ys = _kernel_grids(args, endo)
-        k = kernel_extract(endo, xs, ys)
-        gxs, gys, vals = k.grid
-        write_kernel_csv(args.out, gxs, gys, vals)
-        return 0
-
-    # roundtrip: extract exactly, decompose, re-evaluate against the operator
-    a_lo, a_hi = (-1.0, 1.0)
-    if args.A:
-        try:
-            a_lo, a_hi = (float(v) for v in args.A.split(":"))
-        except ValueError:
-            raise ConfigError(f"--A expects lo:hi, got {args.A!r}")
-    R = args.R if args.R is not None else 4.0
-    box = (a_lo - 0.2, a_hi + 0.2, -(2 * R), 2 * R)
-    live = kernel_extract_live(endo, box)
-    d = kernel_decompose(live, (a_lo, a_hi), R)
+def cmd_kernel_roundtrip(args):
+    """Extract the kernel exactly, decompose it and re-evaluate against the operator."""
+    endo = _load_1d_endo(args)
+    try:
+        a_lo, a_hi = (float(v) for v in args.A.split(":"))
+    except ValueError:
+        raise ConfigError(f"--A expects lo:hi, got {args.A!r}")
+    live = kernel_extract_live(endo, (a_lo - 0.2, a_hi + 0.2, -(2 * args.R), 2 * args.R))
+    d = kernel_decompose(live, (a_lo, a_hi), args.R)
     rng = rand.rng_from_seed(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -161,8 +156,9 @@ def build_parser():
     pe = sub.add_parser("eval", help="evaluate an operator on sample points")
     pe.add_argument("--endo", required=True, help="operator descriptor (JSON)")
     pe.add_argument("--fn", required=True, help="function descriptor (JSON)")
-    pe.add_argument("--points", help="JSON file with a list of points")
-    pe.add_argument("--grid", help="lo:hi:step per-axis grid")
+    where = pe.add_mutually_exclusive_group(required=True)
+    where.add_argument("--points", help="JSON file with a list of points")
+    where.add_argument("--grid", help="lo:hi:step per-axis grid")
     pe.add_argument("--out", required=True, help="CSV output path")
     pe.set_defaults(func=cmd_eval)
 
@@ -174,19 +170,25 @@ def build_parser():
     pc.set_defaults(func=cmd_check)
 
     pk = sub.add_parser("kernel", help="extract or round-trip a 1D kernel")
-    pk.add_argument("action", choices=["extract", "roundtrip"])
-    pk.add_argument("--endo", required=True)
-    pk.add_argument("--grid-x", help="lo:hi:step extraction grid in x")
-    pk.add_argument("--grid-y", help="lo:hi:step extraction grid in y")
-    pk.add_argument("--A", help="decomposition interval lo:hi (roundtrip)")
-    pk.add_argument("--R", type=float, default=None,
-                    help="decomposition radius (roundtrip)")
-    pk.add_argument("--out", help="output path (CSV for extract)")
-    pk.add_argument("--seed", type=int, default=0)
-    pk.add_argument("--trials", type=int, default=100)
-    pk.add_argument("--tol", type=float, default=None,
+    actions = pk.add_subparsers(dest="action", required=True)
+    px = actions.add_parser("extract", help="tabulate psi(x, y) to CSV")
+    px.add_argument("--endo", required=True)
+    px.add_argument("--grid-x", help="lo:hi:step extraction grid in x")
+    px.add_argument("--grid-y", help="lo:hi:step extraction grid in y")
+    px.add_argument("--out", required=True, help="CSV output path")
+    px.set_defaults(func=cmd_kernel_extract)
+
+    pr = actions.add_parser("roundtrip", help="re-evaluate the operator from its "
+                                              "tail decomposition")
+    pr.add_argument("--endo", required=True)
+    pr.add_argument("--A", default="-1:1", help="decomposition interval lo:hi")
+    pr.add_argument("--R", type=float, default=4.0, help="decomposition radius")
+    pr.add_argument("--out", help="JSON report path")
+    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--trials", type=int, default=100)
+    pr.add_argument("--tol", type=float, default=None,
                     help="fail the roundtrip when the deviation exceeds this")
-    pk.set_defaults(func=cmd_kernel)
+    pr.set_defaults(func=cmd_kernel_roundtrip)
     return p
 
 
@@ -197,8 +199,6 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "kernel" and args.action == "extract" and not args.out:
-            raise ConfigError("kernel extract needs --out")
         return args.func(args)
     except (ConfigError, BadShape, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

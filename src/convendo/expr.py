@@ -140,12 +140,12 @@ class RadialPwl(ConvexExpr):
     linear time instead of logarithmic).
     """
 
-    def __init__(self, p, check_points=17):
+    def __init__(self, p):
         if not isinstance(p, PwlFunction):
             raise BadShape("profile must be a PwlFunction")
         hi = p.domain[1]
         span = 2.0 if hi == INF else hi
-        for t in np.linspace(0.0, span, check_points):
+        for t in np.linspace(0.0, span, 17):
             a, b = p(t), p(-t)
             if a == INF and b == INF:
                 continue

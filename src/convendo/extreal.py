@@ -8,6 +8,9 @@ import math
 
 INF = math.inf
 
+# Breakpoints and atom positions closer than this merge into one.
+MERGE_TOL = 1e-12
+
 # Interval endpoint ties within this tolerance resolve to the boundary case.
 EDGE_TOL = 1e-10
 

@@ -225,7 +225,7 @@ def _first_bend(rows, tol):
     return None
 
 
-def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
+def kernel_decompose(psi, A, R, tol=1e-8):
     """Solve the tail equations and validate both support conditions.
 
     Checks that psi(x, .) is affine beyond +-R for x in A (second
@@ -243,8 +243,8 @@ def kernel_decompose(psi, A, R, tol=1e-8, n_x=21, n_y=13):
     if -(R + 1.0) < y_lo - 1e-9 or (R + 1.0) > y_hi + 1e-9:
         raise BadShape("R + 1 leaves the kernel's validity box")
 
-    xs = np.linspace(a_lo, a_hi, n_x)
-    ys = np.linspace(R, R + 1.0, n_y)
+    xs = np.linspace(a_lo, a_hi, 21)
+    ys = np.linspace(R, R + 1.0, 13)
     bend = _first_bend((((x, sign * R), psi.row(x, sign * ys))
                         for sign in (+1.0, -1.0) for x in xs), tol)
     if bend:
@@ -289,25 +289,25 @@ def kernel_extract_live(endo, box):
     return Kernel1D(None, box, row=_hinge_row(endo))
 
 
-def detect_tail_radius(psi, A, start=1.0, consecutive=8, tol=1e-8, n_x=9, n_y=9):
+def detect_tail_radius(psi, A, start=1.0, tol=1e-8):
     """Scan doubling radii until the tails stay affine for several octaves.
 
-    Returns the first radius of a run of ``consecutive`` doublings on which
-    psi(x, .) is affine on [R, 2R] and [-2R, -R] for sampled x in A.
+    Returns the first radius of a run of eight doublings on which psi(x, .)
+    is affine on [R, 2R] and [-2R, -R] for sampled x in A.
     """
-    xs = np.linspace(float(A[0]), float(A[1]), n_x)
+    xs = np.linspace(float(A[0]), float(A[1]), 9)
     y_hi = psi.box[3]
     run_start = None
     run = 0
     R = float(start)
     while 2.0 * R <= y_hi + 1e-9:
-        ys = np.linspace(R, 2.0 * R, n_y)
+        ys = np.linspace(R, 2.0 * R, 9)
         if _first_bend(((x, psi.row(x, sign * ys))
                         for sign in (+1.0, -1.0) for x in xs), tol) is None:
             if run == 0:
                 run_start = R
             run += 1
-            if run >= consecutive:
+            if run >= 8:
                 return run_start
         else:
             run = 0
@@ -332,10 +332,10 @@ class PhiEndo:
 
     n = 1
 
-    def __init__(self, phi, check_points=41):
+    def __init__(self, phi):
         dlo, dhi = phi.domain
         span = 3.0 if dhi == INF else dhi
-        ts = np.linspace(0.0, span, check_points)
+        ts = np.linspace(0.0, span, 41)
         for t in ts:
             v1, v2 = phi(t), phi(-t)
             if v1 == INF and v2 == INF:
@@ -439,11 +439,10 @@ class MaEndo:
 
     n = 1
 
-    def __init__(self, g, zeta, support_radius, check_points=33,
-                 zeta_descriptor=None):
+    def __init__(self, g, zeta, support_radius, zeta_descriptor=None):
         if g.slope_left == -INF or g.slope_right == INF:
             raise InfiniteSlope("g must be finite")
-        for u in np.linspace(0.0, float(support_radius), check_points):
+        for u in np.linspace(0.0, float(support_radius), 33):
             if zeta(u) < -1e-12:
                 raise BadShape("zeta must be non-negative")
         self.g = g

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import (AtomAtZero, BadShape, EmptyMeasure, UnsupportedDimension)
+from .extreal import MERGE_TOL
 
 
 class LineMeasure:
@@ -57,12 +58,12 @@ class LineMeasure:
         return f"LineMeasure({list(self.atoms)})"
 
 
-def line_measure_add(m1, m2, merge_tol=1e-12):
-    """Measure sum: concatenate atoms, merging positions within merge_tol."""
+def line_measure_add(m1, m2):
+    """Measure sum: concatenate atoms, merging positions within MERGE_TOL."""
     atoms = sorted(list(m1.atoms) + list(m2.atoms))
     out = []
     for s, w in atoms:
-        if out and s - out[-1][0] <= merge_tol:
+        if out and s - out[-1][0] <= MERGE_TOL:
             out[-1][1] += w
         else:
             out.append([s, w])

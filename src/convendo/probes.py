@@ -62,16 +62,16 @@ class EpiReport:
         return all(d[-1] <= self.tol for d in self.sup_dists)
 
 
-def _box_grid(box, points_per_dim):
+def _box_grid(box):
     box = np.atleast_2d(np.asarray(box, dtype=float))
-    axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in box]
+    axes = [np.linspace(lo, hi, 33) for lo, hi in box]
     if len(axes) == 1:
         return axes[0].reshape(-1, 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def epi_converges_probe(seq, f, compacts, tol=1e-6, j_max=16, points_per_dim=33):
+def epi_converges_probe(seq, f, compacts, tol=1e-6, j_max=16):
     """Uniform-on-compacts convergence check for an indexed family.
 
     ``seq(j)`` must return an evaluator for index j = 1..j_max. Each compact
@@ -82,7 +82,7 @@ def epi_converges_probe(seq, f, compacts, tol=1e-6, j_max=16, points_per_dim=33)
     indices = list(range(1, j_max + 1))
     report = EpiReport(indices=indices, compacts=list(compacts), tol=tol)
     for box in compacts:
-        pts = _box_grid(box, points_per_dim)
+        pts = _box_grid(box)
         fvals = np.array([f(p if p.size > 1 else float(p[0])) for p in pts])
         mask = np.isfinite(fvals)
         dists = []

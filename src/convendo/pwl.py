@@ -16,8 +16,6 @@ which validates everything but that agreement: their slopes are exact pieces
 of their inputs, while their values carry the rounding of terms that can be
 far larger than the values themselves (``v + m * (x - b)``, ``b * y - v``),
 so no tolerance in the values' own scale tells the two apart.
-``PwlFunction._exact`` skips every check and is kept for data that are valid
-by construction, such as the hinges of kernel extraction.
 """
 
 import bisect
@@ -26,10 +24,7 @@ import math
 import numpy as np
 
 from .errors import BadShape, EmptyDomain, NegativeScale, NonConvex
-from .extreal import INF
-
-# Breakpoints closer than this merge into one, keeping the larger value.
-MERGE_TOL = 1e-12
+from .extreal import INF, MERGE_TOL
 
 
 def _merge_close(points, values):
@@ -128,17 +123,6 @@ class PwlFunction:
         self.slope_left = slope_left
         self.slope_right = slope_right
 
-    @classmethod
-    def _exact(cls, breakpoints, values, slope_left, slope_right, slopes):
-        """Construction without checks, for data that are valid by
-        construction: tuples of floats, finite breakpoints more than
-        MERGE_TOL apart, finite values, slopes that agree with the values
-        and do not decrease."""
-        f = object.__new__(cls)
-        f.breakpoints, f.values, f.slopes = breakpoints, values, slopes
-        f.slope_left, f.slope_right = slope_left, slope_right
-        return f
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -152,13 +136,9 @@ class PwlFunction:
             raise BadShape("cannot evaluate at nan")
         bp, va = self.breakpoints, self.values
         if x < bp[0]:
-            if self.slope_left == -INF:
-                return INF
-            return va[0] + self.slope_left * (x - bp[0])
+            return _tail(va[0], self.slope_left, x, bp[0])
         if x > bp[-1]:
-            if self.slope_right == INF:
-                return INF
-            return va[-1] + self.slope_right * (x - bp[-1])
+            return _tail(va[-1], self.slope_right, x, bp[-1])
         i = bisect.bisect_right(bp, x) - 1
         if i == len(bp) - 1:
             return va[-1]
@@ -168,7 +148,7 @@ class PwlFunction:
         """Vectorized evaluation: x reads va[a] + seq[j] (x - bp[a]), with j
         the count of breakpoints <= x, a = max(j - 1, 0) and seq the slope
         sequence, so a truncated tail's infinite slope gives +inf by itself;
-        the last breakpoint reads its value."""
+        the last breakpoint and a flat tail's +-inf (0 * inf) read va[a]."""
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise BadShape("cannot evaluate at nan")
@@ -176,9 +156,10 @@ class PwlFunction:
         j = np.searchsorted(bp, xs, side="right")
         a = np.maximum(j - 1, 0)
         seq = np.array(self.slope_sequence())
-        with np.errstate(invalid="ignore"):  # inf * 0 on the last breakpoint
-            out = np.take(self.values, a) + seq[j] * (xs - bp[a])
-        return np.where(xs == bp[-1], self.values[-1], out)
+        va = np.take(self.values, a)
+        with np.errstate(invalid="ignore"):
+            out = va + seq[j] * (xs - bp[a])
+        return np.where((xs == bp[-1]) | np.isnan(out), va, out)
 
     def slope_on(self, x):
         """Slope of the piece whose interior contains x (tails included)."""
@@ -201,9 +182,12 @@ class PwlFunction:
                 f"slope_right={self.slope_right})")
 
 
-def pwl_make(breakpoints, values, slope_left, slope_right):
-    """Validated construction of a convex PwlFunction."""
-    return PwlFunction(breakpoints, values, slope_left, slope_right)
+def _tail(v, m, x, b):
+    """v + m (x - b) on a tail from breakpoint b: +inf past a truncated
+    side, v on a flat tail out to x = +-inf (not 0 * inf)."""
+    if abs(m) == INF:
+        return INF
+    return v if m == 0.0 and abs(x) == INF else v + m * (x - b)
 
 
 # -- canned functions --------------------------------------------------------
@@ -213,11 +197,8 @@ def pwl_abs():
 
 
 def pwl_hinge(y):
-    """s -> (y - s)_+ as an exact PwlFunction."""
-    y = float(y)
-    if not math.isfinite(y):
-        raise BadShape("breakpoints and values must be finite")
-    return PwlFunction._exact((y,), (0.0,), -1.0, 0.0, ())
+    """s -> (y - s)_+."""
+    return PwlFunction([y], [0.0], -1.0, 0.0)
 
 
 def pwl_linear(a, b=0.0):
@@ -283,11 +264,11 @@ def _values(f, xs, pieces=None):
         if 0 < j < k:
             out.append(va[j - 1] + ms[j - 1] * (x - bp[j - 1]))
         elif j == 0:
-            out.append(INF if sl == -INF else va[0] + sl * (x - bp[0]))
+            out.append(_tail(va[0], sl, x, bp[0]))
         elif j == k:
             out.append(va[-1])
         else:
-            out.append(INF if sr == INF else va[-1] + sr * (x - bp[-1]))
+            out.append(_tail(va[-1], sr, x, bp[-1]))
     return out
 
 

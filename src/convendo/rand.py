@@ -17,11 +17,10 @@ def rng_from_seed(seed):
     return np.random.default_rng(int(seed) & (2 ** 64 - 1))
 
 
-def random_convex_pwl(rng, max_breaks=8, allow_tails=True, span=3.0,
-                      slope_gap=1e-3):
+def random_convex_pwl(rng, max_breaks=8, allow_tails=True, span=3.0):
     """Random convex PwlFunction with strictly increasing slopes.
 
-    Slope gaps stay above ``slope_gap`` so the conjugate never merges
+    Slope gaps stay above 1e-3 so the conjugate never merges
     breakpoints; with ``allow_tails`` the domain is truncated on each side
     with probability 1/4.
     """
@@ -34,7 +33,7 @@ def random_convex_pwl(rng, max_breaks=8, allow_tails=True, span=3.0,
     bps = bps[keep]
     k = bps.size
 
-    gaps = rng.uniform(slope_gap, 1.5, size=k + 1)
+    gaps = rng.uniform(1e-3, 1.5, size=k + 1)
     slopes = np.cumsum(gaps) + rng.uniform(-2.0, 0.0)
     sl, sr = slopes[0], slopes[-1]
     if allow_tails and rng.random() < 0.25:
@@ -63,14 +62,11 @@ def random_nonneg_pwl(rng, max_breaks=5, span=3.0):
     return pwl_max(shifted, pwl_linear(0.0, 0.0))
 
 
-def random_smooth_expr(rng, n, terms=3):
+def random_smooth_expr(rng, n):
     """Sum of affine, quadratic and norm pieces; trig-exact under orbit
     quadrature, which the rotation-equivariance properties rely on."""
-    parts = [Quad(rng.uniform(0.05, 1.0)), Norm(rng.uniform(0.0, 1.0)),
-             Affine(rng.normal(size=n), rng.normal())]
-    for _ in range(max(0, terms - 3)):
-        parts.append(Affine(rng.normal(size=n), rng.normal()))
-    return Sum(parts)
+    return Sum([Quad(rng.uniform(0.05, 1.0)), Norm(rng.uniform(0.0, 1.0)),
+                Affine(rng.normal(size=n), rng.normal())])
 
 
 def random_finite_expr(rng, n, depth=2):
@@ -100,10 +96,10 @@ def random_nonneg_expr(rng, n):
     return Max([Affine(np.zeros(n), 0.0), Affine(rng.normal(size=n), rng.normal())])
 
 
-def random_invertible(rng, n, min_det=0.2):
+def random_invertible(rng, n):
     while True:
         m = rng.normal(size=(n, n))
-        if abs(np.linalg.det(m)) >= min_det:
+        if abs(np.linalg.det(m)) >= 0.2:
             return m
 
 
@@ -122,15 +118,15 @@ def random_rotation_fixing_axis(rng, n):
     return out
 
 
-def random_line_measure(rng, max_atoms=4, balanced=None):
-    """Random atomic measure away from 0.
+def random_line_measure(rng, balanced=None):
+    """Random atomic measure of one to four atoms away from 0.
 
     ``balanced=True`` pairs every atom with its mirror image so the signed
     1/s moment cancels exactly; ``balanced=False`` retries until that moment
     is bounded away from zero.
     """
     while True:
-        k = int(rng.integers(1, max_atoms + 1))
+        k = int(rng.integers(1, 5))
         atoms = []
         for _ in range(k):
             s = rng.uniform(0.3, 2.5) * (1 if rng.random() < 0.5 else -1)

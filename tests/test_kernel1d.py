@@ -11,7 +11,7 @@ from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasur
                       example_phi_convexity_certificate, hat_weight,
                       kernel_decompose, kernel_endo_eval, kernel_extract,
                       kernel_extract_live, kernel_is_monotone, monge_ampere,
-                      pwl_abs, pwl_hinge, pwl_integral, pwl_linear, pwl_make)
+                      pwl_abs, pwl_hinge, pwl_integral, pwl_linear)
 from convendo.cli import main
 
 
@@ -27,7 +27,7 @@ def test_ma_of_abs():
 
 
 def test_ma_of_tent_pair():
-    f = pwl_make([-1.0, 1.0], [0.0, 0.0], -1.0, 1.0)
+    f = PwlFunction([-1.0, 1.0], [0.0, 0.0], -1.0, 1.0)
     assert monge_ampere(f).atoms == ((-1.0, 1.0), (1.0, 1.0))
 
 
@@ -264,7 +264,7 @@ def test_phi_endo_just_outside_bounded_profile_takes_boundary_value(eps):
 
 
 def test_phi_endo_validation():
-    lopsided = pwl_make([0.0], [1.0], -1.0, 2.0)
+    lopsided = PwlFunction([0.0], [1.0], -1.0, 2.0)
     with pytest.raises(PhiNotEven):
         PhiEndo(lopsided)
 
@@ -315,7 +315,7 @@ def test_ma_endo_examples():
     for x in (-1.5, 0.3, 2.0):
         assert ma(pwl_abs(), x) == pytest.approx(2.0 * g(x), abs=1e-12)
     assert ma(pwl_linear(1.0, 0.0), 0.7) == 0.0
-    shifted_abs = pwl_make([5.0], [0.0], -1.0, 1.0)
+    shifted_abs = PwlFunction([5.0], [0.0], -1.0, 1.0)
     assert ma(shifted_abs, 0.7) == 0.0  # kink outside the weight support
 
 
@@ -366,7 +366,7 @@ def test_pwl_integral_exact():
     f = pwl_abs()
     assert pwl_integral(f, -2.0, 2.0) == pytest.approx(4.0)
     assert pwl_integral(f, 0.0, 1.0) == pytest.approx(0.5)
-    g = pwl_make([-1.0, 1.0], [1.0, 1.0], -2.0, 3.0)
+    g = PwlFunction([-1.0, 1.0], [1.0, 1.0], -2.0, 3.0)
     assert pwl_integral(g, -1.0, 1.0) == pytest.approx(2.0)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from convendo import (INF, Affine, BadShape, BallIndicator, PerturbationNotConvex, Scale,
                       Sum, epi_converges_probe, gw_probe, is_convex_block,
                       is_convex_sampled, moreau_envelope, pwl_abs, pwl_add,
-                      pwl_make, pwl_scale, PwlFunction)
+                      pwl_scale, PwlFunction)
 from convendo.fixtures import gw_bases_nd, radial_hat_parts
 from convendo.rand import random_finite_expr, rng_from_seed
 
@@ -61,9 +61,9 @@ def test_epi_probe_fails_for_shifted():
 
 def _hat_parts():
     # tent of height 1 at 0 with radius 1
-    plus = pwl_add(pwl_make([-1.0], [0.0], 0.0, 1.0),
-                   pwl_make([1.0], [0.0], 0.0, 1.0))
-    minus = pwl_make([0.0], [0.0], 0.0, 2.0)
+    plus = pwl_add(PwlFunction([-1.0], [0.0], 0.0, 1.0),
+                   PwlFunction([1.0], [0.0], 0.0, 1.0))
+    minus = PwlFunction([0.0], [0.0], 0.0, 2.0)
     return plus, minus
 
 

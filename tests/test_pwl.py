@@ -8,20 +8,19 @@ from hypothesis import given, settings, strategies as st
 from convendo import pwl
 from convendo import (INF, BadShape, ConvendoError, EmptyDomain, NegativeScale, NonConvex,
                       PwlFunction, inf_convolve, legendre, moreau_envelope,
-                      pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_make,
-                      pwl_max, pwl_scale)
+                      pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_max, pwl_scale)
 from convendo.rand import random_convex_pwl, random_finite_pwl, rng_from_seed
 
 
 def test_make_abs():
-    f = pwl_make([0], [0], -1, 1)
+    f = PwlFunction([0], [0], -1, 1)
     assert f(0.0) == 0.0
     assert f(2.0) == 2.0
     assert f(-3.0) == 3.0
 
 
 def test_make_indicator():
-    f = pwl_make([-1, 1], [0, 0], -INF, INF)
+    f = PwlFunction([-1, 1], [0, 0], -INF, INF)
     assert f(0.5) == 0.0
     assert f(-1.0) == 0.0
     assert f(1.0001) == INF
@@ -30,21 +29,21 @@ def test_make_indicator():
 
 def test_make_nonconvex_rejected():
     with pytest.raises(NonConvex):
-        pwl_make([0, 1], [0, -1], 0, 0)
+        PwlFunction([0, 1], [0, -1], 0, 0)
 
 
 def test_make_bad_shape():
     with pytest.raises(BadShape):
-        pwl_make([0, 1], [0], -1, 1)
+        PwlFunction([0, 1], [0], -1, 1)
     with pytest.raises(BadShape):
-        pwl_make([1, 0], [0, 0], -1, 1)
+        PwlFunction([1, 0], [0, 0], -1, 1)
     with pytest.raises(BadShape):
-        pwl_make([0], [0], INF, INF)
+        PwlFunction([0], [0], INF, INF)
 
 
 def test_add_two_vees():
     f = pwl_abs()
-    g = pwl_make([1], [0], -1, 1)
+    g = PwlFunction([1], [0], -1, 1)
     s = pwl_add(f, g)
     assert s.breakpoints == (0.0, 1.0)
     assert s.slope_left == -2.0
@@ -53,7 +52,7 @@ def test_add_two_vees():
 
 
 def test_add_zero_is_identity():
-    f = pwl_make([-1, 0.5, 2], [1, 0.25, 3], -2, 4)
+    f = PwlFunction([-1, 0.5, 2], [1, 0.25, 3], -2, 4)
     s = pwl_add(f, pwl_linear(0.0, 0.0))
     assert all(s(b) == f(b) for b in f.breakpoints)
 
@@ -117,6 +116,7 @@ def test_eval_many_matches_call():
         PwlFunction([0.5], [2.0], -INF, INF),                        # point indicator
         PwlFunction([-1.0, 0.0, 1.0], [1.0, -0.0, -0.0], -1.0, 0.0),  # -0.0 values
         PwlFunction([-1.0, 0.0], [-0.0, -0.0], -INF, INF),
+        PwlFunction([0.0, 1.0], [0.0, 1.0], 0.0, 1.0),                # flat left tail
     ]
     rng = rng_from_seed(22)
     for g in fixed + [random_convex_pwl(rng) for _ in range(50)]:
@@ -125,6 +125,10 @@ def test_eval_many_matches_call():
         want = [g(x).hex() for x in xs.tolist()]
         assert [v.hex() for v in g.eval_many(xs).tolist()] == want
         assert [float(g.eval_many(x)).hex() for x in xs.tolist()] == want
+        # a flat tail is its breakpoint's value out to -inf or +inf
+        for x, m, v in ((-INF, g.slope_left, g.values[0]), (INF, g.slope_right, g.values[-1])):
+            if m == 0.0:
+                assert g(x).hex() == pwl._values(g, [x])[0].hex() == v.hex()
 
 
 def test_legendre_standard_pairs():
@@ -135,14 +139,14 @@ def test_legendre_standard_pairs():
     assert back.breakpoints == (0.0,)
     assert back.slope_left == -1.0 and back.slope_right == 1.0
 
-    hinge = pwl_make([0], [0], 0, 1)  # max(0, x)
+    hinge = PwlFunction([0], [0], 0, 1)  # max(0, x)
     d = legendre(hinge)
     assert d.domain == (0.0, 1.0)
     assert d(0.5) == 0.0
 
 
 def test_legendre_point_indicator_is_linear():
-    point = pwl_make([2.0], [1.0], -INF, INF)
+    point = PwlFunction([2.0], [1.0], -INF, INF)
     d = legendre(point)
     assert d(0.0) == -1.0
     assert d(3.0) == pytest.approx(5.0)
@@ -155,7 +159,7 @@ def test_legendre_point_indicator_is_linear():
 def test_inf_convolve_examples():
     f = pwl_abs()
     assert _same_on_grid(inf_convolve(f, f), f)
-    point = pwl_make([0.0], [0.0], -INF, INF)
+    point = PwlFunction([0.0], [0.0], -INF, INF)
     assert _same_on_grid(inf_convolve(f, point), f)
     box = inf_convolve(pwl_indicator(-1, 1), pwl_indicator(-1, 1))
     assert box.domain == (-2.0, 2.0)
@@ -173,7 +177,7 @@ def _same_on_grid(f, g, lo=-3.0, hi=3.0, n=41, tol=1e-12):
 
 
 def test_moreau_point_indicator():
-    env = moreau_envelope(pwl_make([0.0], [0.0], -INF, INF), 0.5)
+    env = moreau_envelope(PwlFunction([0.0], [0.0], -INF, INF), 0.5)
     for x in (-2.0, -0.3, 0.0, 1.7):
         assert env(x) == pytest.approx(x * x, abs=1e-12)
 

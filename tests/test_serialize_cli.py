@@ -310,6 +310,29 @@ def test_cli_kernel_takes_every_one_variable_operator(tmp_path, capsys):
     assert main(["kernel", "roundtrip", "--endo", gl2]) == 2
 
 
+EXTRACT = ["kernel", "extract", "--grid-x=-1:1:0.5", "--grid-y=-2:2:1"]
+EVAL = ["eval", "--fn", "f.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    EXTRACT + ["--A", "0:1"], EXTRACT + ["--R", "7"], EXTRACT + ["--seed", "3"],
+    EXTRACT + ["--trials", "5"], EXTRACT + ["--tol", "0"],
+    ["kernel", "roundtrip", "--grid-x=-1:1:0.5"], ["kernel", "roundtrip", "--grid-y=5:6:1"],
+    EVAL + ["--grid=0:1:0.25", "--points", "p.json"], EVAL,
+], ids=["extract-A", "extract-R", "extract-seed", "extract-trials", "extract-tol",
+        "roundtrip-grid-x", "roundtrip-grid-y", "eval-points-and-grid", "eval-no-points"])
+def test_cli_refuses_a_flag_the_command_does_not_read(tmp_path, capsys, monkeypatch, argv):
+    # each command parses only the flags it reads, so a foreign flag or a
+    # second point source exits 2 with usage instead of being dropped
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "f.json", {"kind": "quad", "c": 1.0})
+    _write(tmp_path, "p.json", [[0.5]])
+    out = tmp_path / "out"
+    assert main(argv + ["--endo", _write(tmp_path, "e.json", GL1), "--out", str(out)]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_entrypoint_subprocess(tmp_path):
     endo = tmp_path / "e.json"
     endo.write_text(json.dumps({"kind": "gl", "c": 0.0,
