@@ -106,8 +106,8 @@ def _load_1d_endo(args):
 
 def cmd_kernel_extract(args):
     endo = _load_1d_endo(args)
-    xs = _parse_grid(args.grid_x) if args.grid_x else np.linspace(-1.0, 1.0, 201)
-    ys = _parse_grid(args.grid_y) if args.grid_y else np.linspace(-6.0, 6.0, 201)
+    xs = _parse_grid(args.grid_x) if args.grid_x is not None else np.linspace(-1.0, 1.0, 201)
+    ys = _parse_grid(args.grid_y) if args.grid_y is not None else np.linspace(-6.0, 6.0, 201)
     if xs.size * ys.size > MAX_GRID_POINTS:
         raise ConfigError(f"a {xs.size} x {ys.size} kernel table has more than "
                           f"{MAX_GRID_POINTS} nodes")

@@ -12,11 +12,11 @@ from .expr import Affine, Max, Norm, Quad, Scale, Sum
 from .pwl import PwlFunction, pwl_add, pwl_scale
 
 
-def random_hat_parts_1d(rng, center=None, radius=None, height=None):
-    """phi_plus - phi_minus is a tent of the given height at the center."""
-    a = float(rng.uniform(-1.0, 1.0)) if center is None else center
-    r = float(rng.uniform(0.3, 0.8)) if radius is None else radius
-    h = float(rng.uniform(0.2, 1.0)) if height is None else height
+def random_hat_parts_1d(rng):
+    """phi_plus - phi_minus is a tent of random center, radius and height."""
+    a = float(rng.uniform(-1.0, 1.0))
+    r = float(rng.uniform(0.3, 0.8))
+    h = float(rng.uniform(0.2, 1.0))
     c = h / r
     plus = pwl_add(PwlFunction([a - r], [0.0], 0.0, c),
                    PwlFunction([a + r], [0.0], 0.0, c))
@@ -36,16 +36,16 @@ def gw_bases_1d(rng, phi_minus):
     return f1, f2
 
 
-def radial_hat_parts(rng, n, center=None, radius=None, height=None):
+def radial_hat_parts(rng, n, center=None, radius=None):
     """Rotation-invariant tent in ||y||, as a difference of convex trees.
 
     Returns (phi_plus, phi_minus, hat) where hat evaluates
-    height * tent(||y||; center, radius), supported on a compact annulus
-    away from the origin.
+    h * tent(||y||; center, radius) for a random height h, supported on a
+    compact annulus away from the origin.
     """
     a = float(rng.uniform(0.8, 1.6)) if center is None else center
     r = float(rng.uniform(0.3, min(0.7, a - 0.05))) if radius is None else radius
-    h = float(rng.uniform(0.2, 1.0)) if height is None else height
+    h = float(rng.uniform(0.2, 1.0))
     c = h / r
 
     def norm_hinge(offset, slope):

@@ -30,6 +30,7 @@ from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, as_row,
                    expr_eval_many, origin_value, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
+from .rand import random_finite_expr, random_nonneg_expr
 
 # Radial steps lambda = 1 - 2^-k, k = 1..40, that gl_eval_detailed reports
 # toward a boundary point; the last is RADIAL_LIMIT.
@@ -160,14 +161,14 @@ def gl_eval_many(e, f, X):
     return out
 
 
-def gl_is_monotone(e, tol=1e-12):
-    """True iff the |s|^-2 moment of nu does not exceed c."""
-    return moment_abs(e.nu, -2) <= e.c + tol
+def gl_is_monotone(e):
+    """True iff the |s|^-2 moment of nu does not exceed c (within 1e-12)."""
+    return moment_abs(e.nu, -2) <= e.c + 1e-12
 
 
-def gl_is_dually_translation_invariant(e, tol=1e-12):
-    """True iff the signed s^-1 moment of nu vanishes."""
-    return abs(moment_signed(e.nu, -1)) <= tol
+def gl_is_dually_translation_invariant(e):
+    """True iff the signed s^-1 moment of nu vanishes (within 1e-12)."""
+    return abs(moment_signed(e.nu, -1)) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def _hinge_norm(n):
     return Max([Affine(np.zeros(n), 0.0), _shifted_norm(n)])
 
 
-def gl_empirical_monotone_search(e, trials=1000, seed=0, tol=1e-12):
+def gl_empirical_monotone_search(e, trials=1000, seed=0):
     """Search for ordered inputs violating monotonicity.
 
     Returns None when no violation is found, else a dict with the witness
@@ -240,10 +241,9 @@ def gl_empirical_monotone_search(e, trials=1000, seed=0, tol=1e-12):
         x[0] = r
         vf = gl_eval(e, f, x)
         vg = gl_eval(e, g, x)
-        if vf > vg + tol:
+        if vf > vg + 1e-12:
             return {"f": f, "g": g, "x": x, "value_f": vf, "value_g": vg}
 
-    from .rand import random_finite_expr, random_nonneg_expr
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         base = random_finite_expr(rng, n)

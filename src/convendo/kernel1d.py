@@ -128,17 +128,15 @@ class Kernel1D:
     def __call__(self, x, y):
         return self.row(x, (y,))[0]
 
-    def is_x_convex(self, xs, ys, tol=1e-9):
+    def is_x_convex(self, xs, ys):
         """Sampled convexity of psi(., y), the defining property of kernels."""
-        return all(is_convex_sampled(lambda x, y=y: self(x, y), xs, tol=tol)
-                   for y in ys)
+        return all(is_convex_sampled(lambda x, y=y: self(x, y), xs) for y in ys)
 
 
-def kernel_is_monotone(psi, xs, ys, tol=1e-9):
+def kernel_is_monotone(psi, xs, ys):
     """Monotone operators are exactly those with psi(x, .) convex; each
     psi(x, .) is sampled as one row."""
-    return all(is_convex_block(lambda Y, x=x: psi.row(x, Y), ys, tol=tol)
-               for x in xs)
+    return all(is_convex_block(lambda Y, x=x: psi.row(x, Y), ys) for x in xs)
 
 
 def _pwl_points(f, X):
@@ -210,9 +208,9 @@ class KernelDecomposition:
         return kernel_endo_eval(self, f, x)
 
 
-def _first_bend(rows, tol):
+def _first_bend(rows):
     """The first (label, dev) among ``rows`` of (label, samples) pairs with a
-    non-finite sample (dev nan) or a largest second difference dev above tol
+    non-finite sample (dev nan) or a largest second difference dev above 1e-8
     times the samples' magnitude (at least 1); None when every row is affine.
     A generator of rows is sampled only up to the first bend."""
     for label, vals in rows:
@@ -220,12 +218,12 @@ def _first_bend(rows, tol):
         if not np.isfinite(v).all():
             return label, math.nan
         dev = float(np.max(np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2]))) if v.size > 2 else 0.0
-        if dev > tol * max(1.0, float(np.max(np.abs(v)))):
+        if dev > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
             return label, dev
     return None
 
 
-def kernel_decompose(psi, A, R, tol=1e-8):
+def kernel_decompose(psi, A, R):
     """Solve the tail equations and validate both support conditions.
 
     Checks that psi(x, .) is affine beyond +-R for x in A (second
@@ -246,12 +244,12 @@ def kernel_decompose(psi, A, R, tol=1e-8):
     xs = np.linspace(a_lo, a_hi, 21)
     ys = np.linspace(R, R + 1.0, 13)
     bend = _first_bend((((x, sign * R), psi.row(x, sign * ys))
-                        for sign in (+1.0, -1.0) for x in xs), tol)
+                        for sign in (+1.0, -1.0) for x in xs))
     if bend:
         (x, edge), dev = bend
         raise TailNotAffine(f"psi({x}, .) bends beyond {edge}: second difference {dev}")
     ys = np.concatenate([sign * np.linspace(R + 1e-6, R + 1.0, 5) for sign in (+1.0, -1.0)])
-    bend = _first_bend(zip(ys, np.array([psi.row(x, ys) for x in xs]).T), tol)
+    bend = _first_bend(zip(ys, np.array([psi.row(x, ys) for x in xs]).T))
     if bend:
         y, dev = bend
         raise XSliceNotAffine(f"psi(., {y}) is not affine on A: second difference {dev}")
@@ -289,7 +287,7 @@ def kernel_extract_live(endo, box):
     return Kernel1D(None, box, row=_hinge_row(endo))
 
 
-def detect_tail_radius(psi, A, start=1.0, tol=1e-8):
+def detect_tail_radius(psi, A, start=1.0):
     """Scan doubling radii until the tails stay affine for several octaves.
 
     Returns the first radius of a run of eight doublings on which psi(x, .)
@@ -303,7 +301,7 @@ def detect_tail_radius(psi, A, start=1.0, tol=1e-8):
     while 2.0 * R <= y_hi + 1e-9:
         ys = np.linspace(R, 2.0 * R, 9)
         if _first_bend(((x, psi.row(x, sign * ys))
-                        for sign in (+1.0, -1.0) for x in xs), tol) is None:
+                        for sign in (+1.0, -1.0) for x in xs)) is None:
             if run == 0:
                 run_start = R
             run += 1

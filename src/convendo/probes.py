@@ -104,15 +104,19 @@ def combine(f, g):
     raise TypeError("cannot combine %r with %r" % (type(f), type(g)))
 
 
-def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9,
-             check_grid=None, lines=None):
+# the samples of the midpoint test in gw_probe, along each line
+CHECK_GRID = np.linspace(-3.0, 3.0, 41)
+
+
+def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9, lines=None):
     """Goodey-Weil value of an operator on a test perturbation.
 
     ``phi_plus - phi_minus`` is the perturbation phi; both parts must be
     convex and agree outside a bounded set. ``base`` is a pair (f1, f2) of
     distinct convex functions with f_i + phi convex; this is certified by a
-    sampled midpoint test before evaluating, on ``check_grid`` itself or, when
-    ``lines`` lists (base point, direction) pairs, along each of those lines.
+    sampled midpoint test before evaluating, on the 41 points ``CHECK_GRID`` of
+    [-3, 3] or, when ``lines`` lists (base point, direction) pairs, at those
+    parameters along each of the lines.
     The functions are evaluated a block at a time by ``eval_many``: 1-D
     profiles take an array of samples, trees a (k, n) array of points. By
     additivity the probe value endo(f + phi)[x] - endo(f)[x] equals
@@ -125,8 +129,6 @@ def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9,
     base function.
     """
     f1, f2 = base
-    if check_grid is None:
-        check_grid = np.linspace(-3.0, 3.0, 41)
     if lines is None:
         places = [lambda T: T]
     else:
@@ -137,7 +139,7 @@ def gw_probe(endo, x, phi_plus, phi_minus, base, tol=1e-9,
             def perturbed(T):
                 X = at(T)
                 return f.eval_many(X) + phi_plus.eval_many(X) - phi_minus.eval_many(X)
-            if not is_convex_block(perturbed, check_grid, tol=1e-7):
+            if not is_convex_block(perturbed, CHECK_GRID, tol=1e-7):
                 raise PerturbationNotConvex("base plus perturbation fails the midpoint test")
 
     def value(f):

@@ -138,27 +138,28 @@ def radial_eval_many(e, f, X, rotations=None):
     return out
 
 
-def radial_is_dually_translation_invariant(e, tol=1e-12):
-    """True iff the center of mass of mu vanishes (all components)."""
-    return bool(np.max(np.abs(orbit_center(e.mu)), initial=0.0) <= tol)
+def radial_is_dually_translation_invariant(e):
+    """True iff the center of mass of mu vanishes (all components, within 1e-12)."""
+    return bool(np.max(np.abs(orbit_center(e.mu)), initial=0.0) <= 1e-12)
 
 
-def acts_as_scalar_on_radial(e, tol=1e-12):
-    """True iff mu lives on the unit sphere, i.e. every orbit has t = 1.
+def acts_as_scalar_on_radial(e):
+    """True iff mu lives on the unit sphere, i.e. every orbit has t = 1
+    (within 1e-12).
 
     In that case the operator multiplies every rotation-invariant input by
     the total mass of mu.
     """
-    return all(abs(t - 1.0) <= tol for t, _, w in e.mu.atoms)
+    return all(abs(t - 1.0) <= 1e-12 for t, _, w in e.mu.atoms)
 
 
-def minkowski_restrict(e, support_fn, directions, tol=1e-9):
+def minkowski_restrict(e, support_fn, directions):
     """Sample the support function of the image body of a polytope.
 
     ``support_fn`` must be a positively 1-homogeneous expression: a Max of
     linear Affine terms (b == 0), or a single such Affine. Radial
     equivariance keeps the output 1-homogeneous, hence a support function;
-    degree-1 homogeneity is verified at each direction. The restriction
+    degree-1 homogeneity is verified at each direction, to 1e-9. The restriction
     behaves like a translation-compatible body map only when the operator
     is dually translation-invariant, which is the caller's responsibility
     (the identity, whose orbit measure has nonzero center, is still a
@@ -170,6 +171,6 @@ def minkowski_restrict(e, support_fn, directions, tol=1e-9):
             raise NotHomogeneous("support data must be a max of linear functions")
     U = np.asarray(directions, dtype=float)
     v1, v2 = np.split(radial_eval_many(e, support_fn, np.concatenate([U, 2.0 * U])), 2)
-    if (np.abs(v2 - 2.0 * v1) > tol * np.maximum(1.0, np.abs(v1))).any():
+    if (np.abs(v2 - 2.0 * v1) > 1e-9 * np.maximum(1.0, np.abs(v1))).any():
         raise NotHomogeneous("sampled image is not 1-homogeneous")
     return v1

@@ -7,17 +7,17 @@ reproducible from its seed.
 
 import numpy as np
 
-from .expr import Affine, Max, Norm, Quad, Sum
+from .expr import Affine, Max, Norm, Pwl1D, Quad, Sum
 from .extreal import INF
 from .measures import LineMeasure
-from .pwl import PwlFunction
+from .pwl import PwlFunction, pwl_add, pwl_linear, pwl_max
 
 
 def rng_from_seed(seed):
     return np.random.default_rng(int(seed) & (2 ** 64 - 1))
 
 
-def random_convex_pwl(rng, max_breaks=8, allow_tails=True, span=3.0):
+def random_convex_pwl(rng, max_breaks=8, allow_tails=True):
     """Random convex PwlFunction with strictly increasing slopes.
 
     Slope gaps stay above 1e-3 so the conjugate never merges
@@ -25,7 +25,7 @@ def random_convex_pwl(rng, max_breaks=8, allow_tails=True, span=3.0):
     with probability 1/4.
     """
     k = int(rng.integers(1, max_breaks + 1))
-    bps = np.sort(rng.uniform(-span, span, size=k))
+    bps = np.sort(rng.uniform(-3.0, 3.0, size=k))
     keep = [0]
     for i in range(1, k):
         if bps[i] - bps[keep[-1]] > 1e-2:
@@ -48,15 +48,13 @@ def random_convex_pwl(rng, max_breaks=8, allow_tails=True, span=3.0):
     return PwlFunction(bps, vals, sl, sr, slopes=list(slopes[1:-1] if k > 1 else []))
 
 
-def random_finite_pwl(rng, max_breaks=8, span=3.0):
-    return random_convex_pwl(rng, max_breaks=max_breaks, allow_tails=False,
-                             span=span)
+def random_finite_pwl(rng, max_breaks=8):
+    return random_convex_pwl(rng, max_breaks=max_breaks, allow_tails=False)
 
 
-def random_nonneg_pwl(rng, max_breaks=5, span=3.0):
+def random_nonneg_pwl(rng):
     """Random non-negative finite convex function, as max(f - c, 0)."""
-    from .pwl import pwl_add, pwl_linear, pwl_max
-    f = random_finite_pwl(rng, max_breaks=max_breaks, span=span)
+    f = random_finite_pwl(rng, max_breaks=5)
     c = f(float(rng.uniform(-1.0, 1.0)))
     shifted = pwl_add(f, pwl_linear(0.0, -c))
     return pwl_max(shifted, pwl_linear(0.0, 0.0))
@@ -71,7 +69,6 @@ def random_smooth_expr(rng, n):
 
 def random_finite_expr(rng, n, depth=2):
     """Random finite convex expression with max nodes and 1D profiles."""
-    from .expr import Pwl1D
     kind = rng.integers(0, 4)
     if depth <= 0 or kind == 0:
         return random_smooth_expr(rng, n)

@@ -28,7 +28,7 @@ from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
 from .radial import (RadialEndo, acts_as_scalar_on_radial, canonical_rotation,
                      minkowski_restrict, radial_eval,
                      radial_is_dually_translation_invariant)
-from .serialize import fn_to_json
+from .serialize import endo_to_json, fn_to_json
 
 
 @dataclass
@@ -120,7 +120,10 @@ def run_core_suite(seed=0, trials=1000):
     def involution_errors():
         for _ in range(trials):
             f = rand.random_convex_pwl(rng)
-            yield _pwl_data_distance(f, legendre(legendre(f))), lambda: {"f": fn_to_json(f)}
+            g = legendre(legendre(f))
+            yield (_distance((f.breakpoints, g.breakpoints), (f.values, g.values),
+                             (f.slope_sequence(), g.slope_sequence())),
+                   lambda: {"f": fn_to_json(f)})
     rep.worst("legendre_involution", 1e-12, trials, involution_errors())
 
     n_ord = max(1, trials // 5)
@@ -203,17 +206,14 @@ def run_core_suite(seed=0, trials=1000):
     return rep
 
 
-def _pwl_data_distance(f, g):
-    if len(f.breakpoints) != len(g.breakpoints):
-        return INF
-    err = max(abs(a - b) for a, b in zip(f.breakpoints, g.breakpoints))
-    err = max(err, max(abs(a - b) for a, b in zip(f.values, g.values)))
-    for a, b in zip(f.slope_sequence(), g.slope_sequence()):
-        if a in (INF, -INF) or b in (INF, -INF):
-            if a != b:
-                return INF
-        else:
-            err = max(err, abs(a - b))
+def _distance(*pairs):
+    """Largest entrywise gap over pairs of sequences; inf when a pair differs
+    in length. Equal entries, infinities included, are 0 apart."""
+    err = 0.0
+    for a, b in pairs:
+        if len(a) != len(b):
+            return INF
+        err = max([err] + [abs(u - v) for u, v in zip(a, b) if u != v])
     return err
 
 
@@ -246,16 +246,11 @@ def run_gl_suite(seed=0, trials=100):
                    lambda: {"f": fn_to_json(f), "lambda": lam, "x": x.tolist()})
     rep.worst("gl_homogeneity", 1e-9, trials, homogeneity_errors())
 
-    def equivariance_errors():
-        for _ in range(trials):
-            n = 2 if rng.random() < 0.5 else 3
-            e = GlEndo(float(rng.uniform(0.0, 2.0)), rand.random_line_measure(rng), n)
-            f = rand.random_finite_expr(rng, n)
-            m = rand.random_invertible(rng, n)
-            x = rng.uniform(-2.0, 2.0, size=n)
-            yield (abs(e(Precompose(m, f), x) - e(f, m @ x)),
-                   lambda: {"f": fn_to_json(f), "matrix": m.tolist(), "x": x.tolist()})
-    rep.worst("gl_equivariance", 1e-9, trials, equivariance_errors())
+    def random_gl():
+        n = 2 if rng.random() < 0.5 else 3
+        return GlEndo(float(rng.uniform(0.0, 2.0)), rand.random_line_measure(rng), n)
+    rep.worst("gl_equivariance", 1e-9, trials, _equivariance_errors(
+        rng, trials, random_gl, rand.random_finite_expr, rand.random_invertible))
 
     _output_convexity(rep, "gl_output_convexity", fixtures, rand.random_finite_expr, rng,
                       max(1, trials // 2))
@@ -264,10 +259,8 @@ def run_gl_suite(seed=0, trials=100):
         for i in range(max(2, trials // 2)):
             nu = rand.random_line_measure(rng, balanced=(i % 2 == 0))
             yield GlEndo(float(rng.uniform(0.0, 2.0)), nu, 2)
-    _linear_response(rep, "gl_dual_invariance_iff_kills_linear", alternately_balanced(), 1,
-                     gl_is_dually_translation_invariant,
-                     lambda e, pred, emp: {"nu": [list(a) for a in e.nu.atoms],
-                                           "pred": pred, "emp": emp}, rng)
+    rep.worst("gl_dual_invariance_iff_kills_linear", 0.0, max(2, trials // 2), _linear_response(
+        alternately_balanced(), 1, gl_is_dually_translation_invariant, rng))
 
     # probe value against direct atom summation
     def recovery_errors():
@@ -287,28 +280,24 @@ def run_gl_suite(seed=0, trials=100):
                    lambda: {"x": x.tolist(), "value": val, "expected": expected})
     rep.worst("gl_gw_recovery", 1e-8, max(1, trials // 4), recovery_errors())
 
-    # monotonicity predicate versus empirical search
-    mism, bad = 0, None
+    # monotonicity predicate versus empirical search, away from the threshold
     cases = [GlEndo(3.9, LineMeasure([(0.5, 1.0)]), 2),
              GlEndo(4.0, LineMeasure([(0.5, 1.0)]), 2),
              GlEndo(1.0, LineMeasure([(1.0, 1.0)]), 2)]
     for _ in range(6):
         cases.append(GlEndo(float(rng.uniform(0.0, 4.0)),
                             rand.random_line_measure(rng), 2))
-    checked = 0
-    for e in cases:
-        margin = abs(e.c - sum(w / (s * s) for s, w in e.nu.atoms))
-        if margin < 1e-6:
-            continue
-        checked += 1
-        pred = gl_is_monotone(e)
-        witness = gl_empirical_monotone_search(
-            e, trials=50, seed=int(rng.integers(0, 2 ** 32)))
-        if pred != (witness is None):
-            mism += 1
-            bad = {"c": e.c, "nu": [list(a) for a in e.nu.atoms], "pred": pred,
-                   "witness_found": witness is not None}
-    rep.add("gl_monotone_iff_no_witness", mism == 0, checked, float(mism), bad)
+    cases = [e for e in cases if abs(e.c - sum(w / (s * s) for s, w in e.nu.atoms)) >= 1e-6]
+
+    def monotone_mismatches():
+        for e in cases:
+            pred = gl_is_monotone(e)
+            witness = gl_empirical_monotone_search(
+                e, trials=50, seed=int(rng.integers(0, 2 ** 32)))
+            yield (float(pred != (witness is None)),
+                   lambda: {"endo": endo_to_json(e), "pred": pred,
+                            "witness_found": witness is not None})
+    rep.worst("gl_monotone_iff_no_witness", 0.0, len(cases), monotone_mismatches())
 
     # whole-space rigidity: the two-atom operator blows up off a small
     # domain, while scale-compose maps stay finite on the image domain
@@ -336,6 +325,18 @@ def _additivity_errors(fixtures, rng, count):
                lambda: {"f": fn_to_json(f), "g": fn_to_json(g), "x": x.tolist()})
 
 
+def _equivariance_errors(rng, count, op, draw, group):
+    """e(f o M)(x) against e(f)(M x), for e = op(), f = draw(rng, n) and a
+    group element M = group(rng, n)."""
+    for _ in range(count):
+        e = op()
+        f = draw(rng, e.n)
+        m = group(rng, e.n)
+        x = rng.uniform(-2.0, 2.0, size=e.n)
+        yield (abs(e(Precompose(m, f), x) - e(f, m @ x)),
+               lambda: {"f": fn_to_json(f), "matrix": m.tolist(), "x": x.tolist()})
+
+
 def _output_convexity(rep, name, fixtures, draw, rng, count):
     """Midpoint convexity of e(f) along random lines, for f = draw(rng, n)."""
     ts = np.linspace(-1.0, 1.0, 9)
@@ -351,22 +352,18 @@ def _output_convexity(rep, name, fixtures, draw, rng, count):
     rep.add(name, bad is None, count, 0.0, bad)
 
 
-def _linear_response(rep, name, ops, axes, predicate, describe, rng):
+def _linear_response(ops, axes, predicate, rng):
     """The dual-translation-invariance predicate of each operator against its
     vanishing on linear inputs <a, .> at x: a = x = e_i for the first ``axes``
-    coordinate axes, then three random (a, x)."""
-    mism, bad, count = 0, None, 0
+    coordinate axes, then three random (a, x). Yields 1.0 per mismatch."""
     for e in ops:
-        count += 1
         pred = predicate(e)
         probes = [(u, u) for u in np.eye(e.n)[:axes]]
         probes += [(rng.normal(size=e.n), rng.uniform(-2.0, 2.0, size=e.n))
                    for _ in range(3)]
         emp = max(abs(e(Affine(a, 0.0), x)) for a, x in probes)
-        if pred != (emp <= 1e-9):
-            mism += 1
-            bad = describe(e, pred, emp)
-    rep.add(name, mism == 0, count, float(mism), bad)
+        yield (float(pred != (emp <= 1e-9)),
+               lambda: {"endo": endo_to_json(e), "pred": pred, "emp": emp})
 
 
 # -- radial ----------------------------------------------------------------------
@@ -404,29 +401,17 @@ def run_radial_suite(seed=0, trials=100):
 
     n_so = max(1, trials // 2)
 
-    # equivariance under rotations of the argument
-    def rotated_errors():
-        for _ in range(n_so):
-            e = fixtures[int(rng.integers(0, len(fixtures)))]
-            n = e.n
-            f = rand.random_smooth_expr(rng, n) if n == 3 else rand.random_finite_expr(rng, n)
-            rho = rand.random_rotation(rng, n)
-            x = rng.uniform(-2.0, 2.0, size=n)
-            yield (abs(e(Precompose(rho, f), x) - e(f, rho @ x)),
-                   lambda: {"f": fn_to_json(f), "x": x.tolist()})
-    rep.worst("radial_so_equivariance", 1e-9, n_so, rotated_errors())
+    def fixture():
+        return fixtures[int(rng.integers(0, len(fixtures)))]
 
-    # equivariance under dilations: value at t*x equals value of f(t .) at x
-    def dilated_errors():
-        for _ in range(n_so):
-            e = fixtures[int(rng.integers(0, len(fixtures)))]
-            n = e.n
-            f = rand.random_finite_expr(rng, n)
-            t = float(rng.uniform(0.2, 3.0))
-            x = rng.uniform(-2.0, 2.0, size=n)
-            yield (abs(e(f, t * x) - e(Precompose(t * np.eye(n), f), x)),
-                   lambda: {"f": fn_to_json(f), "x": x.tolist(), "t": t})
-    rep.worst("radial_dilation_equivariance", 1e-9, n_so, dilated_errors())
+    # equivariance under rotations and under dilations t * I of the argument
+    rep.worst("radial_so_equivariance", 1e-9, n_so, _equivariance_errors(
+        rng, n_so, fixture,
+        lambda rng, n: (rand.random_smooth_expr if n == 3 else rand.random_finite_expr)(rng, n),
+        rand.random_rotation))
+    rep.worst("radial_dilation_equivariance", 1e-9, n_so, _equivariance_errors(
+        rng, n_so, fixture, rand.random_finite_expr,
+        lambda rng, n: float(rng.uniform(0.2, 3.0)) * np.eye(n)))
 
     # monotonicity on ordered pairs
     def order_errors():
@@ -449,10 +434,8 @@ def run_radial_suite(seed=0, trials=100):
              OrbitMeasure(3, [(1.0, math.pi / 2, 1.0)]),
              OrbitMeasure(2, [(1.0, 0.5, 1.0), (1.0, 0.5 - math.pi, 1.0)]),
              OrbitMeasure(2, [(1.0, 0.5, 1.0)])]
-    _linear_response(rep, "radial_dual_invariance_iff_kills_linear",
-                     (RadialEndo(mu, M=32) for mu in cases), 2,
-                     radial_is_dually_translation_invariant,
-                     lambda e, pred, emp: {"mu_n": e.n, "pred": pred, "emp": emp}, rng)
+    rep.worst("radial_dual_invariance_iff_kills_linear", 0.0, len(cases), _linear_response(
+        (RadialEndo(mu, M=32) for mu in cases), 2, radial_is_dually_translation_invariant, rng))
 
     # unit-radius orbits act as the total mass on rotation-invariant inputs
     e_unit = RadialEndo(OrbitMeasure(3, [(1.0, math.pi / 3, 2.0)]), M=64)
@@ -496,7 +479,8 @@ def run_kernel_suite(seed=0, trials=100):
             g = rand.random_finite_pwl(rng)
             lhs = monge_ampere(pwl_add(f, g))
             rhs = line_measure_add(monge_ampere(f), monge_ampere(g))
-            yield _measure_distance(lhs, rhs), lambda: {"f": fn_to_json(f), "g": fn_to_json(g)}
+            yield (_distance((lhs.positions, rhs.positions), (lhs.weights, rhs.weights)),
+                   lambda: {"f": fn_to_json(f), "g": fn_to_json(g)})
     rep.worst("ma_additivity", 1e-12, trials * 10, ma_errors())
 
     # weak convergence smoke: resampled envelopes against a tent weight
@@ -573,41 +557,32 @@ def run_kernel_suite(seed=0, trials=100):
     ys = np.linspace(-4.0, 4.0, 81)
     mono_id = GlEndo(1.0, LineMeasure([(1.0, 1.0)]), 1)
     fams.append(("gl1d_pure_identity", mono_id, kernel_extract_live(mono_id, box)))
-    mism, bad = 0, None
     fdip = PwlFunction([0.0], [-1.0], -1.0, 1.0)            # |y| - 1
     gpos = PwlFunction([-1.0, 1.0], [0.0, 0.0], -1.0, 1.0)  # (|y| - 1)_+
-    for name, em, live in fams:
-        pred = kernel_is_monotone(live, xs, ys, tol=1e-9)
-        witness = None
-        for x in np.linspace(-1.0, 1.0, 5):
-            vf, vg = em(fdip, x), em(gpos, x)
-            if vf > vg + 1e-9:
-                witness = {"x": float(x), "vf": vf, "vg": vg}
-                break
-        if witness is None:
-            for _ in range(trials):
-                fr = rand.random_finite_pwl(rng)
-                gr = pwl_add(fr, rand.random_nonneg_pwl(rng))
-                x = float(rng.uniform(-1.0, 1.0))
-                vf, vg = em(fr, x), em(gr, x)
-                if vf > vg + 1e-9 * max(1.0, abs(vf)):
-                    witness = {"x": x, "vf": vf, "vg": vg}
+
+    def monotone_mismatches():
+        for name, em, live in fams:
+            pred = kernel_is_monotone(live, xs, ys)
+            witness = None
+            for x in np.linspace(-1.0, 1.0, 5):
+                vf, vg = em(fdip, x), em(gpos, x)
+                if vf > vg + 1e-9:
+                    witness = {"x": float(x), "vf": vf, "vg": vg}
                     break
-        if pred != (witness is None):
-            mism += 1
-            bad = {"endo": name, "pred": pred, "witness": witness}
-    rep.add("kernel_monotone_iff_no_witness", mism == 0, len(fams), float(mism), bad)
+            if witness is None:
+                for _ in range(trials):
+                    fr = rand.random_finite_pwl(rng)
+                    gr = pwl_add(fr, rand.random_nonneg_pwl(rng))
+                    x = float(rng.uniform(-1.0, 1.0))
+                    vf, vg = em(fr, x), em(gr, x)
+                    if vf > vg + 1e-9 * max(1.0, abs(vf)):
+                        witness = {"x": x, "vf": vf, "vg": vg}
+                        break
+            yield (float(pred != (witness is None)),
+                   lambda: {"endo": name, "pred": pred, "witness": witness})
+    rep.worst("kernel_monotone_iff_no_witness", 0.0, len(fams), monotone_mismatches())
 
     return rep
-
-
-def _measure_distance(m1, m2):
-    if len(m1) != len(m2):
-        return INF
-    if len(m1) == 0:
-        return 0.0
-    err = max(abs(a - b) for a, b in zip(m1.positions, m2.positions))
-    return max(err, max(abs(a - b) for a, b in zip(m1.weights, m2.weights)))
 
 
 SUITES = {"core": run_core_suite, "gl": run_gl_suite,
@@ -615,9 +590,4 @@ SUITES = {"core": run_core_suite, "gl": run_gl_suite,
 
 
 def run_suite(name, seed=0, trials=None):
-    if name not in SUITES:
-        raise KeyError(name)
-    kwargs = {"seed": seed}
-    if trials is not None:
-        kwargs["trials"] = trials
-    return SUITES[name](**kwargs)
+    return SUITES[name](seed, **({} if trials is None else {"trials": trials}))

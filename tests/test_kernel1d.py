@@ -138,8 +138,7 @@ def test_decompose_rejects_non_finite_samples():
         kernel_decompose(k, (-1, 1), 2.0)
     # one +inf sample: its second differences, +-inf, are not above tol * inf
     for row in ([0.0, INF, 2.0, 3.0], [INF] * 4, [1.0, float("nan"), 1.0]):
-        label, dev = kernel1d._first_bend([("affine", [0.0, 1.0, 2.0, 3.0]), ("bad", row)],
-                                          1e-8)
+        label, dev = kernel1d._first_bend([("affine", [0.0, 1.0, 2.0, 3.0]), ("bad", row)])
         assert label == "bad" and math.isnan(dev)
 
 

@@ -277,6 +277,17 @@ def test_cli_kernel_extract_refuses_oversized_table(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--grid-x=", "--grid-y="])
+def test_cli_kernel_extract_refuses_an_empty_grid(tmp_path, capsys, flag):
+    # an empty grid is refused, not read as absent
+    out = tmp_path / "k.csv"
+    rc = main(["kernel", "extract", "--endo", _write(tmp_path, "e.json", GL1),
+               flag, "--out", str(out)])
+    assert rc == 2
+    assert "--grid expects lo:hi:step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_kernel_roundtrip_phi(tmp_path, capsys):
     endo = _write(tmp_path, "e.json",
                   {"kind": "phi_example",
@@ -349,18 +360,33 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert out.read_text().splitlines()[0] == "x1,value"
 
 
-def test_counterexample_dumps_reparse():
-    from convendo.suites import run_suite
-    rep = run_suite("core", seed=3, trials=30)
-    # force-style check: every function descriptor inside any counterexample
-    # (or, when all pass, a synthesized one) re-parses
-    payloads = rep.counterexamples()
-    if not payloads:
-        payloads = [{"f": fn_to_json(pwl_abs())}]
-    for p in payloads:
+def test_counterexample_dumps_reparse(monkeypatch):
+    # wrong predicates and a shifted pwl_add make properties of three suites
+    # fail; every function and operator their counterexamples name re-parses
+    from convendo import suites
+    for name in ("gl_is_monotone", "gl_is_dually_translation_invariant",
+                 "radial_is_dually_translation_invariant"):
+        monkeypatch.setattr(suites, name, lambda e, right=getattr(suites, name): not right(e))
+    add = suites.pwl_add
+
+    def shifted_add(f, g):
+        s = add(f, g)
+        return PwlFunction(s.breakpoints, [v + 1e-9 for v in s.values],
+                           s.slope_left, s.slope_right, slopes=s.slopes)
+    monkeypatch.setattr(suites, "pwl_add", shifted_add)
+    dumps = []
+    for suite, trials in (("core", 30), ("gl", 8), ("radial", 8)):
+        rep = suites.run_suite(suite, seed=3, trials=trials)
+        dumps += json.loads(json.dumps(rep.counterexamples(), default=str))
+    assert {d["property"] for d in dumps} == {
+        "pwl_add_exact", "gl_dual_invariance_iff_kills_linear", "gl_monotone_iff_no_witness",
+        "radial_dual_invariance_iff_kills_linear"}
+    for d in dumps:
         for key in ("f", "g"):
-            if key in p:
-                fn_from_json(json.loads(json.dumps(p[key])))
+            if key in d:
+                fn_from_json(d[key])
+        if d["property"] != "pwl_add_exact":
+            assert endo_to_json(endo_from_json(d["endo"])) == d["endo"]
 
 
 QUAD = {"kind": "quad", "c": 1.0}
