@@ -25,20 +25,17 @@ from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
                   pwl_abs, pwl_add, pwl_hinge, pwl_indicator, pwl_linear,
                   pwl_max, pwl_scale)
 from .expr import (Affine, BallIndicator, ConvexExpr, Max, Norm, Precompose,
-                   Pwl1D, Quad, RadialPwl, Scale, Sum, expr_eval, expr_eval_many,
-                   ray_domain)
+                   Pwl1D, Quad, RadialPwl, Scale, Sum, expr_eval, ray_domain)
 from .probes import (EpiReport, epi_converges_probe, gw_probe, is_convex_block,
                      is_convex_sampled)
 from .measures import (LineMeasure, OrbitMeasure, line_measure_add,
                        moment_abs, moment_signed, orbit_center,
-                       orbit_center_component, orbit_quadrature,
-                       orbit_total_mass, support_bounds, total_mass)
+                       orbit_quadrature, orbit_total_mass, support_bounds)
 from .gl import (GlEndo, ScaleComposeMap, gl_empirical_monotone_search,
-                 gl_eval, gl_eval_detailed, gl_eval_many,
-                 gl_is_dually_translation_invariant, gl_is_monotone,
-                 scale_compose_eval, scale_compose_eval_many)
+                 gl_eval, gl_eval_detailed, gl_is_dually_translation_invariant,
+                 gl_is_monotone, scale_compose_eval)
 from .radial import (RadialEndo, acts_as_scalar_on_radial, canonical_rotation,
-                     minkowski_restrict, radial_eval, radial_eval_many,
+                     minkowski_restrict, radial_eval,
                      radial_is_dually_translation_invariant)
 from .kernel1d import (Kernel1D, KernelDecomposition, MaEndo, PhiEndo,
                        detect_tail_radius, example_phi_convexity_certificate, hat_weight,

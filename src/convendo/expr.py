@@ -8,7 +8,8 @@ precompositions with invertible matrices. Every tree evaluates to a value in
 construction.
 
 Every node evaluates a block of points, one per row of a (k, n) array
-(``_eval_batch``, ``_ray_interval_batch``); this is the one evaluation path.
+(``_eval_batch``, ``_ray_interval_batch``, and ``f.eval_many(X)`` on them);
+this is the one evaluation path.
 The one-point names ``f(x)``, ``expr_eval`` and ``ray_domain`` evaluate a
 block of one row. The per-point reference the block path is tested against
 lives in tests/test_batch.py. Coefficients must be finite.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import BadShape, DimensionMismatch, NegativeScale, OriginNotInDomain, ZeroVector
 from .extreal import INF
-from .pwl import PwlFunction
+from .pwl import PwlFunction, is_even
 
 # Most rows one block call evaluates; callers that expand points into many
 # tree points (orbit quadrature, atoms) size their blocks by it too, so
@@ -29,8 +30,8 @@ BLOCK = 8192
 
 
 class ConvexExpr:
-    """Base class; subclasses implement ``_eval_batch`` and
-    ``_ray_interval_batch`` on (k, n) blocks."""
+    """Base class; subclasses implement ``_eval_batch`` on (k, n) blocks, and
+    ``_ray_interval_batch`` unless they are finite on every line."""
 
     dim = None  # ambient dimension, or None when any dimension fits
 
@@ -38,7 +39,21 @@ class ConvexExpr:
         return expr_eval(self, x)
 
     def eval_many(self, X):
-        return expr_eval_many(self, X)
+        """The value at every row of a (k, n) array; (k,) floats.
+
+        ``expr_eval(f, x)`` is the block of the one row x.
+        """
+        X = as_point_block(X, self.dim)
+        out = np.empty(len(X))
+        for rows in row_blocks(len(X)):
+            out[rows] = self._eval_batch(X[rows])
+        return out
+
+    def _ray_interval_batch(self, X):
+        """The open interval (lo, hi) of { s in R : f(s x) < inf } at every
+        row x, as two arrays (lo >= hi is empty): here the whole line."""
+        k = len(X)
+        return (np.full(k, -INF), np.full(k, INF))
 
 
 class Affine(ConvexExpr):
@@ -50,9 +65,6 @@ class Affine(ConvexExpr):
 
     def _eval_batch(self, X):
         return _rowdot(X, self.a) + self.b
-
-    def _ray_interval_batch(self, X):
-        return _full_lines(X)
 
 
 class Quad(ConvexExpr):
@@ -66,9 +78,6 @@ class Quad(ConvexExpr):
     def _eval_batch(self, X):
         return self.c * sqnorms(X)
 
-    def _ray_interval_batch(self, X):
-        return _full_lines(X)
-
 
 class Norm(ConvexExpr):
     """x -> c * ||x|| with c >= 0."""
@@ -80,9 +89,6 @@ class Norm(ConvexExpr):
 
     def _eval_batch(self, X):
         return self.c * np.sqrt(sqnorms(X))
-
-    def _ray_interval_batch(self, X):
-        return _full_lines(X)
 
 
 class BallIndicator(ConvexExpr):
@@ -143,14 +149,8 @@ class RadialPwl(ConvexExpr):
     def __init__(self, p):
         if not isinstance(p, PwlFunction):
             raise BadShape("profile must be a PwlFunction")
-        hi = p.domain[1]
-        span = 2.0 if hi == INF else hi
-        for t in np.linspace(0.0, span, 17):
-            a, b = p(t), p(-t)
-            if a == INF and b == INF:
-                continue
-            if abs(a - b) > 1e-9 * max(1.0, abs(a)):
-                raise BadShape("profile must be even")
+        if not is_even(p):
+            raise BadShape("profile must be even")
         self.p = p
 
     def _eval_batch(self, X):
@@ -159,17 +159,37 @@ class RadialPwl(ConvexExpr):
     def _ray_interval_batch(self, X):
         hi = self.p.domain[1]
         if hi == INF:
-            return _full_lines(X)
+            return super()._ray_interval_batch(X)
         hi = hi / np.sqrt(sqnorms(X))
         return (-hi, hi)
 
 
-class Sum(ConvexExpr):
+class _Terms(ConvexExpr):
+    """A node over a non-empty list of terms of one dimension, finite on a
+    ray where every term is; ``word`` names it in messages."""
+
+    word = None
+
     def __init__(self, terms):
         self.terms = list(terms)
         if not self.terms:
-            raise BadShape("sum needs at least one term")
-        self.dim = _consensus_dim(self.terms)
+            raise BadShape(f"{self.word} needs at least one term")
+        dims = {t.dim for t in self.terms} - {None}
+        if len(dims) > 1:
+            raise DimensionMismatch("child dimensions disagree")
+        self.dim = dims.pop() if dims else None
+
+    def _ray_interval_batch(self, X):
+        lo, hi = self.terms[0]._ray_interval_batch(X)
+        for t in self.terms[1:]:
+            a, b = t._ray_interval_batch(X)
+            np.maximum(lo, a, out=lo)
+            np.minimum(hi, b, out=hi)
+        return (lo, hi)
+
+
+class Sum(_Terms):
+    word = "sum"
 
     def _eval_batch(self, X):
         # +inf absorbs every finite summand, so no mask is needed
@@ -178,25 +198,15 @@ class Sum(ConvexExpr):
             total += t._eval_batch(X)
         return total
 
-    def _ray_interval_batch(self, X):
-        return _intersect_batch(X, self.terms)
 
-
-class Max(ConvexExpr):
-    def __init__(self, terms):
-        self.terms = list(terms)
-        if not self.terms:
-            raise BadShape("max needs at least one term")
-        self.dim = _consensus_dim(self.terms)
+class Max(_Terms):
+    word = "max"
 
     def _eval_batch(self, X):
         out = self.terms[0]._eval_batch(X)
         for t in self.terms[1:]:
             np.maximum(out, t._eval_batch(X), out=out)
         return out
-
-    def _ray_interval_batch(self, X):
-        return _intersect_batch(X, self.terms)
 
 
 class Scale(ConvexExpr):
@@ -253,30 +263,6 @@ def _finite(value, what):
     return v
 
 
-def _consensus_dim(terms):
-    dim = None
-    for t in terms:
-        if t.dim is not None:
-            if dim is not None and dim != t.dim:
-                raise DimensionMismatch("child dimensions disagree")
-            dim = t.dim
-    return dim
-
-
-def _intersect_batch(X, terms):
-    lo, hi = terms[0]._ray_interval_batch(X)
-    for t in terms[1:]:
-        a, b = t._ray_interval_batch(X)
-        np.maximum(lo, a, out=lo)
-        np.minimum(hi, b, out=hi)
-    return (lo, hi)
-
-
-def _full_lines(X):
-    k = len(X)
-    return (np.full(k, -INF), np.full(k, INF))
-
-
 def _rowdot(X, a):
     """<a, x> for every row x of X.
 
@@ -317,33 +303,12 @@ def row_blocks(k, size=BLOCK):
     return [slice(i, min(i + size, k)) for i in range(0, k, size)]
 
 
-def expr_eval_many(f, X):
-    """Evaluate a ConvexExpr at every row of a (k, n) array; (k,) floats.
-
-    ``expr_eval(f, x)`` is the block of the one row x.
-    """
-    X = as_point_block(X, f.dim)
-    out = np.empty(len(X))
-    for rows in row_blocks(len(X)):
-        out[rows] = f._eval_batch(X[rows])
-    return out
-
-
-def ray_domain_many(f, X):
-    """The open interval (lo, hi) of { s in R : f(s x) < inf } at every row x
-    of a (k, n) array of nonzero points, as two arrays; lo >= hi is empty."""
-    X = as_point_block(X, f.dim)
-    if not X.any(axis=1).all():
-        raise ZeroVector("ray directions must be nonzero")
-    lo, hi = np.empty(len(X)), np.empty(len(X))
-    for rows in row_blocks(len(X)):
-        lo[rows], hi[rows] = f._ray_interval_batch(X[rows])
-    return lo, hi
-
-
 def ray_domain(f, x):
     """Interior of { s in R : f(s x) < inf } for nonzero x."""
-    lo, hi = ray_domain_many(f, as_row(x, f.dim))
+    X = as_row(x, f.dim)
+    if not X.any():
+        raise ZeroVector("ray directions must be nonzero")
+    lo, hi = f._ray_interval_batch(X)
     return (float(lo[0]), float(hi[0]))
 
 

@@ -14,10 +14,10 @@ limit, approximated by evaluating at lambda * x for lambda -> 1 from below.
 :class:`ScaleComposeMap` is f -> lam * f(mu x), defined for every convex f
 with no finiteness restriction at the origin.
 
-Both evaluate trees only in blocks of points (``gl_eval_many``,
-``scale_compose_eval_many``); ``gl_eval``, ``gl_eval_detailed`` and
-``scale_compose_eval`` are blocks of one row. The per-point reference the
-blocks are tested against lives in tests/test_batch.py.
+Both evaluate trees only in blocks of points (``e.eval_many(f, X)``);
+``gl_eval``, ``gl_eval_detailed`` and ``scale_compose_eval`` are blocks of
+one row. The per-point reference the blocks are tested against lives in
+tests/test_batch.py.
 """
 
 import math
@@ -28,8 +28,9 @@ import numpy as np
 from .errors import BadShape
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, as_row,
-                   expr_eval_many, origin_value, row_blocks)
+                   origin_value, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
+from .pwl import hinge_values
 from .rand import random_finite_expr, random_nonneg_expr
 
 # Radial steps lambda = 1 - 2^-k, k = 1..40, that gl_eval_detailed reports
@@ -56,26 +57,32 @@ class GlEndo:
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise BadShape("c must be finite")
-        for s, w in self.nu.atoms:
-            if s == 0.0 and w > 0:
-                raise BadShape("nu must not charge 0")
+        if 0.0 in self.nu.positions:
+            raise BadShape("nu must not charge 0")
 
     def __call__(self, f, x):
         return gl_eval(self, as_expr(f, self.n), x)
 
     def eval_many(self, f, X):
-        return gl_eval_many(self, as_expr(f, self.n), X)
+        """The operator at every row of a (k, n) array; returns (k,) floats."""
+        f = as_expr(f, self.n)
+        X = as_point_block(X, self.n)
+        f0 = origin_value(f, self.n)
+        out = np.empty(len(X))
+        for rows in row_blocks(len(X), max(1, BLOCK // max(1, len(self.nu)))):
+            out[rows] = _block_values(self, f, X[rows], f0)[1]
+        return out
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys] (n == 1), atom by atom as
         ``_atom_sum_many``; the origin takes c f(0) alone."""
         y = _hinge_ys(self, ys)
-        f0 = np.where(0.0 < y, y, 0.0)
+        f0 = hinge_values(y, 0.0)
         total = self.c * f0
         if x == 0.0:
             return total
         for s, w in self.nu.atoms:  # weights are > 0
-            total = total + w * (np.where(s * x < y, y - s * x, 0.0) - f0) / (s * s)
+            total = total + w * (hinge_values(y, s * x) - f0) / (s * s)
         return total
 
     def as_endomap_1d(self):
@@ -91,7 +98,7 @@ def _hinge_ys(op, ys):
 
 def gl_eval(e, f, x):
     """Evaluate the operator; see module docstring for the case split."""
-    return float(gl_eval_many(e, f, as_row(x, e.n))[0])
+    return float(e.eval_many(f, as_row(x, e.n))[0])
 
 
 def gl_eval_detailed(e, f, x):
@@ -151,16 +158,6 @@ def _atom_sum_many(e, f, X, f0):
     return total
 
 
-def gl_eval_many(e, f, X):
-    """The operator at every row of a (k, n) array; returns (k,) floats."""
-    X = as_point_block(X, e.n)
-    f0 = origin_value(f, e.n)
-    out = np.empty(len(X))
-    for rows in row_blocks(len(X), max(1, BLOCK // max(1, len(e.nu)))):
-        out[rows] = _block_values(e, f, X[rows], f0)[1]
-    return out
-
-
 def gl_is_monotone(e):
     """True iff the |s|^-2 moment of nu does not exceed c (within 1e-12)."""
     return moment_abs(e.nu, -2) <= e.c + 1e-12
@@ -191,32 +188,19 @@ class ScaleComposeMap:
         return scale_compose_eval(self, as_expr(f, self.n), x)
 
     def eval_many(self, f, X):
-        return scale_compose_eval_many(self, as_expr(f, self.n), X)
+        """lam * f(mu x) at every row x of a (k, n) array."""
+        f = as_expr(f, self.n)
+        X = as_point_block(X, self.n)
+        return self.lam * f.eval_many(self.mu_scalar * X)
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys] for n == 1: lam (y - mu x)_+."""
         y = _hinge_ys(self, ys)
-        return self.lam * np.where(self.mu_scalar * x < y, y - self.mu_scalar * x, 0.0)
+        return self.lam * hinge_values(y, self.mu_scalar * x)
 
 
 def scale_compose_eval(m, f, x):
-    return float(scale_compose_eval_many(m, f, as_row(x, m.n))[0])
-
-
-def scale_compose_eval_many(m, f, X):
-    """lam * f(mu x) at every row x of a (k, n) array."""
-    X = as_point_block(X, m.n)
-    return m.lam * expr_eval_many(f, m.mu_scalar * X)
-
-
-def _shifted_norm(n):
-    """f(y) = ||y|| - 1, the probe that separates mass near 0 from c."""
-    return Sum([Norm(1.0), Affine(np.zeros(n), -1.0)])
-
-
-def _hinge_norm(n):
-    """g(y) = max(0, ||y|| - 1) >= f(y) = ||y|| - 1."""
-    return Max([Affine(np.zeros(n), 0.0), _shifted_norm(n)])
+    return float(m.eval_many(f, as_row(x, m.n))[0])
 
 
 def gl_empirical_monotone_search(e, trials=1000, seed=0):
@@ -229,10 +213,10 @@ def gl_empirical_monotone_search(e, trials=1000, seed=0):
     random phase only corroborates the predicate.
     """
     n = e.n
-    f = _shifted_norm(n)
-    g = _hinge_norm(n)
+    f = Sum([Norm(1.0), Affine(np.zeros(n), -1.0)])  # separates mass near 0 from c
+    g = Max([Affine(np.zeros(n), 0.0), f])
     if len(e.nu) > 0:
-        smin = min(abs(s) for s, w in e.nu.atoms if w > 0)
+        smin = min(map(abs, e.nu.positions))
         radii = [1.0 / smin, 2.0 / smin, 4.0 / smin, 1.0, 2.0, 8.0]
     else:
         radii = [1.0, 2.0, 8.0]

@@ -37,7 +37,7 @@ from .expr import as_point_block
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
 from .measures import LineMeasure
 from .probes import is_convex_block, is_convex_sampled
-from .pwl import PwlFunction, pwl_hinge
+from .pwl import PwlFunction, hinge_values, is_even, pwl_hinge
 
 
 def monge_ampere(f):
@@ -146,11 +146,6 @@ def _pwl_points(f, X):
     return as_point_block(X, 1)[:, 0]
 
 
-def _hinge(y, p):
-    """(y - p)_+ as ``pwl_hinge(y)(p)`` computes it, elementwise."""
-    return np.where(p < y, y - p, 0.0)
-
-
 @dataclass
 class KernelDecomposition:
     """Tail coefficients and compactly supported residual of a kernel.
@@ -202,7 +197,7 @@ class KernelDecomposition:
         """[self(pwl_hinge(y), x) for y in ys], from one unit kink at each y."""
         y = np.asarray(ys, dtype=float)
         (c1, c2, c3, c4), res = self.residual(x, y.tolist())
-        return (c1 + c3) * _hinge(y, 0.0) + (c2 + c4) * _hinge(y, -1.0) + res
+        return (c1 + c3) * hinge_values(y, 0.0) + (c2 + c4) * hinge_values(y, -1.0) + res
 
     def __call__(self, f, x):
         return kernel_endo_eval(self, f, x)
@@ -331,17 +326,9 @@ class PhiEndo:
     n = 1
 
     def __init__(self, phi):
-        dlo, dhi = phi.domain
-        span = 3.0 if dhi == INF else dhi
-        ts = np.linspace(0.0, span, 41)
-        for t in ts:
-            v1, v2 = phi(t), phi(-t)
-            if v1 == INF and v2 == INF:
-                continue
-            if abs(v1 - v2) > 1e-9 * max(1.0, abs(v1)):
-                raise PhiNotEven(f"phi({t}) != phi({-t})")
-        finite_vals = [phi(t) for t in ts if phi(t) < INF]
-        if min(finite_vals) < -1e-12 or any(v < -1e-12 for v in phi.values):
+        if not is_even(phi):
+            raise PhiNotEven("phi must be even")
+        if phi(0.0) < -1e-12:  # an even convex phi is least at 0
             raise PhiNegative("phi must be non-negative")
         self.phi = phi
 
@@ -374,7 +361,8 @@ class PhiEndo:
         if not 0.0 < a < INF:
             return np.full(y.shape, INF if a == INF else 0.0)
         q = np.where((-a < y) & (y < a), y, a)
-        return 0.5 * (_hinge(y, -a) + _hinge(y, q)) * (q + a) - 2.0 * a * _hinge(y, 0.0)
+        return (0.5 * (hinge_values(y, -a) + hinge_values(y, q)) * (q + a)
+                - 2.0 * a * hinge_values(y, 0.0))
 
     def as_endomap(self):
         return self

@@ -70,10 +70,6 @@ def line_measure_add(m1, m2):
     return LineMeasure([(s, w) for s, w in out])
 
 
-def total_mass(m):
-    return float(sum(m.weights))
-
-
 def support_bounds(m):
     """(min atom position, max atom position); error on the empty measure."""
     if len(m) == 0:
@@ -81,28 +77,24 @@ def support_bounds(m):
     return (m.positions[0], m.positions[-1])
 
 
-def _check_negative_power(m):
-    for s, w in m.atoms:
-        if s == 0.0 and w > 0:
-            raise AtomAtZero("negative moments need no mass at 0")
+def _moment(m, k, positions):
+    """Sum of w * p^k over the atoms' weights w and the given positions p;
+    k in {-2, -1, 0, 1}, and k < 0 needs no atom at 0."""
+    if k not in (-2, -1, 0, 1):
+        raise BadShape("k must be in {-2, -1, 0, 1}")
+    if k < 0 and 0.0 in m.positions:
+        raise AtomAtZero("negative moments need no mass at 0")
+    return float(sum(w * p ** k for p, w in zip(positions, m.weights)))
 
 
 def moment_abs(m, k):
     """Sum of w * |s|^k over atoms; k in {-2, -1, 0, 1}."""
-    if k not in (-2, -1, 0, 1):
-        raise BadShape("k must be in {-2, -1, 0, 1}")
-    if k < 0:
-        _check_negative_power(m)
-    return float(sum(w * abs(s) ** k for s, w in m.atoms if w > 0))
+    return _moment(m, k, map(abs, m.positions))
 
 
 def moment_signed(m, k):
     """Sum of w * s^k over atoms; k in {-2, -1, 0, 1}."""
-    if k not in (-2, -1, 0, 1):
-        raise BadShape("k must be in {-2, -1, 0, 1}")
-    if k < 0:
-        _check_negative_power(m)
-    return float(sum(w * s ** k for s, w in m.atoms if w > 0))
+    return _moment(m, k, m.positions)
 
 
 class OrbitMeasure:
@@ -144,11 +136,6 @@ class OrbitMeasure:
 
 def orbit_total_mass(m):
     return float(sum(w for _, _, w in m.atoms))
-
-
-def orbit_center_component(m):
-    """First coordinate of the center of mass integral of the measure."""
-    return float(sum(w * t * math.cos(theta) for t, theta, w in m.atoms))
 
 
 def orbit_center(m):

@@ -201,6 +201,11 @@ def pwl_hinge(y):
     return PwlFunction([y], [0.0], -1.0, 0.0)
 
 
+def hinge_values(y, p):
+    """(y - p)_+ as ``pwl_hinge(y)(p)`` computes it, elementwise."""
+    return np.where(p < y, y - p, 0.0)
+
+
 def pwl_linear(a, b=0.0):
     """s -> a*s + b."""
     return PwlFunction([0.0], [float(b)], a, a)
@@ -213,6 +218,23 @@ def pwl_indicator(lo, hi):
     if hi - lo <= MERGE_TOL:
         return PwlFunction([lo], [0.0], -INF, INF)
     return PwlFunction([lo, hi], [0.0, 0.0], -INF, INF)
+
+
+def is_even(p):
+    """True iff p(-x) == p(x) for every x, to 1e-9 max(1, |p(x)|, |p(-x)|).
+
+    The tails must mirror, and p must agree with its mirror image at every
+    breakpoint b, which pairs p(b) with p(-b) at each mirrored breakpoint
+    too. Both functions are linear between those points and on the tails
+    beyond them, so the check is exact.
+    """
+    if p.slope_left != -p.slope_right:
+        return False
+    for b in p.breakpoints:
+        u, v = p(b), p(-b)
+        if u != v and not abs(u - v) <= 1e-9 * max(1.0, abs(u), abs(v)) < INF:
+            return False
+    return True
 
 
 # -- algebra -----------------------------------------------------------------
@@ -312,14 +334,8 @@ def pwl_scale(lam, f):
     lam = float(lam)
     if lam < 0:
         raise NegativeScale("scale factor must be >= 0")
-
-    def sc(m):
-        if m == -INF or m == INF:
-            return m
-        return lam * m
-
-    return PwlFunction._from_op(f.breakpoints, [lam * v for v in f.values],
-                                sc(f.slope_left), sc(f.slope_right),
+    sl, sr = (m if abs(m) == INF else lam * m for m in (f.slope_left, f.slope_right))
+    return PwlFunction._from_op(f.breakpoints, [lam * v for v in f.values], sl, sr,
                                 [lam * m for m in f.slopes])
 
 

@@ -10,7 +10,7 @@ where R_x is any rotation taking the reference axis e1 to x / ||x||. The
 orbit invariance of mu makes the value independent of that choice; the
 canonical rotation below pins one down deterministically.
 
-Points are evaluated only in blocks (``radial_eval_many``, with one
+Points are evaluated only in blocks (``e.eval_many(f, X)``, with one
 rotation matrix per point); ``radial_eval`` and ``minkowski_restrict`` are
 blocks of one and of 2 * len(directions) rows. The per-point reference the
 blocks are tested against lives in tests/test_batch.py.
@@ -103,39 +103,36 @@ class RadialEndo:
     def __call__(self, f, x):
         return radial_eval(self, as_expr(f, self.n), x)
 
-    def eval_many(self, f, X):
-        return radial_eval_many(self, as_expr(f, self.n), X)
+    def eval_many(self, f, X, rotations=None):
+        """The operator at every row x of a (k, n) array, summing f(||x|| R_x p)
+        over the quadrature nodes p; +inf where a sample is +inf.
+
+        ``rotations`` (k, n, n) overrides the canonical R_x (each must still
+        take e1 to x / ||x||); the value does not depend on the override beyond
+        quadrature resolution, which is the orbit-invariance of the measure.
+        """
+        n = self.n
+        f = as_expr(f, n)
+        X = as_point_block(X, n)
+        f0 = origin_value(f, n)
+        nodes, weights = self.quadrature  # every weight is positive
+        out = np.full(len(X), f0 * orbit_total_mass(self.mu))
+        idx = np.flatnonzero(X.any(axis=1))
+        for rows in row_blocks(len(idx), max(1, BLOCK // max(1, len(weights)))):
+            i = idx[rows]
+            R = canonical_rotations(X[i]) if rotations is None else rotations[i]
+            P = np.matmul(R[:, None], nodes[None, :, :, None])[..., 0]
+            Y = np.sqrt(sqnorms(X[i]))[:, None, None] * P
+            V = f._eval_batch(Y.reshape(-1, n)).reshape(len(i), len(weights))
+            # each row summed left to right from 0.0, a running total over the nodes
+            out[i] = np.cumsum(np.column_stack([np.zeros(len(i)), V * weights]), axis=1)[:, -1]
+        return out
 
 
 def radial_eval(e, f, x, rotation=None):
-    """Evaluate the operator at one point; see radial_eval_many."""
+    """Evaluate the operator at one point; see RadialEndo.eval_many."""
     R = None if rotation is None else np.asarray(rotation, dtype=float)[None]
-    return float(radial_eval_many(e, f, as_row(x, e.n), R)[0])
-
-
-def radial_eval_many(e, f, X, rotations=None):
-    """The operator at every row x of a (k, n) array, summing f(||x|| R_x p)
-    over the quadrature nodes p; +inf where a sample is +inf.
-
-    ``rotations`` (k, n, n) overrides the canonical R_x (each must still
-    take e1 to x / ||x||); the value does not depend on the override beyond
-    quadrature resolution, which is the orbit-invariance of the measure.
-    """
-    n = e.n
-    X = as_point_block(X, n)
-    f0 = origin_value(f, n)
-    nodes, weights = e.quadrature  # every weight is positive
-    out = np.full(len(X), f0 * orbit_total_mass(e.mu))
-    idx = np.flatnonzero(X.any(axis=1))
-    for rows in row_blocks(len(idx), max(1, BLOCK // max(1, len(weights)))):
-        i = idx[rows]
-        R = canonical_rotations(X[i]) if rotations is None else rotations[i]
-        P = np.matmul(R[:, None], nodes[None, :, :, None])[..., 0]
-        Y = np.sqrt(sqnorms(X[i]))[:, None, None] * P
-        V = f._eval_batch(Y.reshape(-1, n)).reshape(len(i), len(weights))
-        # each row summed left to right from 0.0, a running total over the nodes
-        out[i] = np.cumsum(np.column_stack([np.zeros(len(i)), V * weights]), axis=1)[:, -1]
-    return out
+    return float(e.eval_many(f, as_row(x, e.n), R)[0])
 
 
 def radial_is_dually_translation_invariant(e):
@@ -170,7 +167,7 @@ def minkowski_restrict(e, support_fn, directions):
         if not isinstance(t, Affine) or t.b != 0.0:
             raise NotHomogeneous("support data must be a max of linear functions")
     U = np.asarray(directions, dtype=float)
-    v1, v2 = np.split(radial_eval_many(e, support_fn, np.concatenate([U, 2.0 * U])), 2)
+    v1, v2 = np.split(e.eval_many(support_fn, np.concatenate([U, 2.0 * U])), 2)
     if (np.abs(v2 - 2.0 * v1) > 1e-9 * np.maximum(1.0, np.abs(v1))).any():
         raise NotHomogeneous("sampled image is not 1-homogeneous")
     return v1

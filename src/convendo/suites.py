@@ -62,11 +62,12 @@ class SuiteReport:
 
         ``errors`` yields (error, example) pairs. ``example()`` returns the
         counterexample of its draw; it is called only when the error is the
-        largest so far, before the next draw.
+        largest so far, before the next draw. A nan error is the largest, and
+        the first one stays.
         """
         worst, bad = 0.0, None
         for err, example in errors:
-            if err > worst:
+            if worst == worst and not err <= worst:
                 worst, bad = err, example()
         self.add(name, worst <= tol, trials, worst, None if worst <= tol else bad)
 

@@ -21,11 +21,9 @@ from convendo import (INF, Affine, BallIndicator, GlEndo,
                       LineMeasure, Max, Norm, OrbitMeasure, OriginNotInDomain,
                       Precompose, Pwl1D, PwlFunction, Quad, RadialEndo, RadialPwl,
                       Scale, ScaleComposeMap, Sum, canonical_rotation, expr_eval,
-                      expr_eval_many, gl_eval, gl_eval_detailed, gl_eval_many,
-                      radial_eval, radial_eval_many, ray_domain,
-                      scale_compose_eval, scale_compose_eval_many)
+                      gl_eval, gl_eval_detailed, radial_eval, ray_domain,
+                      scale_compose_eval)
 from convendo.cli import main
-from convendo.expr import ray_domain_many
 from convendo.extreal import EDGE_TOL, RADIAL_LIMIT
 from convendo.measures import orbit_total_mass, support_bounds
 from convendo.serialize import endo_from_json, fn_from_json
@@ -159,11 +157,11 @@ def test_expr_eval_many_matches_expr_eval(seed, n):
     rng = rng_from_seed(seed)
     f = Sum([random_tree(rng, n), BallIndicator(2.0)]) if rng.random() < 0.5 else random_tree(rng, n)
     X = point_block(rng, n, [2.0, 1.0])
-    values = expr_eval_many(f, X)
+    values = f.eval_many(X)
     assert_same(values, [ref_eval(f, x) for x in X])
     assert_rows(values, [expr_eval(f, x) for x in X])
     Y = X[X.any(axis=1)]
-    lo, hi = ray_domain_many(f, Y)
+    lo, hi = f._ray_interval_batch(Y)
     ref = np.array([ref_ray(f, y) for y in Y])
     assert np.array_equal(lo, ref[:, 0]) and np.array_equal(hi, ref[:, 1])
     assert_rows(np.stack([lo, hi], axis=1), [ray_domain(f, y) for y in Y])
@@ -172,8 +170,8 @@ def test_expr_eval_many_matches_expr_eval(seed, n):
 def test_expr_eval_many_radial_profile_and_last_breakpoint():
     f = RadialPwl(PwlFunction([-1.3, 0.0, 1.3], [0.9, -0.2, 0.9], -2.0, 2.0))
     X = np.array([[1.3, 0.0], [0.0, -1.3], [0.3, 0.4], [3.0, 4.0], [0.0, 0.0]])
-    assert_same(expr_eval_many(f, X), [ref_eval(f, x) for x in X])
-    assert_rows(expr_eval_many(f, X), [f(x) for x in X])
+    assert_same(f.eval_many(X), [ref_eval(f, x) for x in X])
+    assert_rows(f.eval_many(X), [f(x) for x in X])
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,9 +186,9 @@ def test_gl_eval_many_matches_gl_eval(seed, n):
     X = point_block(rng, n, [r / smax, 0.5 * r / smax, 2.0 * r / smax])
     if expr_eval(f, np.zeros(n)) == INF:
         with pytest.raises(OriginNotInDomain):
-            gl_eval_many(e, f, X)
+            e.eval_many(f, X)
         return
-    values = gl_eval_many(e, f, X)
+    values = e.eval_many(f, X)
     assert_same(values, [ref_gl(e, f, x) for x in X])
     assert_rows(values, [gl_eval(e, f, x) for x in X])
     assert_rows(values, [gl_eval_detailed(e, f, x)[0] for x in X])
@@ -202,10 +200,10 @@ def test_gl_eval_many_covers_boundary_and_empty_measure():
     X = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, -2.0], [1.2, 1.6], [0.3, 0.4], [2.0, 2.0]])
     cases = [gl_eval_detailed(e, f, x)[1]["case"] for x in X]
     assert cases == ["origin", "boundary", "boundary", "boundary", "interior", "exterior"]
-    assert_same(gl_eval_many(e, f, X), [ref_gl(e, f, x) for x in X])
-    assert_rows(gl_eval_many(e, f, X), [gl_eval(e, f, x) for x in X])
+    assert_same(e.eval_many(f, X), [ref_gl(e, f, x) for x in X])
+    assert_rows(e.eval_many(f, X), [gl_eval(e, f, x) for x in X])
     empty = GlEndo(0.7, LineMeasure([]), 2)
-    assert_same(gl_eval_many(empty, f, X), [ref_gl(empty, f, x) for x in X])
+    assert_same(empty.eval_many(f, X), [ref_gl(empty, f, x) for x in X])
     assert [gl_eval_detailed(empty, f, x)[1]["case"] for x in X[:2]] == ["origin", "interior"]
 
 
@@ -221,12 +219,12 @@ def test_radial_eval_many_matches_radial_eval(seed, n):
     f = random_tree(rng, n)
     if expr_eval(f, np.zeros(n)) == INF:
         with pytest.raises(OriginNotInDomain):
-            radial_eval_many(e, f, np.zeros((1, n)))
+            e.eval_many(f, np.zeros((1, n)))
         return
     axis = np.zeros((2, n))
     axis[:, 0] = [1.7, -0.4]  # the identity and the antipodal rotation
     X = np.concatenate([point_block(rng, n, [1.0]), axis])
-    values = radial_eval_many(e, f, X)
+    values = e.eval_many(f, X)
     assert_same(values, [ref_radial(e, f, x) for x in X])
     assert_rows(values, [radial_eval(e, f, x) for x in X])
 
@@ -240,7 +238,7 @@ def test_scale_compose_eval_many_matches_scale_compose_eval(seed, n):
     r = float(rng.uniform(0.5, 3.0))
     f = Sum([random_tree(rng, n), BallIndicator(r)])
     X = point_block(rng, n, [r / abs(m.mu_scalar)])
-    values = scale_compose_eval_many(m, f, X)
+    values = m.eval_many(f, X)
     assert_same(values, [m.lam * ref_eval(f, m.mu_scalar * x) for x in X])
     assert_rows(values, [scale_compose_eval(m, f, x) for x in X])
 

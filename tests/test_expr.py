@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from convendo import (INF, Affine, BadShape, BallIndicator, DimensionMismatch, Max,
-                      Norm, Precompose, Pwl1D, Quad, Scale, Sum, ZeroVector,
+                      Norm, Precompose, Pwl1D, PwlFunction, Quad, RadialPwl, Scale, Sum,
+                      ZeroVector,
                       expr_eval, pwl_indicator, pwl_abs, ray_domain)
 
 
@@ -89,3 +90,11 @@ def test_non_finite_coefficient_is_refused(build, v):
     # Quad(inf) at the origin would be inf * 0 = nan
     with pytest.raises(BadShape):
         build(v)
+
+
+def test_radial_pwl_refuses_a_profile_even_only_near_zero():
+    # even on [-4, 4] only (tail slopes -2 and 1); samples of [0, 2] passed it
+    with pytest.raises(BadShape, match="profile must be even"):
+        RadialPwl(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 1.0))
+    f = RadialPwl(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 2.0))
+    assert f([0.0, -4.0]) == 5.0 and f([3.0, 4.0]) == 7.0

@@ -6,7 +6,7 @@ import pytest
 
 from convendo import kernel1d
 from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasure,
-                      MaEndo, OutsideA, PhiEndo, PhiNotEven, PwlFunction,
+                      MaEndo, OutsideA, PhiEndo, PhiNegative, PhiNotEven, PwlFunction,
                       ScaleComposeMap, TailNotAffine, XSliceNotAffine, detect_tail_radius,
                       example_phi_convexity_certificate, hat_weight,
                       kernel_decompose, kernel_endo_eval, kernel_extract,
@@ -164,6 +164,19 @@ def test_detect_tail_radius():
     assert kernel_endo_eval(d, f, 0.3) == pytest.approx(f(0.3) - f(0.0), abs=1e-5)
 
 
+def test_detect_tail_radius_restarts_its_run_after_a_bend():
+    # affine on [1, 2], bent at |y| = 3 inside [2, 4], affine from 4 on; the
+    # box ends at y = 64, four doublings into the second run
+    psi = Kernel1D(lambda x, y: max(abs(y) - 3.0, 0.0), (-1.0, 1.0, -64.0, 64.0))
+    assert detect_tail_radius(psi, (-1.0, 1.0)) == 4.0
+
+
+def test_detect_tail_radius_refuses_a_kernel_with_no_affine_tail():
+    psi = Kernel1D(lambda x, y: y * y, (-1.0, 1.0, -64.0, 64.0))
+    with pytest.raises(TailNotAffine, match="no affine tail radius"):
+        detect_tail_radius(psi, (-1.0, 1.0))
+
+
 # -- extraction --------------------------------------------------------------------
 
 def test_extract_hinge_values():
@@ -266,6 +279,21 @@ def test_phi_endo_validation():
     lopsided = PwlFunction([0.0], [1.0], -1.0, 2.0)
     with pytest.raises(PhiNotEven):
         PhiEndo(lopsided)
+
+
+def test_phi_endo_refuses_a_profile_even_only_near_zero():
+    # even on [-4, 4] only (tail slopes -2 and 1): samples of [0, 3] passed
+    # it, and it read |.| as 36.0 at t = 5 but 49.0 at t = -5
+    with pytest.raises(PhiNotEven):
+        PhiEndo(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 1.0))
+    pe = PhiEndo(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 2.0))
+    assert pe(pwl_abs(), 5.0) == pe(pwl_abs(), -5.0) == 49.0
+
+
+def test_phi_endo_refuses_a_negative_profile():
+    with pytest.raises(PhiNegative):
+        PhiEndo(PwlFunction([-1.0, 0.0, 1.0], [0.5, -0.5, 0.5], -1.0, 1.0))
+    assert PhiEndo(pwl_abs())(pwl_abs(), 1.0) == 1.0  # phi(0) = 0 is allowed
 
 
 def test_phi_convexity_certificate_signs():

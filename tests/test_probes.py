@@ -230,3 +230,15 @@ def test_gw_probe_rejects_nonconvex_base_along_lines():
 def test_convex_block_needs_three_points():
     with pytest.raises(BadShape):
         is_convex_block(lambda T: T, np.array([0.0, 1.0]))
+
+
+def test_epi_probe_samples_a_box_in_several_dimensions():
+    # a 33 x 33 grid of [-1, 1] x [0, 2]; f_j = f + 1/j everywhere on it
+    seen = []
+    f = lambda p: seen.append(tuple(p)) or float(p @ p)
+    rep = epi_converges_probe(lambda j: (lambda p: float(p @ p) + 1.0 / j), f,
+                              [[(-1.0, 1.0), (0.0, 2.0)]], tol=0.3, j_max=4)
+    assert len(seen) == 33 * 33 and len(set(seen)) == 33 * 33
+    assert seen[0] == (-1.0, 0.0) and seen[1] == (-1.0, 2.0 / 32) and seen[-1] == (1.0, 2.0)
+    assert rep.sup_dists[0].tolist() == pytest.approx([1.0, 0.5, 1.0 / 3, 0.25], abs=1e-12)
+    assert rep.passed

@@ -9,6 +9,7 @@ from convendo import pwl
 from convendo import (INF, BadShape, ConvendoError, EmptyDomain, NegativeScale, NonConvex,
                       PwlFunction, inf_convolve, legendre, moreau_envelope,
                       pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_max, pwl_scale)
+from convendo.pwl import is_even
 from convendo.rand import random_convex_pwl, random_finite_pwl, rng_from_seed
 
 
@@ -607,3 +608,26 @@ def test_slopes_are_checked_in_value_space():
     f = PwlFunction([0.0, 1e-10, 1.0], [1.0, 1.0 + 3e-10, 4.0], -1.0, 5.0, slopes=[3.0, 3.0])
     assert f.slopes == (3.0, 3.0)
     assert abs((f.values[1] - f.values[0]) / 1e-10 - 3.0) > 1e-9
+
+
+def test_is_even_is_exact():
+    # the tails must mirror, and p(b) == p(-b) at every breakpoint b
+    assert is_even(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 2.0))
+    assert not is_even(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 1.0))
+    # mirrored tails, but even on [-10, 10] only: p(20) = 20, p(-20) = 30
+    assert not is_even(PwlFunction([-10.0, 0.0, 20.0], [10.0, 0.0, 20.0], -2.0, 2.0))
+    assert is_even(pwl_indicator(-1.5, 1.5)) and is_even(pwl_indicator(0.0, 0.0))
+    assert not is_even(pwl_indicator(-1.5, 2.0))
+    assert not is_even(PwlFunction([-1.5, 0.0, 1.5], [1.0, 0.0, 1.0], -INF, 1.0))
+    # within 1e-9 max(1, |p|)
+    assert is_even(PwlFunction([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0 + 1e-12], -2.0, 2.0))
+    assert not is_even(PwlFunction([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0 + 1e-8], -2.0, 2.0))
+
+
+def test_constructor_merges_breakpoints_within_merge_tol():
+    f = PwlFunction([0.0, 5e-13, 1.0], [0.0, 0.1, 1.0], -1.0, 2.0)
+    assert f.breakpoints == (0.0, 1.0) and f.values == (0.1, 1.0)
+    assert f.slopes == ((1.0 - 0.1) / 1.0,)
+    # explicit slopes are dropped with the merge and recomputed from the values
+    g = PwlFunction([0.0, 5e-13, 1.0], [0.0, 0.1, 1.0], -1.0, 2.0, slopes=[1.5, 0.5])
+    assert (g.breakpoints, g.values, g.slopes) == (f.breakpoints, f.values, f.slopes)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from convendo import (INF, GlEndo, LineMeasure, OrbitMeasure, PhiEndo,
+from convendo import (INF, BadShape, GlEndo, LineMeasure, OrbitMeasure, PhiEndo,
                       PwlFunction, RadialEndo, ScaleComposeMap, pwl_abs)
 from convendo.cli import main
 from convendo.expr import BLOCK
@@ -67,6 +67,49 @@ def test_endo_json_round_trips():
         e2 = endo_from_json(d)
         assert type(e2) is type(e)
         assert endo_to_json(e2) == endo_to_json(e)
+
+
+PWL = {"kind": "pwl", "breakpoints": [-1.0, 0.0, 1.0], "values": [1.0, 0.0, 1.0],
+       "slope_left": -2.0, "slope_right": 2.0}
+INTERVAL = {"kind": "pwl", "breakpoints": [-1.5, 1.5], "values": [0.0, 0.0],
+            "slope_left": "-inf", "slope_right": "inf"}
+QUAD = {"kind": "quad", "c": 2.0}
+NORM = {"kind": "norm", "c": 1.5}
+
+
+@pytest.mark.parametrize("d", [
+    PWL, INTERVAL,
+    {"kind": "affine", "a": [1.0, -2.0], "b": 0.5}, QUAD, NORM,
+    {"kind": "ball_indicator", "r": 2.0},
+    {"kind": "pwl1d", "direction": [0.6, 0.8], "pwl": PWL},
+    {"kind": "sum", "terms": [QUAD, NORM]},
+    {"kind": "max", "terms": [NORM, {"kind": "affine", "a": [0.0, 1.0], "b": -1.0}]},
+    {"kind": "scale", "lambda": 0.5, "term": NORM},
+    {"kind": "precompose", "matrix": [[2.0, 0.0], [1.0, 1.0]], "term": QUAD},
+], ids=lambda d: d["kind"])
+def test_every_function_kind_round_trips(d):
+    assert fn_to_json(fn_from_json(d)) == d
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "gl", "c": 1.5, "nu": {"atoms": [{"s": -1.0, "w": 2.0}, {"s": 1.0, "w": 1.0}]},
+     "n": 3},
+    {"kind": "scale_compose", "lambda": 2.0, "mu": -1.0, "n": 2},
+    {"kind": "radial", "mu": {"n": 3, "atoms": [{"t": 1.0, "theta": 0.1, "w": 1.0}]}, "M": 16},
+    {"kind": "phi_example", "phi": INTERVAL},
+    {"kind": "ma_example", "g": PWL, "zeta": {"kind": "hat", "radius": 1.0}},
+], ids=lambda d: d["kind"])
+def test_every_operator_kind_round_trips(d):
+    assert endo_to_json(endo_from_json(d)) == d
+
+
+def test_operator_descriptors_refuse_an_unknown_rule():
+    radial = {"kind": "radial", "mu": {"n": 3, "atoms": []}, "rotation_rule": "euler"}
+    with pytest.raises(BadShape, match="unknown rotation rule 'euler'"):
+        endo_from_json(radial)
+    assert endo_from_json({**radial, "rotation_rule": "householder"}).M == 64
+    with pytest.raises(BadShape, match="zeta supports only"):
+        endo_from_json({"kind": "ma_example", "g": PWL, "zeta": {"kind": "gauss", "radius": 1.0}})
 
 
 def test_kernel_descriptor_builds_operator(tmp_path):

@@ -1,9 +1,10 @@
+import math
 from pathlib import Path
 
 import pytest
 
 from convendo.cli import main
-from convendo.suites import run_suite
+from convendo.suites import SuiteReport, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,3 +35,14 @@ def test_check_output_matches_golden(name, capsys):
     assert main(["check", "--suite", name, "--seed", "5", "--trials", "8"]) == 0
     want = (GOLDEN / f"check_{name}_seed5_trials8.txt").read_text()
     assert capsys.readouterr().out == want
+
+
+def test_a_nan_error_fails_the_property_and_stays_the_worst():
+    rep = SuiteReport("x", 0)
+    rep.worst("p", 1e-9, 2, iter([(math.nan, lambda: {"draw": 0}), (0.0, lambda: {"draw": 1}),
+                                  (5.0, lambda: {"draw": 2}), (math.nan, lambda: {"draw": 3})]))
+    assert rep.lines() == ["FAIL p: trials=2 max_error=nan"]
+    assert rep.results[0].counterexample == {"draw": 0}
+    rep.worst("q", 1e-9, 2, iter([(0.0, lambda: {"draw": 0}), (1e-12, lambda: {"draw": 1})]))
+    assert rep.lines()[1] == "PASS q: trials=2 max_error=1.000e-12"
+    assert rep.results[1].counterexample is None
