@@ -21,10 +21,6 @@ from .serialize import (dump_json, endo_from_json, fn_from_json, load_json,
 from .suites import SUITES, run_suite
 
 
-class ConfigError(Exception):
-    """User-facing configuration problem; maps to exit code 2."""
-
-
 # Most points one --grid may produce (axis length to the power of the
 # dimension), and most nodes of a kernel extract table (len(xs) * len(ys));
 # a 128^3 grid fits.
@@ -37,15 +33,15 @@ def _parse_grid(text, dim=1):
     try:
         lo, hi, step = (float(v) for v in text.split(":"))
     except ValueError:
-        raise ConfigError(f"--grid expects lo:hi:step, got {text!r}")
+        raise BadShape(f"--grid expects lo:hi:step, got {text!r}")
     if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ConfigError(f"grid {text!r} must be finite")
+        raise BadShape(f"grid {text!r} must be finite")
     if step <= 0 or hi < lo:
-        raise ConfigError(f"bad grid {text!r}")
+        raise BadShape(f"bad grid {text!r}")
     span = (hi - lo) / step + 1e-9
     if not span < MAX_GRID_POINTS or (math.floor(span) + 1) ** dim > MAX_GRID_POINTS:
-        raise ConfigError(f"grid {text!r} in dimension {dim} has more than "
-                          f"{MAX_GRID_POINTS} points")
+        raise BadShape(f"grid {text!r} in dimension {dim} has more than "
+                       f"{MAX_GRID_POINTS} points")
     return lo + step * np.arange(math.floor(span) + 1)
 
 
@@ -55,7 +51,7 @@ def _load_points(args, dim):
         try:
             X = np.array(load_json(args.points), dtype=float)
         except (ValueError, TypeError, OverflowError):
-            raise ConfigError("--points must be a list of finite points of equal dimension")
+            raise BadShape("--points must be a list of finite points of equal dimension")
         if X.ndim == 1:
             X = X.reshape(-1, 1) if X.size else X.reshape(0, dim)
     else:
@@ -63,10 +59,10 @@ def _load_points(args, dim):
         mesh = np.meshgrid(*([axis] * dim), indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=1)
     if X.ndim != 2 or X.shape[1] != dim:
-        raise ConfigError(f"points have shape {X.shape}, operator wants dim {dim}")
+        raise BadShape(f"points have shape {X.shape}, operator wants dim {dim}")
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        raise ConfigError(f"point {X[np.argmax(bad)].tolist()} is not finite")
+        raise BadShape(f"point {X[np.argmax(bad)].tolist()} is not finite")
     return X
 
 
@@ -80,7 +76,7 @@ def cmd_eval(args):
 
 def cmd_check(args):
     if args.suite not in SUITES:
-        raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+        raise BadShape(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     rep = run_suite(args.suite, seed=args.seed, trials=args.trials)
     for line in rep.lines():
         print(line)
@@ -100,7 +96,7 @@ def cmd_check(args):
 def _load_1d_endo(args):
     endo = endo_from_json(load_json(args.endo))
     if endo.n != 1:
-        raise ConfigError("kernel commands need a one-dimensional operator")
+        raise BadShape("kernel commands need a one-dimensional operator")
     return endo
 
 
@@ -109,13 +105,13 @@ def cmd_kernel_extract(args):
     xs = _parse_grid(args.grid_x) if args.grid_x is not None else np.linspace(-1.0, 1.0, 201)
     ys = _parse_grid(args.grid_y) if args.grid_y is not None else np.linspace(-6.0, 6.0, 201)
     if xs.size * ys.size > MAX_GRID_POINTS:
-        raise ConfigError(f"a {xs.size} x {ys.size} kernel table has more than "
-                          f"{MAX_GRID_POINTS} nodes")
+        raise BadShape(f"a {xs.size} x {ys.size} kernel table has more than "
+                       f"{MAX_GRID_POINTS} nodes")
     if isinstance(endo, KernelDecomposition):
         box = endo.kernel.box
         if (xs[0] < box[0] - 1e-9 or xs[-1] > box[1] + 1e-9
                 or ys[0] < box[2] - 1e-9 or ys[-1] > box[3] + 1e-9):
-            raise ConfigError("extraction grid leaves the kernel's validity box")
+            raise BadShape("extraction grid leaves the kernel's validity box")
     gxs, gys, vals = kernel_extract(endo, xs, ys).grid
     write_kernel_csv(args.out, gxs, gys, vals)
     return 0
@@ -127,7 +123,7 @@ def cmd_kernel_roundtrip(args):
     try:
         a_lo, a_hi = (float(v) for v in args.A.split(":"))
     except ValueError:
-        raise ConfigError(f"--A expects lo:hi, got {args.A!r}")
+        raise BadShape(f"--A expects lo:hi, got {args.A!r}")
     live = kernel_extract_live(endo, (a_lo - 0.2, a_hi + 0.2, -(2 * args.R), 2 * args.R))
     d = kernel_decompose(live, (a_lo, a_hi), args.R)
     rng = rand.rng_from_seed(args.seed)
@@ -200,7 +196,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, BadShape, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (BadShape, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvendoError as exc:

@@ -284,12 +284,15 @@ def expr_eval(f, x):
 
 
 def as_point_block(X, dim):
-    """X as a float (k, n) array whose n is ``dim`` (any n when None)."""
+    """X as a float (k, n) array whose n is ``dim`` (any n when None); a nan
+    coordinate is refused, infinite ones are points at infinity."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise BadShape("points must form a (k, n) array")
     if dim is not None and dim != X.shape[1]:
         raise DimensionMismatch(f"expected dim {dim}, points have dim {X.shape[1]}")
+    if np.isnan(X).any():
+        raise BadShape("cannot evaluate at nan")
     return X
 
 

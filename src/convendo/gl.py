@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadShape
-from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
+from .extreal import INF, RADIAL_LIMIT, edge_split
 from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, as_row,
                    origin_value, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
@@ -135,9 +135,7 @@ def _block_values(e, f, X, f0):
     if len(e.nu) == 0 or len(rows) == 0:
         return case, out
     a, b = support_bounds(e.nu)
-    lo, hi = f._ray_interval_batch(X[rows])
-    exterior = (a < lo - EDGE_TOL) | (b > hi + EDGE_TOL)
-    interior = (a > lo + EDGE_TOL) & (b < hi - EDGE_TOL)
+    interior, exterior = edge_split(a, b, *f._ray_interval_batch(X[rows]))
     case[rows] = np.where(interior, INTERIOR, np.where(exterior, EXTERIOR, BOUNDARY))
     out[rows[exterior]] = INF
     rows, lam = rows[~exterior], np.where(interior, 1.0, RADIAL_LIMIT)[~exterior]

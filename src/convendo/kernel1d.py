@@ -27,6 +27,7 @@ ys)``; an opaque callable is applied to one hinge per y.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import (BadShape, InfiniteSlope, OutsideA, PhiNegative, PhiNotEven,
                      TailNotAffine, XSliceNotAffine)
 from .expr import as_point_block
-from .extreal import EDGE_TOL, INF, RADIAL_LIMIT
+from .extreal import INF, RADIAL_LIMIT, edge_split
 from .measures import LineMeasure
 from .probes import is_convex_block, is_convex_sampled
 from .pwl import PwlFunction, hinge_values, is_even, pwl_hinge
@@ -79,17 +80,17 @@ def pwl_integral(f, lo, hi):
 class Kernel1D:
     """Continuous kernel psi(x, y) with a declared validity box.
 
-    psi is given at one point by ``evaluator(x, y)``, at many y in one pass
-    by ``row(x, ys)``, or by a ``grid`` with bilinear interpolation between
-    nodes. ``psi.row(x, ys)`` reads psi(x, .); ``psi(x, y)`` is a row of one.
+    psi is given at one point by ``evaluator(x, y)``, or by a table bilinear
+    between nodes (``from_grid``) or an operator's rows (``kernel_extract_live``).
+    ``psi.row(x, ys)`` reads psi(x, .); ``psi(x, y)`` is a row of one.
     """
 
-    def __init__(self, evaluator, box, grid=None, row=None):
+    def __init__(self, evaluator, box):
         self.box = tuple(float(v) for v in box)  # (x_lo, x_hi, y_lo, y_hi)
         if not (self.box[0] < self.box[1] and self.box[2] < self.box[3]):
             raise BadShape("validity box is empty")
-        self.grid = grid  # (xs, ys, values) for grid kernels
-        self._row = row or (lambda x, ys: [evaluator(x, y) for y in ys])
+        self.grid = None  # (xs, ys, values) for grid kernels
+        self._row = lambda x, ys: [evaluator(x, y) for y in ys]
 
     @classmethod
     def from_grid(cls, xs, ys, values):
@@ -104,7 +105,9 @@ class Kernel1D:
             raise BadShape("grids need at least two nodes")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise BadShape("grids must be strictly increasing")
-        return cls(None, (xs[0], xs[-1], ys[0], ys[-1]), grid=(xs, ys, values))
+        psi = cls(None, (xs[0], xs[-1], ys[0], ys[-1]))
+        psi.grid, psi._row = (xs, ys, values), psi._bilinear
+        return psi
 
     def row(self, x, ys):
         """[psi(x, y) for y in ys] as floats; the box is checked first."""
@@ -113,9 +116,12 @@ class Kernel1D:
         out = ~((y_lo - 1e-9 <= y) & (y <= y_hi + 1e-9) & (x_lo - 1e-9 <= x <= x_hi + 1e-9))
         if out.any():
             raise OutsideA(f"({x}, {ys[int(np.argmax(out))]}) outside validity box {self.box}")
-        if self.grid is None:
-            return np.asarray(self._row(x, ys), dtype=float).tolist()
-        xs, gy, values = self.grid  # the x cell once, the y cells in one searchsorted
+        return np.asarray(self._row(x, ys), dtype=float).tolist()
+
+    def _bilinear(self, x, ys):
+        """The row of a grid kernel: the x cell once, the y cells in one searchsorted."""
+        xs, gy, values = self.grid
+        y = np.asarray(ys, dtype=float)
         i = int(np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2))
         j = np.clip(np.searchsorted(gy, y) - 1, 0, gy.size - 2)
         tx = (x - xs[i]) / (xs[i + 1] - xs[i])
@@ -123,7 +129,7 @@ class Kernel1D:
         return ((1 - tx) * (1 - ty) * values[i, j]
                 + tx * (1 - ty) * values[i + 1, j]
                 + (1 - tx) * ty * values[i, j + 1]
-                + tx * ty * values[i + 1, j + 1]).tolist()
+                + tx * ty * values[i + 1, j + 1])
 
     def __call__(self, x, y):
         return self.row(x, (y,))[0]
@@ -158,32 +164,26 @@ class KernelDecomposition:
     R: float
     n = 1
 
-    def _nodes(self):
-        """The four tail nodes R + 1, R, -R, -R - 1."""
-        R = self.R
-        return [R + 1.0, R, -R, -R - 1.0]
-
-    def tails(self, x, row=None):
-        """(c1, c2, c3, c4) at x, from psi at the four nodes; ``row`` may
-        hold psi(x, .) at ``self._nodes()`` already."""
-        R = self.R
-        p_hi, p_r, p_mr, p_lo = self.kernel.row(x, self._nodes()) if row is None else row
-        return ((R + 1.0) * p_hi - (R + 2.0) * p_r,
-                (R + 1.0) * p_r - R * p_hi,
-                R * p_mr - (R - 1.0) * p_lo,
-                R * p_lo - (R + 1.0) * p_mr)
+    def tails(self, x):
+        """(c1, c2, c3, c4) at x in A."""
+        return self.residual(x, ())[0]
 
     def residual(self, x, ys):
-        """The tails (c1, c2, c3, c4) at x and [psi_tilde(x, y) for y in ys],
-        psi less the tails' four hinge multiples, which is 0 beyond |y| = R +
-        1e-12; psi(x, .) is read as one row, at the nodes and the ys within."""
+        """The tails (c1, c2, c3, c4) at x in A and [psi_tilde(x, y) for y in
+        ys], psi less the tails' four hinge multiples, which is 0 beyond |y| =
+        R + 1e-12; psi(x, .) is read as one row, at R + 1, R, -R, -R - 1 and
+        the ys within."""
         x = float(x)
-        if not self.A[0] - EDGE_TOL <= x <= self.A[1] + EDGE_TOL:
+        if edge_split(x, x, *self.A)[1] or math.isnan(x):
             raise OutsideA(f"{x} outside decomposition interval {self.A}")
-        cut = self.R + 1e-12
-        row = self.kernel.row(x, self._nodes() + [y for y in ys if not abs(y) > cut])
-        c1, c2, c3, c4 = tails = self.tails(x, row[:4])
-        psi = iter(row[4:])
+        R, cut = self.R, self.R + 1e-12
+        p_hi, p_r, p_mr, p_lo, *psi = self.kernel.row(
+            x, [R + 1.0, R, -R, -R - 1.0] + [y for y in ys if not abs(y) > cut])
+        c1, c2, c3, c4 = tails = ((R + 1.0) * p_hi - (R + 2.0) * p_r,
+                                  (R + 1.0) * p_r - R * p_hi,
+                                  R * p_mr - (R - 1.0) * p_lo,
+                                  R * p_lo - (R + 1.0) * p_mr)
+        psi = iter(psi)
         res = [next(psi) - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0) + c3 * max(-y, 0.0)
                             + c4 * max(-y - 1.0, 0.0)) if not abs(y) > cut else 0.0 for y in ys]
         return tails, res
@@ -279,7 +279,9 @@ def kernel_extract(endo, xs, ys):
 
 def kernel_extract_live(endo, box):
     """Operator-backed kernel evaluated exactly on demand (no grid)."""
-    return Kernel1D(None, box, row=_hinge_row(endo))
+    psi = Kernel1D(None, box)
+    psi._row = _hinge_row(endo)
+    return psi
 
 
 def detect_tail_radius(psi, A, start=1.0):
@@ -335,9 +337,10 @@ class PhiEndo:
     def _half_width(self, t):
         t = float(t)
         dlo, dhi = self.phi.domain
-        if t < dlo - EDGE_TOL or t > dhi + EDGE_TOL:
+        interior, exterior = edge_split(t, t, dlo, dhi)
+        if exterior:
             return INF
-        if not dlo + EDGE_TOL < t < dhi - EDGE_TOL:
+        if not interior:
             # boundary: the radial limit from inside (from the edge just outside)
             t = RADIAL_LIMIT * min(max(t, dlo), dhi)
         return self.phi(t)
@@ -381,12 +384,6 @@ class PhiConvexityReport:
                     and np.all(self.term_slopes >= -self.tol))
 
 
-def _right_slope(f, a):
-    if a >= f.breakpoints[-1]:
-        return f.slope_right
-    return f.slope_on(math.nextafter(a, INF))
-
-
 def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
     """Second-derivative certificate for the profile-integral operator.
 
@@ -403,6 +400,7 @@ def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
     if grid.size < 3 or np.max(np.abs(h - h[0])) > 1e-12:
         raise BadShape("grid must be uniform with at least 3 points")
     h = float(h[0])
+    seq = f.slope_sequence()  # f'(a) is the right slope, seq[#breakpoints <= a]
     term1, term2 = [], []
     for i in range(1, grid.size - 1):
         t = grid[i]
@@ -411,7 +409,8 @@ def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
         dphi = (pp - pm) / (2.0 * h)
         a = p0
         term1.append(ddphi * (f(a) + f(-a) - 2.0 * f(0.0)))
-        term2.append(dphi * dphi * (_right_slope(f, a) - _right_slope(f, -a)))
+        term2.append(dphi * dphi * (seq[bisect_right(f.breakpoints, a)]
+                                    - seq[bisect_right(f.breakpoints, -a)]))
     return PhiConvexityReport(grid=grid[1:-1], term_curvature=np.array(term1),
                               term_slopes=np.array(term2), tol=tol)
 

@@ -64,10 +64,7 @@ class EpiReport:
 
 def _box_grid(box):
     box = np.atleast_2d(np.asarray(box, dtype=float))
-    axes = [np.linspace(lo, hi, 33) for lo, hi in box]
-    if len(axes) == 1:
-        return axes[0].reshape(-1, 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*[np.linspace(lo, hi, 33) for lo, hi in box], indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -82,14 +79,13 @@ def epi_converges_probe(seq, f, compacts, tol=1e-6, j_max=16):
     indices = list(range(1, j_max + 1))
     report = EpiReport(indices=indices, compacts=list(compacts), tol=tol)
     for box in compacts:
-        pts = _box_grid(box)
-        fvals = np.array([f(p if p.size > 1 else float(p[0])) for p in pts])
+        pts = [p if p.size > 1 else float(p[0]) for p in _box_grid(box)]
+        fvals = np.array([f(p) for p in pts])
         mask = np.isfinite(fvals)
         dists = []
         for j in indices:
             fj = seq(j)
-            fjvals = np.array([fj(p if p.size > 1 else float(p[0]))
-                               for p in pts[mask]])
+            fjvals = np.array([fj(p) for p, finite in zip(pts, mask) if finite])
             dists.append(float(np.max(np.abs(fjvals - fvals[mask]))))
         report.sup_dists.append(np.array(dists))
     return report

@@ -136,19 +136,20 @@ class PwlFunction:
             raise BadShape("cannot evaluate at nan")
         bp, va = self.breakpoints, self.values
         if x < bp[0]:
-            return _tail(va[0], self.slope_left, x, bp[0])
+            return _line(va[0], self.slope_left, x, bp[0])
         if x > bp[-1]:
-            return _tail(va[-1], self.slope_right, x, bp[-1])
+            return _line(va[-1], self.slope_right, x, bp[-1])
         i = bisect.bisect_right(bp, x) - 1
         if i == len(bp) - 1:
             return va[-1]
-        return va[i] + self.slopes[i] * (x - bp[i])
+        return _line(va[i], self.slopes[i], x, bp[i])
 
     def eval_many(self, xs):
         """Vectorized evaluation: x reads va[a] + seq[j] (x - bp[a]), with j
         the count of breakpoints <= x, a = max(j - 1, 0) and seq the slope
         sequence, so a truncated tail's infinite slope gives +inf by itself;
-        the last breakpoint and a flat tail's +-inf (0 * inf) read va[a]."""
+        the last breakpoint and a flat tail's +-inf (0 * inf) read va[a], and
+        an infinite x - bp[a] is taken in halves, as ``_line`` takes it."""
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise BadShape("cannot evaluate at nan")
@@ -157,8 +158,12 @@ class PwlFunction:
         a = np.maximum(j - 1, 0)
         seq = np.array(self.slope_sequence())
         va = np.take(self.values, a)
-        with np.errstate(invalid="ignore"):
-            out = va + seq[j] * (xs - bp[a])
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = xs - bp[a]
+            out = va + seq[j] * d
+            wide = np.isinf(d)
+            if wide.any():
+                out = np.where(wide, va + 2.0 * (seq[j] * (xs / 2 - bp[a] / 2)), out)
         return np.where((xs == bp[-1]) | np.isnan(out), va, out)
 
     def slope_on(self, x):
@@ -182,12 +187,15 @@ class PwlFunction:
                 f"slope_right={self.slope_right})")
 
 
-def _tail(v, m, x, b):
-    """v + m (x - b) on a tail from breakpoint b: +inf past a truncated
-    side, v on a flat tail out to x = +-inf (not 0 * inf)."""
-    if abs(m) == INF:
-        return INF
-    return v if m == 0.0 and abs(x) == INF else v + m * (x - b)
+def _line(v, m, x, b):
+    """v + m (x - b) on a piece or tail from breakpoint b: +inf past a
+    truncated side (m = -+inf), v on a flat one even at x = +-inf (not
+    0 * inf), and v + 2 (m (x/2 - b/2)) where x - b overflows, as the
+    constructor takes a secant in halves."""
+    d = x - b
+    if abs(d) < INF:
+        return v + m * d
+    return v if m == 0.0 else v + 2.0 * (m * (x / 2 - b / 2))
 
 
 # -- canned functions --------------------------------------------------------
@@ -278,19 +286,21 @@ def _pieces(f, xs):
 
 def _values(f, xs, pieces=None):
     """[f(x) for x in xs] from their ``_pieces`` (found here if not given),
-    bit for bit."""
+    bit for bit; a piece wider than the float range is read by ``f``."""
     bp, va, ms = f.breakpoints, f.values, f.slopes
+    if bp[-1] - bp[0] == INF:
+        return [f(x) for x in xs]
     sl, sr, k = f.slope_left, f.slope_right, len(bp)
     out = []
     for x, j in zip(xs, _pieces(f, xs) if pieces is None else pieces):
         if 0 < j < k:
             out.append(va[j - 1] + ms[j - 1] * (x - bp[j - 1]))
         elif j == 0:
-            out.append(_tail(va[0], sl, x, bp[0]))
+            out.append(_line(va[0], sl, x, bp[0]))
         elif j == k:
             out.append(va[-1])
         else:
-            out.append(_tail(va[-1], sr, x, bp[-1]))
+            out.append(_line(va[-1], sr, x, bp[-1]))
     return out
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from convendo import (INF, Affine, BadShape, BallIndicator, DimensionMismatch, Max,
-                      Norm, Precompose, Pwl1D, PwlFunction, Quad, RadialPwl, Scale, Sum,
-                      ZeroVector,
+from convendo import (INF, Affine, BadShape, BallIndicator, DimensionMismatch, GlEndo,
+                      LineMeasure, Max, Norm, Precompose, Pwl1D, PwlFunction, Quad, RadialPwl,
+                      Scale, Sum, ZeroVector,
                       expr_eval, pwl_indicator, pwl_abs, ray_domain)
 
 
@@ -90,6 +90,21 @@ def test_non_finite_coefficient_is_refused(build, v):
     # Quad(inf) at the origin would be inf * 0 = nan
     with pytest.raises(BadShape):
         build(v)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: Quad(1.0)(x),
+    lambda x: GlEndo(0.0, LineMeasure([(1.0, 1.0)]), 2)(Quad(1.0), x),
+    lambda x: ray_domain(Quad(1.0), x),
+    lambda x: Quad(1.0).eval_many([[0.0, 1.0], x]),
+], ids=["tree", "gl", "ray_domain", "block"])
+def test_a_nan_coordinate_is_refused_as_the_pwl1d_leaf_refuses_it(call):
+    # the tree, the operator and the ray domain gave nan, nan and (-inf, inf)
+    with pytest.raises(BadShape, match="cannot evaluate at nan"):
+        call([math.nan, 0.0])
+    with pytest.raises(BadShape, match="cannot evaluate at nan"):
+        Pwl1D(pwl_abs(), [1.0, 0.0])([math.nan, 0.0])
+    call([INF, 1.0])  # an infinite coordinate is a point at infinity
 
 
 def test_radial_pwl_refuses_a_profile_even_only_near_zero():

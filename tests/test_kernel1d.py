@@ -6,13 +6,14 @@ import pytest
 
 from convendo import kernel1d
 from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasure,
-                      MaEndo, OutsideA, PhiEndo, PhiNegative, PhiNotEven, PwlFunction,
+                      MaEndo, OutsideA, PhiEndo, PhiNegative, PhiNotEven, Pwl1D, PwlFunction,
                       ScaleComposeMap, TailNotAffine, XSliceNotAffine, detect_tail_radius,
-                      example_phi_convexity_certificate, hat_weight,
+                      example_phi_convexity_certificate, gl_eval_detailed, hat_weight,
                       kernel_decompose, kernel_endo_eval, kernel_extract,
                       kernel_extract_live, kernel_is_monotone, monge_ampere,
-                      pwl_abs, pwl_hinge, pwl_integral, pwl_linear)
+                      pwl_abs, pwl_hinge, pwl_indicator, pwl_integral, pwl_linear)
 from convendo.cli import main
+from convendo.extreal import EDGE_TOL
 
 
 def dense_parabola(span=3.0, pieces=1200, coeff=1.0):
@@ -326,6 +327,63 @@ def test_phi_convexity_certificate_flat_profile():
     rep = example_phi_convexity_certificate(phi, f, grid, tol=1e-9)
     assert np.max(np.abs(rep.term_curvature)) <= 1e-9  # phi'' = 0 region
     assert rep.passed
+
+
+def test_phi_convexity_certificate_reads_the_right_slope_by_index():
+    # f'(a) is the slope-sequence entry past the breakpoints <= a. With a one
+    # ulp below a breakpoint, a step to nextafter(a) read the piece beyond
+    # it: for a lone breakpoint that raised EmptyDomain on valid input ...
+    below_one = PwlFunction([0.0], [math.nextafter(1.0, 0.0)], -1.0, 1.0)
+    rep = example_phi_convexity_certificate(
+        below_one, PwlFunction([1.0], [0.0], -1.0, 1.0), [-0.5, 0.0, 0.5])
+    assert rep.term_slopes.tolist() == [0.0] and rep.passed
+    # ... and for an interior one it read slope 1 where f has slope 0
+    phi = PwlFunction([0.0], [math.nextafter(1.0, 0.0)], -1.0, 2.0)
+    f = PwlFunction([-0.5, 1.0, 2.0], [0.0, 0.0, 1.0], -3.0, 2.0)
+    rep = example_phi_convexity_certificate(phi, f, [-0.5, 0.0, 0.5])
+    dphi = (phi(0.5) - phi(-0.5)) / 1.0
+    assert rep.term_slopes.tolist() == [dphi * dphi * (0.0 - -3.0)]
+
+
+def test_tails_refuse_an_x_outside_A_as_residual_does():
+    # the decomposition is validated on A only, though psi's box is wider
+    d = kernel_decompose(Kernel1D(lambda x, y: max(y - x, 0.0) - max(y, 0.0),
+                                  (-2.0, 2.0, -4.0, 4.0)), (-1.0, 1.0), 2.0)
+    assert d.tails(1.0 + 5e-11) == d.residual(1.0 + 5e-11, [])[0]
+    for x in (1.5, -1.0 - 2e-10, math.nan):
+        with pytest.raises(OutsideA):
+            d.tails(x)
+        with pytest.raises(OutsideA):
+            d.residual(x, [0.5])
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(INF, k))
+    return x
+
+
+@pytest.mark.parametrize("edge", [-1.0, 1.0])
+@pytest.mark.parametrize("shift", [-EDGE_TOL, 0.0, EDGE_TOL])
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+def test_gl_phi_and_residual_split_a_point_near_an_edge_alike(edge, shift, k):
+    # p a few ulps from edge +- EDGE_TOL, against an interval with the edge
+    # +-1: a gl support end against the ray domain of f along x = 1, a t
+    # against phi's domain, an x against A
+    p = _ulps(edge + shift, k)
+    e = GlEndo(0.0, LineMeasure([(p, 1.0)]), 1)
+    gl_case = gl_eval_detailed(e, Pwl1D(pwl_indicator(-1.0, 1.0), [1.0]), [1.0])[1]["case"]
+    phi = PwlFunction([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], -INF, INF)
+    a = PhiEndo(phi)._half_width(p)  # interior phi(p) = |p|, boundary RADIAL_LIMIT |p|
+    phi_case = "exterior" if a == INF else "interior" if a == phi(p) else "boundary"
+    assert phi_case == gl_case
+    d = kernel_decompose(Kernel1D(lambda x, y: 0.0, (-2.0, 2.0, -4.0, 4.0)), (-1.0, 1.0), 2.0)
+    try:
+        d.residual(p, [])
+        outside = False
+    except OutsideA:
+        outside = True
+    assert outside == (gl_case == "exterior")
 
 
 def _shift(f, c):

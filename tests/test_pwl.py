@@ -512,6 +512,27 @@ def test_max_finds_a_crossing_whose_width_overflows():
         assert h(0.0) == 0.5
 
 
+def _three_paths(f, x):
+    """f at x by __call__, eval_many and the forward pass, as float.hex."""
+    return {f(x).hex(), float(f.eval_many([x])[0]).hex(), pwl._values(f, [x])[0].hex()}
+
+
+def test_pieces_wider_than_the_float_range_read_in_halves():
+    # x - b overflows: each path takes v + 2 (m (x/2 - b/2)), as the
+    # constructor takes the secant; it read inf (and nan for the sum) before
+    f = PwlFunction([-1e308, 1e308], [0.0, 1.0], -1.0, 1.0)
+    (got,) = _three_paths(f, 0.95e308)
+    assert float.fromhex(got) == pytest.approx(0.975, rel=1e-12, abs=1e-12)
+    mirror = PwlFunction([-1e308, 1e308], [1.0, 0.0], -1.0, 1.0)
+    assert _three_paths(pwl_add(f, mirror), 0.95e308) == {(1.0).hex()}
+    tail = PwlFunction([-1e308], [0.0], -1.0, 0.25)
+    assert _three_paths(tail, 1e308) == {(5e307).hex()}
+    # where x - b stays finite nothing moves, and +-inf keep their values
+    assert _three_paths(f, 0.5e308) == {(0.0 + f.slopes[0] * (0.5e308 - -1e308)).hex()}
+    assert _three_paths(tail, INF) == _three_paths(tail, -INF) == {INF.hex()}
+    assert _three_paths(pwl_indicator(-1e308, 1e308), 1.7e308) == {INF.hex()}
+
+
 def test_add_and_max_keep_the_sign_of_zero():
     f = PwlFunction([0.0], [0.0], -1.0, 1.0)
     g = PwlFunction([0.0], [-0.0], -2.0, 2.0)
