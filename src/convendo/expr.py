@@ -28,6 +28,9 @@ from .pwl import PwlFunction, is_even
 # transient memory does not grow with the number of points.
 BLOCK = 8192
 
+# The least normal float: a smaller ||x||^2 has lost digits to underflow.
+_TINY = np.finfo(float).tiny
+
 
 class ConvexExpr:
     """Base class; subclasses implement ``_eval_batch`` on (k, n) blocks, and
@@ -43,7 +46,10 @@ class ConvexExpr:
 
         ``expr_eval(f, x)`` is the block of the one row x.
         """
-        X = as_point_block(X, self.dim)
+        return self._eval_rows(as_point_block(X, self.dim))
+
+    def _eval_rows(self, X):
+        """``_eval_batch`` on checked rows, at most BLOCK at a time."""
         out = np.empty(len(X))
         for rows in row_blocks(len(X)):
             out[rows] = self._eval_batch(X[rows])
@@ -60,11 +66,12 @@ class Affine(ConvexExpr):
     def __init__(self, a, b):
         self.a = _finite(a, "affine coefficients").reshape(-1)
         self.a.flags.writeable = False
+        self._zeros = not self.a.all()
         self.b = float(_finite(b, "affine offset"))
         self.dim = self.a.size
 
     def _eval_batch(self, X):
-        return _rowdot(X, self.a) + self.b
+        return _rowdot(X, self.a, self._zeros) + self.b
 
 
 class Quad(ConvexExpr):
@@ -88,7 +95,7 @@ class Norm(ConvexExpr):
             raise NegativeScale("norm coefficient must be >= 0")
 
     def _eval_batch(self, X):
-        return self.c * np.sqrt(sqnorms(X))
+        return self.c * norms(X)
 
 
 class BallIndicator(ConvexExpr):
@@ -103,7 +110,7 @@ class BallIndicator(ConvexExpr):
         return np.where(sqnorms(X) <= self.r * self.r, 0.0, INF)
 
     def _ray_interval_batch(self, X):
-        hi = self.r / np.sqrt(sqnorms(X))
+        hi = self.r / norms(X)
         return (-hi, hi)
 
 
@@ -116,16 +123,17 @@ class Pwl1D(ConvexExpr):
         self.p = p
         self.direction = _finite(direction, "direction").reshape(-1)
         self.direction.flags.writeable = False
+        self._zeros = not self.direction.all()
         n = math.sqrt(float(self.direction @ self.direction))
         if n == 0.0:
             raise ZeroVector("direction must be nonzero")
         self.dim = self.direction.size
 
     def _eval_batch(self, X):
-        return self.p.eval_many(_rowdot(X, self.direction))
+        return self.p.eval_many(_rowdot(X, self.direction, self._zeros))
 
     def _ray_interval_batch(self, X):
-        alpha = _rowdot(X, self.direction)
+        alpha = _rowdot(X, self.direction, self._zeros)
         lo, hi = self.p.domain
         zero = alpha == 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,13 +162,13 @@ class RadialPwl(ConvexExpr):
         self.p = p
 
     def _eval_batch(self, X):
-        return self.p.eval_many(np.sqrt(sqnorms(X)))
+        return self.p.eval_many(norms(X))
 
     def _ray_interval_batch(self, X):
         hi = self.p.domain[1]
         if hi == INF:
             return super()._ray_interval_batch(X)
-        hi = hi / np.sqrt(sqnorms(X))
+        hi = hi / norms(X)
         return (-hi, hi)
 
 
@@ -263,14 +271,20 @@ def _finite(value, what):
     return v
 
 
-def _rowdot(X, a):
-    """<a, x> for every row x of X.
+def _rowdot(X, a, zeros):
+    """<a, x> for every row x of X; ``zeros`` says whether a has a zero entry.
 
     A stack of 1 x n by n x 1 products runs the inner loop of a 1-D
     ``a @ x``, so each value equals that dot product bit for bit; ``X @ a``
-    sums in another order and differs in the last bit on many rows.
+    sums in another order and differs in the last bit on many rows. A zero
+    coefficient contributes 0 at an infinite coordinate (not 0 * inf): only
+    rows where that made a nan are summed again with those terms dropped.
     """
-    return np.matmul(X[:, None, :], a)[:, 0]
+    out = np.matmul(X[:, None, :], a)[:, 0]
+    if zeros and math.isnan(np.dot(out, out)):  # a sum of squares is nan only through a nan
+        nan = np.isnan(out)
+        out[nan] = np.matmul(np.where(a != 0.0, X[nan], 0.0)[:, None, :], a)[:, 0]
+    return out
 
 
 def sqnorms(X):
@@ -278,9 +292,25 @@ def sqnorms(X):
     return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
+def norms(X):
+    """||x|| for every row x of X: ``sqrt(sqnorms(X))`` where ||x||^2 is a
+    normal float, and where it overflows or underflows, the norm of the row
+    divided by its largest |coordinate|, times that coordinate."""
+    sq = sqnorms(X)
+    out = np.sqrt(sq)
+    # the square of the zero block, which most operator calls read f at, is below _TINY too
+    if sq.max(initial=0.0) == INF or (sq.min(initial=INF) < _TINY and X.any()):
+        i = np.flatnonzero(~((sq >= _TINY) & (sq < INF)))
+        m = np.abs(X[i]).max(axis=1, initial=0.0)
+        ok = (m > 0.0) & (m < INF)  # a zero row and an infinite coordinate read right already
+        i, m = i[ok], m[ok]
+        out[i] = m * np.sqrt(sqnorms(X[i] / m[:, None]))
+    return out
+
+
 def expr_eval(f, x):
     """Evaluate a ConvexExpr at a point; returns a float (possibly +inf)."""
-    return float(f._eval_batch(as_row(x, f.dim))[0])
+    return float(f.eval_many(np.reshape(x, (1, -1)))[0])
 
 
 def as_point_block(X, dim):
@@ -296,11 +326,6 @@ def as_point_block(X, dim):
     return X
 
 
-def as_row(x, dim):
-    """The point x as a (1, n) block whose n is ``dim`` (any n when None)."""
-    return as_point_block(np.reshape(x, (1, -1)), dim)
-
-
 def row_blocks(k, size=BLOCK):
     """Slices of at most ``size`` rows covering range(k)."""
     return [slice(i, min(i + size, k)) for i in range(0, k, size)]
@@ -308,29 +333,34 @@ def row_blocks(k, size=BLOCK):
 
 def ray_domain(f, x):
     """Interior of { s in R : f(s x) < inf } for nonzero x."""
-    X = as_row(x, f.dim)
+    X = as_point_block(np.reshape(x, (1, -1)), f.dim)
     if not X.any():
         raise ZeroVector("ray directions must be nonzero")
     lo, hi = f._ray_interval_batch(X)
     return (float(lo[0]), float(hi[0]))
 
 
-def origin_value(f, n):
-    """f(0) in R^n; an operator input must be finite there."""
-    f0 = expr_eval(f, np.zeros(n))
+def operator_input(f, X, n):
+    """(f, X, f(0)) for an operator on R^n needing f(0) finite: f and X checked once,
+    by ``as_expr`` and ``as_point_block``, and f(0) read from an unchecked zero row."""
+    f = as_expr(f, n)
+    X = as_point_block(X, n)
+    f0 = float(f._eval_batch(np.zeros((1, n)))[0])
     if f0 == INF:
         raise OriginNotInDomain("f(0) must be finite")
-    return f0
+    return f, X, f0
 
 
 def as_expr(f, n):
-    """The input of an operator on R^n as a ConvexExpr.
+    """The input of an operator on R^n as a ConvexExpr, checked once per call.
 
     A bare PwlFunction is the profile ``Pwl1D(f, [1.0])`` when n == 1 and is
-    refused otherwise.
+    refused otherwise; a tree must have dimension n, or none.
     """
-    if not isinstance(f, PwlFunction):
-        return f
-    if n != 1:
-        raise BadShape("a bare pwl function fits only 1-dimensional operators")
-    return Pwl1D(f, [1.0])
+    if isinstance(f, PwlFunction):
+        if n != 1:
+            raise BadShape("a bare pwl function fits only 1-dimensional operators")
+        return Pwl1D(f, [1.0])
+    if f.dim is not None and f.dim != n:
+        raise DimensionMismatch(f"expected dim {f.dim}, points have dim {n}")
+    return f

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import BadShape
 from .extreal import INF, RADIAL_LIMIT, edge_split
-from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, as_row,
-                   origin_value, row_blocks)
+from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, operator_input,
+                   row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
 from .pwl import hinge_values
 from .rand import random_finite_expr, random_nonneg_expr
@@ -61,13 +61,11 @@ class GlEndo:
             raise BadShape("nu must not charge 0")
 
     def __call__(self, f, x):
-        return gl_eval(self, as_expr(f, self.n), x)
+        return gl_eval(self, f, x)
 
     def eval_many(self, f, X):
         """The operator at every row of a (k, n) array; returns (k,) floats."""
-        f = as_expr(f, self.n)
-        X = as_point_block(X, self.n)
-        f0 = origin_value(f, self.n)
+        f, X, f0 = operator_input(f, X, self.n)
         out = np.empty(len(X))
         for rows in row_blocks(len(X), max(1, BLOCK // max(1, len(self.nu)))):
             out[rows] = _block_values(self, f, X[rows], f0)[1]
@@ -98,7 +96,7 @@ def _hinge_ys(op, ys):
 
 def gl_eval(e, f, x):
     """Evaluate the operator; see module docstring for the case split."""
-    return float(e.eval_many(f, as_row(x, e.n))[0])
+    return float(e.eval_many(f, np.reshape(x, (1, -1)))[0])
 
 
 def gl_eval_detailed(e, f, x):
@@ -110,8 +108,7 @@ def gl_eval_detailed(e, f, x):
     the ray by convexity, so a non-monotone tail signals a numerical problem
     rather than a mathematical one).
     """
-    X = as_row(x, e.n)
-    f0 = origin_value(f, e.n)
+    f, X, f0 = operator_input(f, np.reshape(x, (1, -1)), e.n)
     case, value = _block_values(e, f, X, f0)
     report = {"case": CASES[case[0]]}
     if case[0] == BOUNDARY:
@@ -183,13 +180,13 @@ class ScaleComposeMap:
             raise BadShape("mu must be nonzero")
 
     def __call__(self, f, x):
-        return scale_compose_eval(self, as_expr(f, self.n), x)
+        return scale_compose_eval(self, f, x)
 
     def eval_many(self, f, X):
         """lam * f(mu x) at every row x of a (k, n) array."""
         f = as_expr(f, self.n)
         X = as_point_block(X, self.n)
-        return self.lam * f.eval_many(self.mu_scalar * X)
+        return self.lam * f._eval_rows(self.mu_scalar * X)
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys] for n == 1: lam (y - mu x)_+."""
@@ -198,7 +195,7 @@ class ScaleComposeMap:
 
 
 def scale_compose_eval(m, f, x):
-    return float(m.eval_many(f, as_row(x, m.n))[0])
+    return float(m.eval_many(f, np.reshape(x, (1, -1)))[0])
 
 
 def gl_empirical_monotone_search(e, trials=1000, seed=0):

@@ -41,16 +41,33 @@ from .probes import is_convex_block, is_convex_sampled
 from .pwl import PwlFunction, hinge_values, is_even, pwl_hinge
 
 
+def _finite_pwl(f, x=0.0, X=None):
+    """The one input check of the operators on finite pwl functions, made first by
+    each entry point: f must be a PwlFunction with finite tails, and the point x (a
+    float costs no numpy call) or the (k, 1) block X hold no nan; returns x or X's column."""
+    if not isinstance(f, PwlFunction):
+        raise BadShape("this operator expects a {'kind': 'pwl'} input")
+    if f.slope_left == -INF or f.slope_right == INF:
+        raise InfiniteSlope("the input must be a finite piecewise-linear function")
+    if X is not None:
+        return as_point_block(X, 1)[:, 0]
+    if isinstance(x, float) and x == x:
+        return float(x)
+    return float(as_point_block(np.reshape(x, (1, -1)), 1)[0, 0])
+
+
 def monge_ampere(f):
     """Second-derivative measure of a finite convex piecewise-linear f.
 
     Atoms sit at the breakpoints and weigh the slope jumps; zero jumps are
-    dropped. Functions with truncated domains are rejected. The breakpoints
-    of a PwlFunction are finite and strictly increasing, so the measure is
-    built without re-checking them; only a jump that overflowed is refused.
+    dropped. Functions with truncated domains are rejected.
     """
-    if f.slope_left == -INF or f.slope_right == INF:
-        raise InfiniteSlope("Monge-Ampere needs finite tail slopes")
+    _finite_pwl(f)
+    return _kinks(f)
+
+
+def _kinks(f):
+    """``monge_ampere`` of a checked f; only a jump that overflowed is refused."""
     seq = f.slope_sequence()
     pos, wts = [], []
     for b, m1, m2 in zip(f.breakpoints, seq, seq[1:]):
@@ -145,13 +162,6 @@ def kernel_is_monotone(psi, xs, ys):
     return all(is_convex_block(lambda Y, x=x: psi.row(x, Y), ys) for x in xs)
 
 
-def _pwl_points(f, X):
-    """The x of a (k, 1) block, for an operator on finite PwlFunctions."""
-    if not isinstance(f, PwlFunction):
-        raise BadShape("this operator expects a {'kind': 'pwl'} input")
-    return as_point_block(X, 1)[:, 0]
-
-
 @dataclass
 class KernelDecomposition:
     """Tail coefficients and compactly supported residual of a kernel.
@@ -190,8 +200,15 @@ class KernelDecomposition:
 
     def eval_many(self, f, X):
         """The operator at the rows of a (k, 1) array, the kinks of f found once."""
-        ma = monge_ampere(f)
-        return np.array([kernel_endo_eval(self, f, x, ma) for x in _pwl_points(f, X).tolist()])
+        xs, ma = _finite_pwl(f, X=X).tolist(), _kinks(f)
+        return np.array([self._value(f, x, ma) for x in xs])
+
+    def _value(self, f, x, ma):
+        (c1, c2, c3, c4), res = self.residual(x, ma.positions)
+        total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
+        for r, w in zip(res, ma.weights):
+            total += r * w  # the residual is 0 beyond R, and 0 * w keeps the sign of zero
+        return total
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys], from one unit kink at each y."""
@@ -252,15 +269,9 @@ def kernel_decompose(psi, A, R):
     return KernelDecomposition(kernel=psi, A=(a_lo, a_hi), R=R)
 
 
-def kernel_endo_eval(d, f, x, ma=None):
-    """Apply the decomposed operator to a finite piecewise-linear input; ``ma``
-    may hold ``monge_ampere(f)`` already."""
-    ma = monge_ampere(f) if ma is None else ma
-    (c1, c2, c3, c4), res = d.residual(x, ma.positions)
-    total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
-    for r, w in zip(res, ma.weights):
-        total += r * w  # the residual is 0 beyond R, and 0 * w keeps the sign of zero
-    return total
+def kernel_endo_eval(d, f, x):
+    """Apply the decomposed operator to a finite piecewise-linear input."""
+    return d._value(f, _finite_pwl(f, x), _kinks(f))
 
 
 def _hinge_row(endo):
@@ -346,16 +357,17 @@ class PhiEndo:
         return self.phi(t)
 
     def __call__(self, f, t):
-        if f.slope_left == -INF or f.slope_right == INF:
-            raise InfiniteSlope("input must be a finite piecewise-linear function")
+        return self._value(f, _finite_pwl(f, t))
+
+    def eval_many(self, f, X):
+        # point by point: the trapezoid order of each value fixes its bits
+        return np.array([self._value(f, t) for t in _finite_pwl(f, X=X).tolist()])
+
+    def _value(self, f, t):
         a = self._half_width(t)
         if not 0.0 < a < INF:
             return INF if a == INF else 0.0
         return pwl_integral(f, -a, a) - 2.0 * a * f(0.0)
-
-    def eval_many(self, f, X):
-        # point by point: the trapezoid order of each value fixes its bits
-        return np.array([self(f, t) for t in _pwl_points(f, X).tolist()])
 
     def kernel_row(self, t, ys):
         """[self(pwl_hinge(y), t) for y in ys]: only the trapezoid from -a is not 0."""
@@ -425,8 +437,7 @@ class MaEndo:
     n = 1
 
     def __init__(self, g, zeta, support_radius, zeta_descriptor=None):
-        if g.slope_left == -INF or g.slope_right == INF:
-            raise InfiniteSlope("g must be finite")
+        _finite_pwl(g)
         for u in np.linspace(0.0, float(support_radius), 33):
             if zeta(u) < -1e-12:
                 raise BadShape("zeta must be non-negative")
@@ -437,16 +448,16 @@ class MaEndo:
 
     def _total(self, f):
         total = 0.0
-        for y, w in monge_ampere(f).atoms:
+        for y, w in _kinks(f).atoms:
             if abs(y) <= self.support_radius:
                 total += self.zeta(abs(y)) * w
         return total
 
     def __call__(self, f, x):
-        return self.g(float(x)) * self._total(f)
+        return self.g(_finite_pwl(f, x)) * self._total(f)
 
     def eval_many(self, f, X):
-        return self.g.eval_many(_pwl_points(f, X)) * self._total(f)
+        return self.g.eval_many(_finite_pwl(f, X=X)) * self._total(f)
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys]: g(x) zeta(|y|) on |y| <= radius."""

@@ -167,16 +167,18 @@ class PwlFunction:
         return np.where((xs == bp[-1]) | np.isnan(out), va, out)
 
     def slope_on(self, x):
-        """Slope of the piece whose interior contains x (tails included)."""
+        """Slope of the piece whose interior contains x (tails included); a
+        breakpoint reads the piece on its right, the last one the piece on its
+        left, and only a point domain has none."""
         bp = self.breakpoints
         if x < bp[0]:
             return self.slope_left
         if x > bp[-1]:
             return self.slope_right
-        i = min(bisect.bisect_right(bp, x) - 1, len(bp) - 2)
-        if len(bp) == 1:
+        if self.slope_left == -INF and self.slope_right == INF and len(bp) == 1:
             raise EmptyDomain("point domain has no piece slopes")
-        return self.slopes[i]
+        i = min(bisect.bisect_right(bp, x), len(bp) - 1)
+        return self.slopes[i - 1] if i else self.slope_left
 
     def slope_sequence(self):
         return (self.slope_left,) + self.slopes + (self.slope_right,)
@@ -306,12 +308,29 @@ def _values(f, xs, pieces=None):
 
 def _slopes(f, pieces):
     """[f.slope_on(x) for x in xs] from their ``_pieces``: the last
-    breakpoint reads the last interior piece, which a point domain lacks."""
+    breakpoint reads the piece on its left. The operations never reach a
+    point domain, whose interior is empty."""
     k = len(f.breakpoints)
-    if k == 1 and 1 in pieces:
-        raise EmptyDomain("point domain has no piece slopes")
     seq = f.slope_sequence()
     return [seq[j - (j >= k)] for j in pieces]
+
+
+def _open_pieces(f, pts, mids, pieces=None):
+    """The ``_pieces`` of the midpoints ``mids`` of neighbouring pts (found
+    here if not given), except where a midpoint rounded onto an end: the ends
+    are then neighbouring floats, and the interval lies on the piece right of
+    the lower end. Points of a grid merged at MERGE_TOL are neighbouring
+    floats only beyond MERGE_TOL * 2^52 (about 4504), where an ulp can exceed it."""
+    pieces = _pieces(f, mids) if pieces is None else pieces
+    if max(-pts[0], pts[-1]) <= MERGE_TOL * 2.0 ** 52:
+        return pieces
+    k, out = len(f.breakpoints), []
+    for j, p, m, q in zip(pieces, pts, mids, pts[1:]):
+        if m == p or m == q:
+            j = bisect.bisect_right(f.breakpoints, p)
+            j += j == k  # k + 1 is the right tail
+        out.append(j)
+    return out
 
 
 def _midpoints(pts):
@@ -332,8 +351,8 @@ def pwl_add(f, g):
     lo, hi, pts = _common_grid(f, g)
     vals = [a + b for a, b in zip(_values(f, pts), _values(g, pts))]
     mids = _midpoints(pts)
-    slopes = [a + b for a, b in zip(_slopes(f, _pieces(f, mids)),
-                                    _slopes(g, _pieces(g, mids)))]
+    slopes = [a + b for a, b in zip(_slopes(f, _open_pieces(f, pts, mids)),
+                                    _slopes(g, _open_pieces(g, pts, mids)))]
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
     return PwlFunction._from_op(pts, vals, sl, sr, slopes)
@@ -349,12 +368,14 @@ def pwl_scale(lam, f):
                                 [lam * m for m in f.slopes])
 
 
-def _upper_slopes(f, g, xs):
-    """[f.slope_on(x) if f(x) >= g(x) else g.slope_on(x) for x in xs]: only
-    the upper function's slope is read, so a point domain below the other
-    function raises nothing."""
+def _upper_slopes(f, g, pts):
+    """The slope on each open interval between neighbouring pts of f where
+    f >= g at its midpoint and of g elsewhere, read as ``_open_pieces``; only
+    the upper function's slope is read."""
+    xs = _midpoints(pts)
     fp, gp = _pieces(f, xs), _pieces(g, xs)
     upper = [a >= b for a, b in zip(_values(f, xs, fp), _values(g, xs, gp))]
+    fp, gp = _open_pieces(f, pts, xs, fp), _open_pieces(g, pts, xs, gp)
     fs = iter(_slopes(f, [j for j, u in zip(fp, upper) if u]))
     gs = iter(_slopes(g, [j for j, u in zip(gp, upper) if not u]))
     return [next(fs) if u else next(gs) for u in upper]
@@ -398,7 +419,7 @@ def pwl_max(f, g):
                 full.append(x)
     full = sorted(set(full))
     vals = [max(a, b) for a, b in zip(_values(f, full), _values(g, full))]
-    slopes = _upper_slopes(f, g, _midpoints(full))
+    slopes = _upper_slopes(f, g, full)
     sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
     sr = INF if hi < INF else max(f.slope_right, g.slope_right)
     return PwlFunction._from_op(full, vals, sl, sr, slopes)

@@ -22,17 +22,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadShape, NotHomogeneous, UnsupportedDimension, ZeroVector
-from .expr import (BLOCK, Affine, Max, as_expr, as_point_block, as_row, origin_value,
-                   row_blocks, sqnorms)
+from .expr import BLOCK, Affine, Max, as_point_block, norms, operator_input, row_blocks
 from .measures import OrbitMeasure, orbit_center, orbit_quadrature, orbit_total_mass
 
 
 def canonical_rotation(x, n):
     """Special orthogonal matrix taking e1 to x / ||x||; see canonical_rotations."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != n:
-        raise BadShape(f"point has dim {x.size}, expected {n}")
-    return canonical_rotations(x[None])[0]
+    return canonical_rotations(as_point_block(np.reshape(x, (1, -1)), n))[0]
 
 
 def canonical_rotations(X):
@@ -44,22 +40,20 @@ def canonical_rotations(X):
     product is taken for -u and composed with the rotation by pi in the
     (e1, e2) coordinate plane. Returns (k, n, n).
     """
-    n = X.shape[1]
-    norms = np.sqrt(sqnorms(X))
-    if not norms.all():
+    k, n = X.shape
+    r = norms(X)
+    if not r.all():
         raise ZeroVector("cannot orient the zero vector")
-    U = X / norms[:, None]
+    U = X / r[:, None]
     flip = U[:, 0] < 0.0
     U[flip] = -U[flip]
-    e1 = np.eye(n)[0]
-
-    def reflect(V):
-        V = V / np.sqrt(sqnorms(V))[:, None]
-        return np.eye(n) - 2.0 * (V[:, :, None] * V[:, None, :])
-
-    # ||u + e1|| >= sqrt(2) on either side, so both reflections are well
-    # conditioned; u == e1 collapses to the identity automatically
-    R = np.matmul(reflect(U), reflect(U + e1))
+    # the reflections through u and through u + e1, normalized together;
+    # ||u + e1|| >= sqrt(2) on either side, so both are well conditioned, and
+    # u == e1 collapses to the identity automatically
+    V = np.concatenate([U, U + np.eye(n)[0]])
+    V = V / norms(V)[:, None]
+    H = np.eye(n) - 2.0 * (V[:, :, None] * V[:, None, :])
+    R = np.matmul(H[:k], H[k:])
     if flip.any():
         pi_rot = np.diag([-1.0, -1.0] + [1.0] * (n - 2))
         R[flip] = np.matmul(R[flip], pi_rot)
@@ -101,7 +95,7 @@ class RadialEndo:
         return nodes, weights
 
     def __call__(self, f, x):
-        return radial_eval(self, as_expr(f, self.n), x)
+        return radial_eval(self, f, x)
 
     def eval_many(self, f, X, rotations=None):
         """The operator at every row x of a (k, n) array, summing f(||x|| R_x p)
@@ -112,9 +106,7 @@ class RadialEndo:
         quadrature resolution, which is the orbit-invariance of the measure.
         """
         n = self.n
-        f = as_expr(f, n)
-        X = as_point_block(X, n)
-        f0 = origin_value(f, n)
+        f, X, f0 = operator_input(f, X, n)
         nodes, weights = self.quadrature  # every weight is positive
         out = np.full(len(X), f0 * orbit_total_mass(self.mu))
         idx = np.flatnonzero(X.any(axis=1))
@@ -122,7 +114,7 @@ class RadialEndo:
             i = idx[rows]
             R = canonical_rotations(X[i]) if rotations is None else rotations[i]
             P = np.matmul(R[:, None], nodes[None, :, :, None])[..., 0]
-            Y = np.sqrt(sqnorms(X[i]))[:, None, None] * P
+            Y = norms(X[i])[:, None, None] * P
             V = f._eval_batch(Y.reshape(-1, n)).reshape(len(i), len(weights))
             # each row summed left to right from 0.0, a running total over the nodes
             out[i] = np.cumsum(np.column_stack([np.zeros(len(i)), V * weights]), axis=1)[:, -1]
@@ -132,7 +124,7 @@ class RadialEndo:
 def radial_eval(e, f, x, rotation=None):
     """Evaluate the operator at one point; see RadialEndo.eval_many."""
     R = None if rotation is None else np.asarray(rotation, dtype=float)[None]
-    return float(e.eval_many(f, as_row(x, e.n), R)[0])
+    return float(e.eval_many(f, np.reshape(x, (1, -1)), R)[0])
 
 
 def radial_is_dually_translation_invariant(e):

@@ -113,3 +113,29 @@ def test_radial_pwl_refuses_a_profile_even_only_near_zero():
         RadialPwl(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 1.0))
     f = RadialPwl(PwlFunction([-4.0, 0.0, 4.0], [5.0, 1.0, 5.0], -2.0, 2.0))
     assert f([0.0, -4.0]) == 5.0 and f([3.0, 4.0]) == 7.0
+
+
+def test_a_zero_coefficient_meets_an_infinite_coordinate_as_zero():
+    # inf * 0 gave nan, a nan refusal and (nan, nan) on points with no nan
+    assert Affine([0.0, 1.0], 0.0)([INF, 0.0]) == 0.0
+    assert Pwl1D(pwl_abs(), [0.0, 1.0])([INF, 0.0]) == 0.0
+    assert ray_domain(Pwl1D(pwl_indicator(-1, 1), [0, 1]), [INF, 0]) == (-INF, INF)
+    assert GlEndo(0, LineMeasure([(1, 1)]), 2)(Affine([0, 1], 0), [INF, 0]) == 0.0
+    # a nonzero coefficient keeps the point at infinity, and finite rows their bits
+    assert Affine([2.0, 1.0], 0.0)([-INF, 0.0]) == -INF
+    X = np.array([[0.1, 0.7], [INF, 0.3], [-0.2, 1e300]])
+    got = Affine([0.0, 3.0], 0.5).eval_many(X)
+    assert [v.hex() for v in got[[0, 2]]] == [(float(np.array([0.0, 3.0]) @ x) + 0.5).hex()
+                                              for x in X[[0, 2]]]
+    assert got[1] == 3.0 * 0.3 + 0.5
+
+
+def test_norms_of_rows_whose_square_overflows_or_underflows():
+    assert Norm(1.0)([1e200, 0.0]) == 1e200
+    assert Norm(2.0)([3e-200, -4e-200]) == pytest.approx(1e-199, rel=1e-12)
+    assert Norm(1.0)([1e300, 1e300]) == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-12)
+    assert Norm(1.0)([INF, 1.0]) == INF and Norm(1.0)([0.0, 0.0]) == 0.0
+    assert RadialPwl(pwl_abs())([0.0, -1e-300]) == 1e-300
+    # where the square is a normal float, the value is sqrt of it bit for bit
+    x = np.array([0.3, -1.7])
+    assert Norm(1.0)(x) == math.sqrt(float(x @ x))

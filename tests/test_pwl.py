@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 
@@ -377,11 +378,21 @@ def test_moreau_envelope_refuses_non_positive_t(t):
 
 # -- one-pass pwl_add / pwl_max against bisecting every point --------------------
 
+def _slope_between(f, p1, p2):
+    """f's slope on the open interval (p1, p2): slope_on at its midpoint, or,
+    where the midpoint rounds onto an end (the ends are neighbouring floats),
+    the piece right of p1, found by bisecting the breakpoints."""
+    m = (p1 + p2) / 2.0
+    if m != p1 and m != p2:
+        return f.slope_on(m)
+    return f.slope_sequence()[bisect.bisect_right(f.breakpoints, p1)]
+
+
 def _pwl_add_bisect(f, g):
-    """The sum with each point and midpoint looked up by f(x) and slope_on."""
+    """The sum with each point and interval looked up by f(x) and _slope_between."""
     lo, hi, pts = pwl._common_grid(f, g)
     vals = [f(p) + g(p) for p in pts]
-    slopes = [f.slope_on((p1 + p2) / 2.0) + g.slope_on((p1 + p2) / 2.0)
+    slopes = [_slope_between(f, p1, p2) + _slope_between(g, p1, p2)
               for p1, p2 in zip(pts, pts[1:])]
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
@@ -389,7 +400,8 @@ def _pwl_add_bisect(f, g):
 
 
 def _pwl_max_bisect(f, g):
-    """The maximum with each point and midpoint looked up by f(x) and slope_on."""
+    """The maximum with each point and interval looked up by f(x) and
+    _slope_between, the upper function picked at the interval's midpoint."""
     lo, hi, pts = pwl._common_grid(f, g)
     full = list(pts)
     for a, b in zip(pts, pts[1:]):
@@ -412,7 +424,7 @@ def _pwl_max_bisect(f, g):
     slopes = []
     for p1, p2 in zip(full, full[1:]):
         m = (p1 + p2) / 2.0
-        slopes.append(f.slope_on(m) if f(m) >= g(m) else g.slope_on(m))
+        slopes.append(_slope_between(f if f(m) >= g(m) else g, p1, p2))
     sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
     sr = INF if hi < INF else max(f.slope_right, g.slope_right)
     return PwlFunction._from_op(full, vals, sl, sr, slopes)
@@ -458,9 +470,8 @@ def test_add_and_max_match_bisection_hypothesis(pair):
 @pytest.mark.parametrize("side", [-INF, INF])
 def test_add_and_max_match_bisection_where_midpoints_round_onto_a_breakpoint(b, side):
     # neighbouring floats more than MERGE_TOL apart: the midpoint between a
-    # point and its neighbour rounds onto one of them, and slope_on of a
-    # single-breakpoint input raises EmptyDomain there
-    # there, and slope_on at the last breakpoint reads the last piece
+    # point and its neighbour rounds onto one of them, so both the operations
+    # and the oracles read the piece between the two, and no pair raises
     near = math.nextafter(b, side)
     at_b = (PwlFunction([b], [0.0], -1.0, 1.0),
             PwlFunction([b - 1.0, b], [1.0, 0.0], -2.0, 1.0),
@@ -470,8 +481,10 @@ def test_add_and_max_match_bisection_where_midpoints_round_onto_a_breakpoint(b, 
                PwlFunction([near, near + 3.0 * abs(near - b)], [5.0, 5.0], -3.0, 3.0))
     for one, other in itertools.product(at_b, at_near):
         for f, g in ((one, other), (other, one)):
-            assert _outcome(pwl_add, f, g) == _outcome(_pwl_add_bisect, f, g)
-            assert _outcome(pwl_max, f, g) == _outcome(_pwl_max_bisect, f, g)
+            for op, oracle in ((pwl_add, _pwl_add_bisect), (pwl_max, _pwl_max_bisect)):
+                got = _outcome(op, f, g)
+                assert isinstance(got, list), (op.__name__, f, g, got)
+                assert got == _outcome(oracle, f, g)
 
 
 def _scaled(f, c):
@@ -652,3 +665,20 @@ def test_constructor_merges_breakpoints_within_merge_tol():
     # explicit slopes are dropped with the merge and recomputed from the values
     g = PwlFunction([0.0, 5e-13, 1.0], [0.0, 0.1, 1.0], -1.0, 2.0, slopes=[1.5, 0.5])
     assert (g.breakpoints, g.values, g.slopes) == (f.breakpoints, f.values, f.slopes)
+
+
+def test_add_reads_the_piece_between_neighbouring_floats():
+    # the midpoint of 1e4 and its neighbour rounds onto 1e4, the lone
+    # breakpoint of f, which raised EmptyDomain on two finite functions
+    f = PwlFunction([1e4], [0.0], -1.0, 1.0)
+    g = PwlFunction([math.nextafter(1e4, math.inf)], [0.0], -2.0, 2.0)
+    assert pwl_add(f, g).slope_sequence() == (-3.0, -1.0, 3.0)
+    assert pwl_add(g, f).slope_sequence() == (-3.0, -1.0, 3.0)
+
+
+def test_slope_on_raises_only_on_a_point_domain():
+    assert pwl_abs().slope_on(0.0) == -1.0  # the last breakpoint reads the piece on its left
+    assert PwlFunction([0.0, 1.0], [0.0, 2.0], -1.0, 3.0).slope_on(1.0) == 2.0
+    assert pwl_indicator(0.0, 1.0).slope_on(0.0) == 0.0
+    with pytest.raises(EmptyDomain):
+        pwl_indicator(2.0, 2.0).slope_on(2.0)

@@ -203,3 +203,14 @@ def test_quadrature_resolution_is_bounded_before_allocation():
     with pytest.raises(BadShape):
         RadialEndo(mu, M=10 ** 9)  # constructing only: the quadrature is never built
     assert RadialEndo(mu, M=BLOCK).M == BLOCK
+
+
+@pytest.mark.parametrize("r", [1e200, 1e-200])
+def test_points_whose_squared_norm_leaves_the_float_range(r):
+    # 1e200 read nan (an infinite radius times a zero node coordinate) and
+    # 1e-200 raised ZeroVector: its square underflowed to 0
+    e = RadialEndo(OrbitMeasure(3, [(1.0, 0.5, 1.0)]), M=8)
+    got = e(Affine([1.0, 0.0, 0.0], 0.0), [r, 0.0, 0.0])
+    assert got == pytest.approx(r * math.cos(0.5), rel=1e-12)
+    R = canonical_rotation([0.0, r, 0.0], 3)
+    assert np.allclose(R[:, 0], [0.0, 1.0, 0.0], atol=1e-15)

@@ -509,3 +509,14 @@ def test_write_eval_csv_matches_a_naive_writer(tmp_path, n, rows):
     lines = [",".join([f"x{i + 1}" for i in range(n)] + ["value"])]
     lines += [",".join(repr(float(v)) for v in [*p, y]) for p, y in zip(points, values)]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_eval_zero_coefficient_at_an_overflowing_atom_row(tmp_path):
+    # 2 x overflows to inf in the atom row and met the zero coefficient as nan
+    endo = _write(tmp_path, "e.json", {"kind": "gl", "c": 0.0,
+                                       "nu": {"atoms": [{"s": 2.0, "w": 1.0}]}, "n": 2})
+    fn = _write(tmp_path, "f.json", {"kind": "affine", "a": [0.0, 1.0], "b": 0.0})
+    pts = _write(tmp_path, "p.json", [[1e308, 0.0]])
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--endo", endo, "--fn", fn, "--points", pts, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "1e+308,0.0,0.0"
