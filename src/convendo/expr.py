@@ -107,7 +107,13 @@ class BallIndicator(ConvexExpr):
             raise BadShape("ball radius must be positive")
 
     def _eval_batch(self, X):
-        return np.where(sqnorms(X) <= self.r * self.r, 0.0, INF)
+        sq, r2 = sqnorms(X), self.r * self.r
+        inside = sq <= r2
+        # where ||x||^2 or r^2 is not a normal float, the norms decide
+        odd = ~((sq >= _TINY) & (sq < INF)) | (not _TINY <= r2 < INF)
+        if odd.any():
+            inside[odd] = norms(X[odd]) <= self.r
+        return np.where(inside, 0.0, INF)
 
     def _ray_interval_batch(self, X):
         hi = self.r / norms(X)
@@ -124,8 +130,7 @@ class Pwl1D(ConvexExpr):
         self.direction = _finite(direction, "direction").reshape(-1)
         self.direction.flags.writeable = False
         self._zeros = not self.direction.all()
-        n = math.sqrt(float(self.direction @ self.direction))
-        if n == 0.0:
+        if not self.direction.any():
             raise ZeroVector("direction must be nonzero")
         self.dim = self.direction.size
 
@@ -349,6 +354,15 @@ def operator_input(f, X, n):
     if f0 == INF:
         raise OriginNotInDomain("f(0) must be finite")
     return f, X, f0
+
+
+def operator_output(out, X):
+    """An operator's values ``out`` at the rows of X, refused if one is nan: no
+    tree reads nan at a nan-free point, so a scaled copy of it left the float range."""
+    if math.isnan(out.min(initial=0.0)):  # min carries a nan through
+        raise BadShape(f"cannot evaluate at {X[np.isnan(out)][0].tolist()}: "
+                       "a scaled point leaves the float range")
+    return out
 
 
 def as_expr(f, n):

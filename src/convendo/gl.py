@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BadShape
 from .extreal import INF, RADIAL_LIMIT, edge_split
 from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, operator_input,
-                   row_blocks)
+                   operator_output, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
 from .pwl import hinge_values
 from .rand import random_finite_expr, random_nonneg_expr
@@ -69,7 +69,7 @@ class GlEndo:
         out = np.empty(len(X))
         for rows in row_blocks(len(X), max(1, BLOCK // max(1, len(self.nu)))):
             out[rows] = _block_values(self, f, X[rows], f0)[1]
-        return out
+        return operator_output(out, X)
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys] (n == 1), atom by atom as
@@ -186,7 +186,7 @@ class ScaleComposeMap:
         """lam * f(mu x) at every row x of a (k, n) array."""
         f = as_expr(f, self.n)
         X = as_point_block(X, self.n)
-        return self.lam * f._eval_rows(self.mu_scalar * X)
+        return operator_output(self.lam * f._eval_rows(self.mu_scalar * X), X)
 
     def kernel_row(self, x, ys):
         """[self(pwl_hinge(y), x) for y in ys] for n == 1: lam (y - mu x)_+."""

@@ -436,7 +436,7 @@ class MaEndo:
 
     n = 1
 
-    def __init__(self, g, zeta, support_radius, zeta_descriptor=None):
+    def __init__(self, g, zeta, support_radius):
         _finite_pwl(g)
         for u in np.linspace(0.0, float(support_radius), 33):
             if zeta(u) < -1e-12:
@@ -444,7 +444,6 @@ class MaEndo:
         self.g = g
         self.zeta = zeta
         self.support_radius = float(support_radius)
-        self.zeta_descriptor = zeta_descriptor
 
     def _total(self, f):
         total = 0.0
@@ -469,8 +468,12 @@ class MaEndo:
 
 
 def hat_weight(radius):
-    """The tent weight u -> max(0, 1 - u / radius) on [0, radius]."""
+    """The tent weight u -> max(0, 1 - u / radius) on [0, radius], with its JSON ``descriptor``."""
     radius = float(radius)
     if not radius > 0:
         raise BadShape("hat radius must be positive")
-    return lambda u: max(0.0, 1.0 - abs(u) / radius)
+
+    def hat(u):
+        return max(0.0, 1.0 - abs(u) / radius)
+    hat.descriptor = {"kind": "hat", "radius": radius}
+    return hat

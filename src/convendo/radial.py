@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadShape, NotHomogeneous, UnsupportedDimension, ZeroVector
-from .expr import BLOCK, Affine, Max, as_point_block, norms, operator_input, row_blocks
+from .expr import (BLOCK, Affine, Max, as_point_block, norms, operator_input,
+                   operator_output, row_blocks)
 from .measures import OrbitMeasure, orbit_center, orbit_quadrature, orbit_total_mass
 
 
@@ -118,7 +119,7 @@ class RadialEndo:
             V = f._eval_batch(Y.reshape(-1, n)).reshape(len(i), len(weights))
             # each row summed left to right from 0.0, a running total over the nodes
             out[i] = np.cumsum(np.column_stack([np.zeros(len(i)), V * weights]), axis=1)[:, -1]
-        return out
+        return operator_output(out, X)
 
 
 def radial_eval(e, f, x, rotation=None):

@@ -51,60 +51,46 @@ def _fields(what):
 
 # -- functions ----------------------------------------------------------------
 
+# One entry per function kind: its class, its JSON fields, and the function
+# built from those fields. Nested terms recurse through the module globals.
+_FUNCTIONS = {
+    "pwl": (PwlFunction,
+            lambda f: {"breakpoints": list(f.breakpoints), "values": list(f.values),
+                       "slope_left": _num_out(f.slope_left),
+                       "slope_right": _num_out(f.slope_right)},
+            lambda d: PwlFunction(d["breakpoints"], d["values"],
+                                  _num_in(d["slope_left"]), _num_in(d["slope_right"]))),
+    "affine": (Affine, lambda f: {"a": f.a.tolist(), "b": f.b},
+               lambda d: Affine(d["a"], d["b"])),
+    "quad": (Quad, lambda f: {"c": f.c}, lambda d: Quad(d["c"])),
+    "norm": (Norm, lambda f: {"c": f.c}, lambda d: Norm(d["c"])),
+    "ball_indicator": (BallIndicator, lambda f: {"r": f.r}, lambda d: BallIndicator(d["r"])),
+    "pwl1d": (Pwl1D, lambda f: {"direction": f.direction.tolist(), "pwl": fn_to_json(f.p)},
+              lambda d: Pwl1D(fn_from_json(d["pwl"]), d["direction"])),
+    "sum": (Sum, lambda f: {"terms": [fn_to_json(t) for t in f.terms]},
+            lambda d: Sum([fn_from_json(t) for t in d["terms"]])),
+    "max": (Max, lambda f: {"terms": [fn_to_json(t) for t in f.terms]},
+            lambda d: Max([fn_from_json(t) for t in d["terms"]])),
+    "scale": (Scale, lambda f: {"lambda": f.lam, "term": fn_to_json(f.term)},
+              lambda d: Scale(d["lambda"], fn_from_json(d["term"]))),
+    "precompose": (Precompose, lambda f: {"matrix": f.matrix.tolist(), "term": fn_to_json(f.term)},
+                   lambda d: Precompose(d["matrix"], fn_from_json(d["term"]))),
+}
+_FUNCTION_KINDS = {cls: kind for kind, (cls, _, _) in _FUNCTIONS.items()}
+
+
 def fn_to_json(f):
-    if isinstance(f, PwlFunction):
-        return {"kind": "pwl",
-                "breakpoints": list(f.breakpoints),
-                "values": list(f.values),
-                "slope_left": _num_out(f.slope_left),
-                "slope_right": _num_out(f.slope_right)}
-    if isinstance(f, Affine):
-        return {"kind": "affine", "a": f.a.tolist(), "b": f.b}
-    if isinstance(f, Quad):
-        return {"kind": "quad", "c": f.c}
-    if isinstance(f, Norm):
-        return {"kind": "norm", "c": f.c}
-    if isinstance(f, BallIndicator):
-        return {"kind": "ball_indicator", "r": f.r}
-    if isinstance(f, Pwl1D):
-        return {"kind": "pwl1d", "direction": f.direction.tolist(),
-                "pwl": fn_to_json(f.p)}
-    if isinstance(f, Sum):
-        return {"kind": "sum", "terms": [fn_to_json(t) for t in f.terms]}
-    if isinstance(f, Max):
-        return {"kind": "max", "terms": [fn_to_json(t) for t in f.terms]}
-    if isinstance(f, Scale):
-        return {"kind": "scale", "lambda": f.lam, "term": fn_to_json(f.term)}
-    if isinstance(f, Precompose):
-        return {"kind": "precompose", "matrix": f.matrix.tolist(),
-                "term": fn_to_json(f.term)}
-    raise BadShape(f"cannot serialize {type(f).__name__}")
+    kind = _FUNCTION_KINDS.get(type(f))
+    if kind is None:
+        raise BadShape(f"cannot serialize {type(f).__name__}")
+    return {"kind": kind, **_FUNCTIONS[kind][1](f)}
 
 
 def fn_from_json(d):
     with _fields("function"):
         kind = d["kind"]
-        if kind == "pwl":
-            return PwlFunction(d["breakpoints"], d["values"],
-                               _num_in(d["slope_left"]), _num_in(d["slope_right"]))
-        if kind == "affine":
-            return Affine(d["a"], d["b"])
-        if kind == "quad":
-            return Quad(d["c"])
-        if kind == "norm":
-            return Norm(d["c"])
-        if kind == "ball_indicator":
-            return BallIndicator(d["r"])
-        if kind == "pwl1d":
-            return Pwl1D(fn_from_json(d["pwl"]), d["direction"])
-        if kind == "sum":
-            return Sum([fn_from_json(t) for t in d["terms"]])
-        if kind == "max":
-            return Max([fn_from_json(t) for t in d["terms"]])
-        if kind == "scale":
-            return Scale(d["lambda"], fn_from_json(d["term"]))
-        if kind == "precompose":
-            return Precompose(d["matrix"], fn_from_json(d["term"]))
+        if kind in _FUNCTIONS:
+            return _FUNCTIONS[kind][2](d)
     raise BadShape(f"unknown function kind {kind!r}")
 
 
@@ -131,46 +117,57 @@ def orbit_measure_from_json(d):
 
 # -- operators ----------------------------------------------------------------
 
+def _radial_from_json(d):
+    e = RadialEndo(orbit_measure_from_json(d["mu"]), M=int(d.get("M", 64)))
+    # the one rotation rule; the optional key is kept for old descriptors
+    if d.get("rotation_rule", "householder") != "householder":
+        raise BadShape(f"unknown rotation rule {d['rotation_rule']!r}")
+    return e
+
+
+def _ma_to_json(e):
+    if not hasattr(e.zeta, "descriptor"):
+        raise BadShape("only hat-weight ma_example operators serialize")
+    if e.support_radius < e.zeta.descriptor["radius"]:  # the descriptor cannot cut the hat
+        raise BadShape("an ma_example operator serializes only if its support covers the hat")
+    return {"g": fn_to_json(e.g), "zeta": dict(e.zeta.descriptor)}
+
+
+def _ma_from_json(d):
+    z = d["zeta"]
+    if z.get("kind") != "hat":
+        raise BadShape("zeta supports only {'kind': 'hat', 'radius': r}")
+    return MaEndo(fn_from_json(d["g"]), hat_weight(z["radius"]), float(z["radius"]))
+
+
+# One entry per operator kind, as for functions. A "kernel" descriptor parses
+# only: endo_from_json decomposes its grid kernel outside ``_fields``.
+_OPERATORS = {
+    "gl": (GlEndo, lambda e: {"c": e.c, "nu": line_measure_to_json(e.nu), "n": e.n},
+           lambda d: GlEndo(float(d["c"]), line_measure_from_json(d["nu"]), int(d["n"]))),
+    "scale_compose": (ScaleComposeMap, lambda e: {"lambda": e.lam, "mu": e.mu_scalar, "n": e.n},
+                      lambda d: ScaleComposeMap(float(d["lambda"]), float(d["mu"]), int(d["n"]))),
+    "radial": (RadialEndo, lambda e: {"mu": orbit_measure_to_json(e.mu), "M": e.M},
+               _radial_from_json),
+    "phi_example": (PhiEndo, lambda e: {"phi": fn_to_json(e.phi)},
+                    lambda d: PhiEndo(fn_from_json(d["phi"]))),
+    "ma_example": (MaEndo, _ma_to_json, _ma_from_json),
+}
+_OPERATOR_KINDS = {cls: kind for kind, (cls, _, _) in _OPERATORS.items()}
+
+
 def endo_to_json(e):
-    if isinstance(e, GlEndo):
-        return {"kind": "gl", "c": e.c, "nu": line_measure_to_json(e.nu), "n": e.n}
-    if isinstance(e, ScaleComposeMap):
-        return {"kind": "scale_compose", "lambda": e.lam, "mu": e.mu_scalar,
-                "n": e.n}
-    if isinstance(e, RadialEndo):
-        return {"kind": "radial", "mu": orbit_measure_to_json(e.mu), "M": e.M}
-    if isinstance(e, PhiEndo):
-        return {"kind": "phi_example", "phi": fn_to_json(e.phi)}
-    if isinstance(e, MaEndo):
-        if getattr(e, "zeta_descriptor", None) is None:
-            raise BadShape("only hat-weight ma_example operators serialize")
-        return {"kind": "ma_example", "g": fn_to_json(e.g),
-                "zeta": dict(e.zeta_descriptor)}
-    raise BadShape(f"cannot serialize operator {type(e).__name__}")
+    kind = _OPERATOR_KINDS.get(type(e))
+    if kind is None:
+        raise BadShape(f"cannot serialize operator {type(e).__name__}")
+    return {"kind": kind, **_OPERATORS[kind][1](e)}
 
 
 def endo_from_json(d):
     with _fields("operator"):
         kind = d["kind"]
-        if kind == "gl":
-            return GlEndo(float(d["c"]), line_measure_from_json(d["nu"]), int(d["n"]))
-        if kind == "scale_compose":
-            return ScaleComposeMap(float(d["lambda"]), float(d["mu"]), int(d["n"]))
-        if kind == "radial":
-            e = RadialEndo(orbit_measure_from_json(d["mu"]), M=int(d.get("M", 64)))
-            # the one rotation rule; the optional key is kept for old descriptors
-            if d.get("rotation_rule", "householder") != "householder":
-                raise BadShape(f"unknown rotation rule {d['rotation_rule']!r}")
-            return e
-        if kind == "phi_example":
-            return PhiEndo(fn_from_json(d["phi"]))
-        if kind == "ma_example":
-            z = d["zeta"]
-            if z.get("kind") != "hat":
-                raise BadShape("zeta supports only {'kind': 'hat', 'radius': r}")
-            return MaEndo(fn_from_json(d["g"]), hat_weight(z["radius"]),
-                          float(z["radius"]),
-                          zeta_descriptor={"kind": "hat", "radius": float(z["radius"])})
+        if kind in _OPERATORS:
+            return _OPERATORS[kind][2](d)
         if kind != "kernel":
             raise BadShape(f"unknown operator kind {kind!r}")
         psi = d["psi"]

@@ -109,3 +109,21 @@ def test_a_one_row_call_checks_f_and_its_point_once(monkeypatch, op, f, x):
     counts = _count_door_calls(monkeypatch)
     op(f, x)
     assert counts == {"as_point_block": 1, "as_expr": 1}
+
+
+OVERFLOWING = Affine([1.0, 1.0], 0.0), [1e308, -1e308]  # f(s x) = inf - inf at s = 2
+
+
+@pytest.mark.parametrize("op, f, x", [
+    (GlEndo(0.0, LineMeasure([(2.0, 1.0)]), 2), *OVERFLOWING),
+    (ScaleComposeMap(1.0, 2.0, 2), *OVERFLOWING),
+    (RadialEndo(OrbitMeasure(2, [(2.0, 0.0, 1.0)]), M=1), *OVERFLOWING),
+    (RadialEndo(OrbitMeasure(3, [(2.0, 0.0, 1.0)]), M=8),
+     Affine([1.0, 1.0, 0.0], 0.0), [1e308, -1e308, 0.0]),
+], ids=["gl", "scale_compose", "radial2", "radial3"])
+def test_a_nan_value_at_a_nan_free_point_is_refused_naming_the_point(op, f, x):
+    # each returned nan: the scaled point leaves the float range
+    for call in (lambda: op(f, x), lambda: op.eval_many(f, [[0.5] * op.n, x])):
+        with pytest.raises(BadShape, match=r"cannot evaluate at \[1e\+308, -1e\+308"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                call()

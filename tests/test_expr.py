@@ -139,3 +139,20 @@ def test_norms_of_rows_whose_square_overflows_or_underflows():
     # where the square is a normal float, the value is sqrt of it bit for bit
     x = np.array([0.3, -1.7])
     assert Norm(1.0)(x) == math.sqrt(float(x @ x))
+
+
+def test_ball_membership_where_the_squares_leave_the_float_range():
+    # ||x||^2 and r^2 overflow (underflow) alike, and the points read inside
+    assert BallIndicator(1e200)([2e200, 0.0]) == INF
+    assert BallIndicator(1e-200)([2e-200, 0.0]) == INF
+    assert BallIndicator(1e200)([0.5e200, 0.0]) == 0.0
+    assert BallIndicator(1e-200)([0.5e-200, 0.0]) == 0.0
+    # a normal r^2 and a square that underflows or overflows
+    assert BallIndicator(1.0)([1e-200, 0.0]) == 0.0 and BallIndicator(1.0)([1e200, 0.0]) == INF
+    assert BallIndicator(1.0)([1.0, 0.0]) == 0.0 and BallIndicator(1.0)([0.6, 0.8 + 1e-15]) == INF
+
+
+def test_pwl1d_takes_a_direction_whose_square_underflows():
+    assert Pwl1D(pwl_abs(), [1e-200, 0.0])([1e200, 0.0]) == 1.0
+    with pytest.raises(ZeroVector, match="^direction must be nonzero$"):
+        Pwl1D(pwl_abs(), [0.0, 0.0])

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from convendo import (INF, BadShape, GlEndo, LineMeasure, OrbitMeasure, PhiEndo,
-                      PwlFunction, RadialEndo, ScaleComposeMap, pwl_abs)
+from convendo import (INF, BadShape, GlEndo, LineMeasure, MaEndo, OrbitMeasure, PhiEndo,
+                      PwlFunction, RadialEndo, RadialPwl, ScaleComposeMap, hat_weight,
+                      kernel_decompose, pwl_abs, serialize)
 from convendo.cli import main
 from convendo.expr import BLOCK
 from convendo.kernel1d import kernel_extract
@@ -77,7 +78,7 @@ QUAD = {"kind": "quad", "c": 2.0}
 NORM = {"kind": "norm", "c": 1.5}
 
 
-@pytest.mark.parametrize("d", [
+FUNCTION_EXAMPLES = [
     PWL, INTERVAL,
     {"kind": "affine", "a": [1.0, -2.0], "b": 0.5}, QUAD, NORM,
     {"kind": "ball_indicator", "r": 2.0},
@@ -86,29 +87,64 @@ NORM = {"kind": "norm", "c": 1.5}
     {"kind": "max", "terms": [NORM, {"kind": "affine", "a": [0.0, 1.0], "b": -1.0}]},
     {"kind": "scale", "lambda": 0.5, "term": NORM},
     {"kind": "precompose", "matrix": [[2.0, 0.0], [1.0, 1.0]], "term": QUAD},
-], ids=lambda d: d["kind"])
-def test_every_function_kind_round_trips(d):
-    assert fn_to_json(fn_from_json(d)) == d
-
-
-@pytest.mark.parametrize("d", [
+]
+OPERATOR_EXAMPLES = [
     {"kind": "gl", "c": 1.5, "nu": {"atoms": [{"s": -1.0, "w": 2.0}, {"s": 1.0, "w": 1.0}]},
      "n": 3},
     {"kind": "scale_compose", "lambda": 2.0, "mu": -1.0, "n": 2},
     {"kind": "radial", "mu": {"n": 3, "atoms": [{"t": 1.0, "theta": 0.1, "w": 1.0}]}, "M": 16},
     {"kind": "phi_example", "phi": INTERVAL},
     {"kind": "ma_example", "g": PWL, "zeta": {"kind": "hat", "radius": 1.0}},
-], ids=lambda d: d["kind"])
+]
+
+
+def test_the_round_trip_examples_cover_every_kind_of_the_tables():
+    # a kind cannot enter a table without an example below
+    assert {d["kind"] for d in FUNCTION_EXAMPLES} == set(serialize._FUNCTIONS)
+    assert {d["kind"] for d in OPERATOR_EXAMPLES} == set(serialize._OPERATORS)
+
+
+@pytest.mark.parametrize("d", FUNCTION_EXAMPLES, ids=lambda d: d["kind"])
+def test_every_function_kind_round_trips(d):
+    assert fn_to_json(fn_from_json(d)) == d
+
+
+@pytest.mark.parametrize("d", OPERATOR_EXAMPLES, ids=lambda d: d["kind"])
 def test_every_operator_kind_round_trips(d):
     assert endo_to_json(endo_from_json(d)) == d
 
 
+def test_a_directly_built_hat_weight_operator_serializes():
+    g = fn_from_json(PWL)
+    d = endo_to_json(MaEndo(g, hat_weight(1.0), 1.0))
+    assert d == {"kind": "ma_example", "g": PWL, "zeta": {"kind": "hat", "radius": 1.0}}
+    assert endo_to_json(endo_from_json(json.loads(json.dumps(d)))) == d
+    with pytest.raises(BadShape, match="^only hat-weight ma_example operators serialize$"):
+        endo_to_json(MaEndo(g, lambda u: max(0.0, 1.0 - abs(u)), 1.0))
+    # a support radius beyond the hat changes nothing; one inside it cuts the weight
+    assert endo_to_json(MaEndo(g, hat_weight(1.0), 2.0)) == d
+    with pytest.raises(BadShape, match="only if its support covers the hat"):
+        endo_to_json(MaEndo(g, hat_weight(1.0), 0.5))
+
+
+def test_the_refusal_messages_of_the_tables():
+    with pytest.raises(BadShape, match="^cannot serialize RadialPwl$"):
+        fn_to_json(RadialPwl(pwl_abs()))
+    k = kernel_extract(ScaleComposeMap(1.0, 1.0, 1), [-1.0, 0.0, 1.0], np.arange(-3.0, 4.0))
+    with pytest.raises(BadShape, match="^cannot serialize operator KernelDecomposition$"):
+        endo_to_json(kernel_decompose(k, (-1.0, 1.0), 2.0))
+    with pytest.raises(BadShape, match="^unknown function kind 'cube'$"):
+        fn_from_json({"kind": "cube"})
+    with pytest.raises(BadShape, match="^unknown operator kind 'cube'$"):
+        endo_from_json({"kind": "cube"})
+
+
 def test_operator_descriptors_refuse_an_unknown_rule():
     radial = {"kind": "radial", "mu": {"n": 3, "atoms": []}, "rotation_rule": "euler"}
-    with pytest.raises(BadShape, match="unknown rotation rule 'euler'"):
+    with pytest.raises(BadShape, match="^unknown rotation rule 'euler'$"):
         endo_from_json(radial)
     assert endo_from_json({**radial, "rotation_rule": "householder"}).M == 64
-    with pytest.raises(BadShape, match="zeta supports only"):
+    with pytest.raises(BadShape, match=r"^zeta supports only \{'kind': 'hat', 'radius': r\}$"):
         endo_from_json({"kind": "ma_example", "g": PWL, "zeta": {"kind": "gauss", "radius": 1.0}})
 
 
@@ -520,3 +556,34 @@ def test_cli_eval_zero_coefficient_at_an_overflowing_atom_row(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["eval", "--endo", endo, "--fn", fn, "--points", pts, "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "1e+308,0.0,0.0"
+
+
+def test_cli_eval_refuses_a_nan_value_at_a_finite_point(tmp_path, capsys):
+    # 2 x overflows to [inf, -inf], where the affine tree reads inf - inf
+    endo = _write(tmp_path, "e.json", {"kind": "gl", "c": 0.0,
+                                       "nu": {"atoms": [{"s": 2.0, "w": 1.0}]}, "n": 2})
+    fn = _write(tmp_path, "f.json", {"kind": "affine", "a": [1.0, 1.0], "b": 0.0})
+    pts = _write(tmp_path, "p.json", [[1e308, -1e308]])
+    out = tmp_path / "out.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["eval", "--endo", endo, "--fn", fn, "--points", pts, "--out", str(out)])
+    assert rc == 2
+    assert "config error: cannot evaluate at [1e+308, -1e+308]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fn, point, value", [
+    ({"kind": "ball_indicator", "r": 1e200}, [2e200, 0.0], "inf"),
+    ({"kind": "pwl1d", "direction": [1e-200, 0.0], "pwl": fn_to_json(pwl_abs())},
+     [1e200, 0.0], "1.0"),
+], ids=["ball_indicator", "pwl1d"])
+def test_cli_eval_where_the_squares_leave_the_float_range(tmp_path, fn, point, value):
+    # the ball read 0.0 and the direction was refused as zero (exit 2)
+    endo = _write(tmp_path, "e.json", {"kind": "scale_compose", "lambda": 1.0, "mu": 1.0, "n": 2})
+    pts = _write(tmp_path, "p.json", [point])
+    out = tmp_path / "out.csv"
+    with np.errstate(over="ignore"):
+        rc = main(["eval", "--endo", endo, "--fn", _write(tmp_path, "f.json", fn),
+                   "--points", pts, "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1].split(",")[-1] == value

@@ -13,7 +13,12 @@ path), OUTDIR receives:
   seeds 0 and 5, set up and run by ``set_up`` and ``run_round`` of
   ``benchmarks/run.py`` (``round_<workload>_seed<seed>.txt``): every float
   each operation returned, by ``float.hex``, and the SHA-256 of every file
-  the round wrote.
+  the round wrote;
+* the JSON descriptors the serializer writes (``serialize.txt``): ``fn_to_json``
+  of seeded ``random_finite_expr`` (n = 1, 2, 3) and ``random_convex_pwl``
+  draws, and ``fn_to_json(fn_from_json(d))`` and ``endo_to_json(endo_from_json(d))``
+  of one template of every function and operator kind, each by
+  ``json.dumps(..., sort_keys=True)`` or the error it raised.
 
 Run it once per checkout and compare the two directories with
 ``diff -r OUT_A OUT_B``.
@@ -32,6 +37,33 @@ SUITES = ("core", "gl", "radial", "kernel")
 SEEDS = (0, 7, 123)
 ROUND_WORKLOADS = ("grid_nd", "exact_1d")
 ROUND_SEEDS = (0, 5)
+DRAWS = 60  # per kind of random draw
+
+PWL = {"kind": "pwl", "breakpoints": [-1.0, 0.0, 1.0], "values": [1.0, 0.0, 1.0],
+       "slope_left": -2.0, "slope_right": "inf"}
+QUAD = {"kind": "quad", "c": 2.0}
+FUNCTION_TEMPLATES = [
+    PWL, {"kind": "affine", "a": [1.0, -2.0], "b": 0.5}, QUAD, {"kind": "norm", "c": 1.5},
+    {"kind": "ball_indicator", "r": 2.0},
+    {"kind": "pwl1d", "direction": [0.6, 0.8], "pwl": PWL},
+    {"kind": "sum", "terms": [QUAD, {"kind": "norm", "c": 1.5}]},
+    {"kind": "max", "terms": [QUAD, {"kind": "affine", "a": [0.0, 1.0], "b": -1.0}]},
+    {"kind": "scale", "lambda": 0.5, "term": QUAD},
+    {"kind": "precompose", "matrix": [[2.0, 0.0], [1.0, 1.0]], "term": QUAD},
+]
+OPERATOR_TEMPLATES = [
+    {"kind": "gl", "c": 1.5, "nu": {"atoms": [{"s": -1.0, "w": 2.0}, {"s": 0.5, "w": 1.0}]},
+     "n": 3},
+    {"kind": "scale_compose", "lambda": 2.0, "mu": -1.0, "n": 2},
+    {"kind": "radial", "mu": {"n": 3, "atoms": [{"t": 1.0, "theta": 0.1, "w": 1.0}]}, "M": 16},
+    {"kind": "phi_example", "phi": {**PWL, "slope_right": 2.0}},
+    {"kind": "ma_example", "g": {**PWL, "slope_right": 2.0},
+     "zeta": {"kind": "hat", "radius": 1.0}},
+    {"kind": "kernel", "A": [-1.0, 1.0], "R": 2.0,  # the kernel of f -> f, (y - x)_+
+     "psi": {"kind": "grid", "xs": [-1.0, 0.0, 1.0], "ys": [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
+             "values": [[0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0]]}},
+]
 
 
 def _stdout(argv):
@@ -71,6 +103,29 @@ def _round_lines(bench, workload, seed):
     return lines
 
 
+def _serializer_lines():
+    """The descriptors of seeded draws and the round trips of the templates."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from convendo import rand, serialize
+
+    def dumped(make):
+        try:
+            return json.dumps(make(), sort_keys=True)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    rng = rand.rng_from_seed(0)
+    draws = [(f"expr n={n}", lambda n=n: rand.random_finite_expr(rng, n))
+             for n in (1, 2, 3)] + [("pwl", lambda: rand.random_convex_pwl(rng))]
+    lines = [f"{name}: {dumped(lambda: serialize.fn_to_json(draw()))}"
+             for name, draw in draws for _ in range(DRAWS)]
+    lines += [f"{d['kind']}: {dumped(lambda: serialize.fn_to_json(serialize.fn_from_json(d)))}"
+              for d in FUNCTION_TEMPLATES]
+    lines += [f"{d['kind']}: {dumped(lambda: serialize.endo_to_json(serialize.endo_from_json(d)))}"
+              for d in OPERATOR_TEMPLATES]
+    return lines
+
+
 def main(argv):
     if len(argv) != 1:
         print("usage: python3 tools/same_results.py OUTDIR", file=sys.stderr)
@@ -84,6 +139,7 @@ def main(argv):
             (out / f"check_{suite}_seed{seed}.txt").write_text(text)
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (out / f"demo_{demo.stem}.txt").write_text(_stdout([str(demo)]))
+    (out / "serialize.txt").write_text("\n".join(_serializer_lines()) + "\n")
     # the harness pins the numerical libraries to one thread as it is imported
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import run as bench
