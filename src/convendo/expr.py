@@ -248,7 +248,7 @@ class Precompose(ConvexExpr):
         self.matrix = _finite(matrix, "matrix")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise BadShape("matrix must be square")
-        if abs(np.linalg.det(self.matrix)) < 1e-300:
+        if np.linalg.slogdet(self.matrix)[0] == 0:  # a sign free of the scale of M
             raise BadShape("matrix must be invertible")
         self.matrix.flags.writeable = False
         self.term = term

@@ -6,9 +6,13 @@ function is ``+inf`` beyond the outermost breakpoint on that side, so finite
 intervals, half-lines and all of the real line are representable domains.
 
 The algebra (add, max, scale), the Legendre transform and inf-convolution are
-closed on this class and exact up to float rounding, and each is linear in
-the breakpoint count (up to sorting). The Moreau envelope is
-evaluation-only: it returns a callable, not a new ``PwlFunction``.
+closed on this class, exact up to float rounding, and each is a few numpy
+passes doing the float operations of a point-by-point walk, so outputs keep
+their bits. Point-by-point code remains only where data needs it: distinct
+points merged within MERGE_TOL, repeated slopes and widening scans in
+``legendre``, overflowing widths, and merged breakpoints inside grid
+intervals. Fields stay tuples of Python floats, which keep ``repr`` and the
+scalar ``__call__``. The Moreau envelope returns a callable only.
 
 The constructor validates its data; explicit ``slopes`` must agree with the
 values. The operations build their outputs with ``PwlFunction._from_op``,
@@ -19,6 +23,7 @@ so no tolerance in the values' own scale tells the two apart.
 """
 
 import bisect
+import contextlib
 import math
 
 import numpy as np
@@ -27,17 +32,30 @@ from .errors import BadShape, EmptyDomain, NegativeScale, NonConvex
 from .extreal import INF, MERGE_TOL
 
 
-def _merge_close(points, values):
-    """Collapse breakpoints within MERGE_TOL of each other, keeping max value."""
-    out_p = [points[0]]
-    out_v = [values[0]]
-    for p, v in zip(points[1:], values[1:]):
-        if p - out_p[-1] <= MERGE_TOL:
-            out_v[-1] = max(out_v[-1], v)
-        else:
-            out_p.append(p)
-            out_v.append(v)
-    return out_p, out_v
+def _kept(p, tol=MERGE_TOL):
+    """Mask of the points p (in order) kept when each point within tol of
+    the last kept one is dropped; None when all are kept. A gap mask decides
+    where each dropped point repeats the one before it; any other drop may
+    leave the last kept point further back, and the rule runs point by point."""
+    near = p[1:] - p[:-1] <= tol
+    if not np.count_nonzero(near):
+        return None
+    if np.count_nonzero(p[1:][near] != p[:-1][near]):
+        pl = p.tolist()
+        keep, last = [True], pl[0]
+        for x in pl[1:]:
+            keep.append(x - last > tol)
+            last = x if keep[-1] else last
+        return np.array(keep)
+    return np.concatenate(([True], ~near))
+
+
+_QUIET = contextlib.nullcontext()
+
+
+def _quiet(wide):
+    """Overflow silenced where a difference may overflow (as floats do)."""
+    return np.errstate(over="ignore", invalid="ignore") if wide else _QUIET
 
 
 class PwlFunction:
@@ -71,55 +89,69 @@ class PwlFunction:
         return f
 
     def _setup(self, breakpoints, values, slope_left, slope_right, slopes, agree):
-        bp = [float(b) for b in breakpoints]
-        va = [float(v) for v in values]
-        if len(bp) != len(va) or len(bp) < 1:
+        bp = np.asarray(breakpoints, dtype=float)
+        va = np.asarray(values, dtype=float)
+        if bp.ndim != 1 or bp.shape != va.shape or not bp.size:
             raise BadShape("breakpoints and values must have equal length >= 1")
-        if any(not math.isfinite(b) for b in bp) or any(not math.isfinite(v) for v in va):
-            raise BadShape("breakpoints and values must be finite")
-        if any(b2 < b1 for b1, b2 in zip(bp, bp[1:])):
-            raise BadShape("breakpoints must be sorted increasingly")
-        if any(b2 - b1 <= MERGE_TOL for b1, b2 in zip(bp, bp[1:])):
-            bp, va = _merge_close(bp, va)
-            slopes = None
-        slope_left = float(slope_left)
-        slope_right = float(slope_right)
+        bl, vl = bp.tolist(), va.tolist()
+        with _quiet(not bl[-1] - bl[0] < INF):
+            d = bp[1:] - bp[:-1]
+            # finite ends and gaps above MERGE_TOL give finite, sorted, unmerged
+            # points, and a finite sum finite values; what fails takes the full test
+            if not (-INF < bl[0] and bl[-1] < INF and np.count_nonzero(d > MERGE_TOL) == d.size
+                    and -INF < sum(vl) < INF):
+                if not (np.isfinite(bp).all() and np.isfinite(va).all()):
+                    raise BadShape("breakpoints and values must be finite")
+                if (d < 0).any():
+                    raise BadShape("breakpoints must be sorted increasingly")
+                keep = _kept(bp)
+                if keep is not None:  # merge, keeping the first point and largest value
+                    cut = keep.nonzero()[0].tolist() + [va.size]
+                    bp, va = bp[keep], np.array([max(vl[i:j]) for i, j in zip(cut, cut[1:])])
+                    bl, vl, d, slopes = bp.tolist(), va.tolist(), bp[1:] - bp[:-1], None
+        slope_left, slope_right = float(slope_left), float(slope_right)
         if slope_left == INF or math.isnan(slope_left):
             raise BadShape("slope_left must be finite or -inf")
         if slope_right == -INF or math.isnan(slope_right):
             raise BadShape("slope_right must be finite or +inf")
 
         if slopes is None:
-            slopes = [(v2 - v1) / (b2 - b1)
-                      for b1, b2, v1, v2 in zip(bp, bp[1:], va, va[1:])]
-            if bp[-1] - bp[0] == INF:  # a width may overflow: its secant in halves
-                slopes = [m if b2 - b1 < INF else (v2 / 2 - v1 / 2) / (b2 / 2 - b1 / 2)
-                          for m, b1, b2, v1, v2 in zip(slopes, bp, bp[1:], va, va[1:])]
+            s = (va[1:] - va[:-1]) / d
+            if bl[-1] - bl[0] == INF:  # a width overflows: its secant in halves
+                s = np.where(d < INF, s, (va[1:] / 2 - va[:-1] / 2) / (bp[1:] / 2 - bp[:-1] / 2))
         else:
-            slopes = [float(m) for m in slopes]
-            if len(slopes) != len(bp) - 1:
+            s = np.asarray(slopes, dtype=float)
+            if s.shape != d.shape:
                 raise BadShape("slopes length must be len(breakpoints) - 1")
+        sq = s.tolist()
+        if slopes is not None and agree:
             # in value space: a secant test would fail on tight breakpoint
             # gaps; the scale holds the terms values are computed from, and
             # an offset within 1e-9 passes before it is taken
-            for b1, b2, v1, v2, m in zip(bp, bp[1:], va, va[1:], slopes) if agree else ():
-                off = v2 - (v1 + m * (b2 - b1))
-                if -1e-9 <= off <= 1e-9:
-                    continue
-                tol = 1e-9 * max(1.0, abs(v1), abs(v2), abs(m) * max(abs(b1), abs(b2)))
-                if not abs(off) <= tol < INF:
-                    raise BadShape(f"slope {m} on [{b1}, {b2}] disagrees with "
-                                   f"the values {v1} and {v2}")
+            off, a = np.abs(va[1:] - (va[:-1] + s * d)), np.abs(bp)
+            tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(va[:-1])), np.maximum(
+                np.abs(va[1:]), np.abs(s) * np.maximum(a[:-1], a[1:])))
+            bad = (~(off <= 1e-9) & ~((off <= tol) & (tol < INF))).nonzero()[0]
+            if bad.size:
+                i = bad[0]
+                raise BadShape(f"slope {sq[i]} on [{bl[i]}, {bl[i + 1]}] disagrees with "
+                               f"the values {float(va[i])} and {float(va[i + 1])}")
 
-        seq = [slope_left] + slopes + [slope_right]
-        scale = max([1.0] + [abs(m) for m in seq if math.isfinite(m)])
-        for m1, m2 in zip(seq, seq[1:]):
-            if m2 < m1 - 1e-9 * scale:
-                raise NonConvex(f"slope sequence decreases: {m1} -> {m2}")
+        # a scale no larger than the largest finite |m| passes only sequences
+        # that the full scale passes; one it fails takes the full test
+        seq = [slope_left] + sq + [slope_right]
+        a, b = seq[0] if seq[0] > -INF else seq[1], seq[-1] if seq[-1] < INF else seq[-2]
+        low = 1e-9 * max(1.0, abs(a) if abs(a) < INF else 1.0, abs(b) if abs(b) < INF else 1.0)
+        if not (seq[1] >= seq[0] - low and seq[-1] >= seq[-2] - low
+                and np.count_nonzero(s[1:] >= s[:-1] - low) == s.size - (s.size > 0)):
+            scale = max([1.0] + [abs(m) for m in seq if math.isfinite(m)])
+            for m1, m2 in zip(seq, seq[1:]):
+                if m2 < m1 - 1e-9 * scale:
+                    raise NonConvex(f"slope sequence decreases: {m1} -> {m2}")
 
-        self.breakpoints = tuple(bp)
-        self.values = tuple(va)
-        self.slopes = tuple(slopes)
+        self.breakpoints = tuple(bl)
+        self.values = tuple(vl)
+        self.slopes = tuple(sq)
         self.slope_left = slope_left
         self.slope_right = slope_right
 
@@ -240,122 +272,94 @@ def is_even(p):
     """
     if p.slope_left != -p.slope_right:
         return False
-    for b in p.breakpoints:
-        u, v = p(b), p(-b)
-        if u != v and not abs(u - v) <= 1e-9 * max(1.0, abs(u), abs(v)) < INF:
-            return False
-    return True
+    u, v = p.eval_many(p.breakpoints), p.eval_many(np.negative(p.breakpoints))
+    with np.errstate(invalid="ignore"):
+        tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(u)), np.abs(v))
+        return bool(np.all((u == v) | ((np.abs(u - v) <= tol) & (tol < INF))))
 
 
 # -- algebra -----------------------------------------------------------------
 
 def _common_grid(f, g):
+    """The common domain [lo, hi], the breakpoints of f and g in it merged at
+    MERGE_TOL, and whether each dropped point repeats a kept one, so that no
+    breakpoint of f or g lies between neighbouring grid points."""
     flo, fhi = f.domain
     glo, ghi = g.domain
     lo, hi = max(flo, glo), min(fhi, ghi)
     if not lo < hi:
         raise EmptyDomain("domain interiors are disjoint")
-    pts = [b for b in f.breakpoints if lo <= b <= hi]
-    pts += [b for b in g.breakpoints if lo <= b <= hi]
-    if lo > -INF:
-        pts.append(lo)
-    if hi < INF:
-        pts.append(hi)
-    pts = sorted(set(pts))
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p - out[-1] > MERGE_TOL:
-            out.append(p)
-    return lo, hi, out
+    fb, gb = f.breakpoints, g.breakpoints
+    # a finite lo or hi is already a breakpoint; of equal points f's sort first
+    pts = np.array(fb[bisect.bisect_left(fb, lo):bisect.bisect_right(fb, hi)]
+                   + gb[bisect.bisect_left(gb, lo):bisect.bisect_right(gb, hi)], float)
+    pts.sort(kind="stable")
+    with _quiet(float(pts[-1]) - float(pts[0]) == INF):
+        keep = _kept(pts)
+    if keep is None:
+        return lo, hi, pts, True
+    repeats = np.count_nonzero(pts[1:] == pts[:-1])
+    return lo, hi, pts[keep], repeats + np.count_nonzero(keep) == pts.size
 
 
-def _pieces(f, xs):
-    """The piece of f that each of the xs lies on, for xs that do not
-    decrease, in one forward pass over f's breakpoints: 0 is the left tail,
-    j in 1..k-1 the piece from breakpoint j-1 to breakpoint j, k the last
-    breakpoint itself and k + 1 the right tail (k breakpoints). A breakpoint
-    belongs to the piece on its right, as in ``__call__`` and ``slope_on``."""
-    bp = f.breakpoints
-    k, last = len(bp), bp[-1]
-    out = []
-    j = 0  # breakpoints <= x
-    for x in xs:
-        while j < k and bp[j] <= x:
-            j += 1
-        out.append(j + 1 if j == k and x > last else j)
-    return out
-
-
-def _values(f, xs, pieces=None):
-    """[f(x) for x in xs] from their ``_pieces`` (found here if not given),
-    bit for bit; a piece wider than the float range is read by ``f``."""
+def _reader(f):
+    """f's data as five rows of one array. Row 0: the breakpoints, the float
+    after the last and inf, whose count r <= x (x finite) tells the left
+    tail (0), the pieces (1 .. k - 1), the last breakpoint (k) and the right
+    tail apart. Rows 1-3: at r, the breakpoint, value and slope x
+    is read from: at the last breakpoint slope -0.0, and -0.0 for a last
+    breakpoint 0, so that v + -0.0 * (x - b) is v for x = +-0 too. Row 4:
+    the slope right of x."""
     bp, va, ms = f.breakpoints, f.values, f.slopes
-    if bp[-1] - bp[0] == INF:
-        return [f(x) for x in xs]
-    sl, sr, k = f.slope_left, f.slope_right, len(bp)
-    out = []
-    for x, j in zip(xs, _pieces(f, xs) if pieces is None else pieces):
-        if 0 < j < k:
-            out.append(va[j - 1] + ms[j - 1] * (x - bp[j - 1]))
-        elif j == 0:
-            out.append(_line(va[0], sl, x, bp[0]))
-        elif j == k:
-            out.append(va[-1])
-        else:
-            out.append(_line(va[-1], sr, x, bp[-1]))
-    return out
+    sl, sr, last = f.slope_left, f.slope_right, bp[-1]
+    return np.array([*bp, math.nextafter(last, INF), INF, bp[0], *bp[:-1], last or -0.0,
+                     last, va[0], *va, va[-1], sl, *ms, -0.0, sr, sl, *ms, sr, sr],
+                    float).reshape(5, -1)
 
 
-def _slopes(f, pieces):
-    """[f.slope_on(x) for x in xs] from their ``_pieces``: the last
-    breakpoint reads the piece on its left. The operations never reach a
-    point domain, whose interior is empty."""
-    k = len(f.breakpoints)
-    seq = f.slope_sequence()
-    return [seq[j - (j >= k)] for j in pieces]
+def _read(f, T, x, wide):
+    """f at the finite points x, bit for bit as ``f(x)`` reads each, and
+    their counts r; by ``f`` where x - b may overflow (wide, see ``_wide``)."""
+    r = T[0].searchsorted(x, "right")
+    if wide:
+        return np.array([f(v) for v in x.tolist()]), r
+    R = T[1:4].take(r, axis=1)
+    return R[1] + R[2] * (x - R[0]), r
 
 
-def _open_pieces(f, pts, mids, pieces=None):
-    """The ``_pieces`` of the midpoints ``mids`` of neighbouring pts (found
-    here if not given), except where a midpoint rounded onto an end: the ends
-    are then neighbouring floats, and the interval lies on the piece right of
-    the lower end. Points of a grid merged at MERGE_TOL are neighbouring
-    floats only beyond MERGE_TOL * 2^52 (about 4504), where an ulp can exceed it."""
-    pieces = _pieces(f, mids) if pieces is None else pieces
-    if max(-pts[0], pts[-1]) <= MERGE_TOL * 2.0 ** 52:
-        return pieces
-    k, out = len(f.breakpoints), []
-    for j, p, m, q in zip(pieces, pts, mids, pts[1:]):
-        if m == p or m == q:
-            j = bisect.bisect_right(f.breakpoints, p)
-            j += j == k  # k + 1 is the right tail
-        out.append(j)
-    return out
+def _wide(f, g, x):
+    """Whether x - b may overflow for x in the sorted x, b a breakpoint of f or g."""
+    fb, gb = f.breakpoints, g.breakpoints
+    return max(float(x[-1]), fb[-1], gb[-1]) - min(float(x[0]), fb[0], gb[0]) == INF
 
 
-def _midpoints(pts):
-    """Midpoints of neighbouring points; rounding keeps them non-decreasing.
-    Where p1 + p2 overflows, p1 / 2 + p2 / 2 is the same midpoint."""
-    mids = [(p1 + p2) / 2.0 for p1, p2 in zip(pts, pts[1:])]
-    if mids and (mids[0] == -INF or mids[-1] == INF):
-        mids = [m if -INF < m < INF else p1 / 2.0 + p2 / 2.0
-                for m, p1, p2 in zip(mids, pts, pts[1:])]
-    return mids
+def _open_slopes(f, T, r, pts, exact):
+    """f's slope on each open interval between neighbouring pts: that of the
+    piece right of the lower end, with no breakpoint of f inside (exact).
+    Otherwise it is read at the midpoint, or, where the midpoint rounds onto
+    an end (the ends are neighbouring floats), right of the lower end."""
+    if exact:
+        return T[4].take(r[:-1])
+    h = pts * 0.5
+    seq, bp = f.slope_sequence(), f.breakpoints
+    return np.array([seq[bisect.bisect_right(bp, p)] if m == p or m == q else f.slope_on(m)
+                     for p, m, q in zip(pts.tolist(), (h[:-1] + h[1:]).tolist(),
+                                        pts[1:].tolist())])
 
 
 def pwl_add(f, g):
     """Exact pointwise sum; domain is the intersection.
 
-    Both inputs are read at the merged breakpoints and at the midpoints
-    between them by forward passes, O(k) in the total breakpoint count k."""
-    lo, hi, pts = _common_grid(f, g)
-    vals = [a + b for a, b in zip(_values(f, pts), _values(g, pts))]
-    mids = _midpoints(pts)
-    slopes = [a + b for a, b in zip(_slopes(f, _open_pieces(f, pts, mids)),
-                                    _slopes(g, _open_pieces(g, pts, mids)))]
+    Both inputs are read at the merged breakpoints by a fixed number of
+    array passes, O(k log k) in the total breakpoint count k."""
+    lo, hi, pts, exact = _common_grid(f, g)
+    tf, tg = _reader(f), _reader(g)
+    wide = _wide(f, g, pts)
+    (vf, rf), (vg, rg) = _read(f, tf, pts, wide), _read(g, tg, pts, wide)
+    slopes = _open_slopes(f, tf, rf, pts, exact) + _open_slopes(g, tg, rg, pts, exact)
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
-    return PwlFunction._from_op(pts, vals, sl, sr, slopes)
+    return PwlFunction._from_op(pts, vf + vg, sl, sr, slopes)
 
 
 def pwl_scale(lam, f):
@@ -368,61 +372,45 @@ def pwl_scale(lam, f):
                                 [lam * m for m in f.slopes])
 
 
-def _upper_slopes(f, g, pts):
-    """The slope on each open interval between neighbouring pts of f where
-    f >= g at its midpoint and of g elsewhere, read as ``_open_pieces``; only
-    the upper function's slope is read."""
-    xs = _midpoints(pts)
-    fp, gp = _pieces(f, xs), _pieces(g, xs)
-    upper = [a >= b for a, b in zip(_values(f, xs, fp), _values(g, xs, gp))]
-    fp, gp = _open_pieces(f, pts, xs, fp), _open_pieces(g, pts, xs, gp)
-    fs = iter(_slopes(f, [j for j, u in zip(fp, upper) if u]))
-    gs = iter(_slopes(g, [j for j, u in zip(gp, upper) if not u]))
-    return [next(fs) if u else next(gs) for u in upper]
-
-
 def pwl_max(f, g):
     """Exact pointwise maximum, with breakpoints added at crossings.
 
-    Read by forward passes like ``pwl_add``: O(k) up to sorting the
-    crossings in."""
-    lo, hi, pts = _common_grid(f, g)
-    diff = [a - b for a, b in zip(_values(f, pts), _values(g, pts))]
+    Read by array passes like ``pwl_add``; the upper function on each
+    interval is the one at least as large at its midpoint."""
+    lo, hi, pts, exact = _common_grid(f, g)
+    tf, tg = _reader(f), _reader(g)
+    wide = _wide(f, g, pts)
+    diff = _read(f, tf, pts, wide)[0] - _read(g, tg, pts, wide)[0]
 
-    full = list(pts)
     # both functions are linear between neighbouring points of pts
-    for a, b, da, db in zip(pts, pts[1:], diff, diff[1:]):
-        if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
-            continue
-        if b - a < INF:
-            x = a + da * (b - a) / (da - db)
-        else:  # the width overflows: interpolate in halves
-            x = 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2))
-        if a + MERGE_TOL < x < b - MERGE_TOL:
-            full.append(x)
-    if lo == -INF:
-        # single crossing possible on the common left tail
-        a = pts[0]
-        dslope = f.slope_left - g.slope_left
-        # f - g is linear there, so a zero left of a is a sign change; testing
-        # f(x) - g(x) at the zero itself would only read rounding noise
-        if dslope != 0.0:
-            x = a - diff[0] / dslope
-            if x < a - MERGE_TOL:
-                full.append(x)
-    if hi == INF:
-        b = pts[-1]
-        dslope = f.slope_right - g.slope_right
-        if dslope != 0.0:
-            x = b - diff[-1] / dslope
-            if x > b + MERGE_TOL:
-                full.append(x)
-    full = sorted(set(full))
-    vals = [max(a, b) for a, b in zip(_values(f, full), _values(g, full))]
-    slopes = _upper_slopes(f, g, full)
+    sg = np.sign(diff)
+    c = sg[:-1] * sg[1:] < 0
+    a, b, da, db = pts[:-1][c], pts[1:][c], diff[:-1][c], diff[1:][c]
+    with _quiet(wide):
+        x = a + da * (b - a) / (da - db)
+        if wide:  # where a width overflows, interpolate in halves
+            x = np.where(b - a < INF, x, 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2)))
+    extra = x[(a + MERGE_TOL < x) & (x < b - MERGE_TOL)].tolist()
+    # on a common tail f - g is linear, so a zero beyond the end point is a
+    # sign change; testing f(x) - g(x) at the zero itself would read noise
+    if lo == -INF and f.slope_left != g.slope_left:
+        a = float(pts[0])
+        x = a - float(diff[0]) / (f.slope_left - g.slope_left)
+        extra += [x] if x < a - MERGE_TOL else []
+    if hi == INF and f.slope_right != g.slope_right:
+        b = float(pts[-1])
+        x = b - float(diff[-1]) / (f.slope_right - g.slope_right)
+        extra += [x] if x > b + MERGE_TOL else []
+    full = np.sort(np.concatenate((pts, extra))) if extra else pts
+    wide = _wide(f, g, full)
+    (vf, rf), (vg, rg) = _read(f, tf, full, wide), _read(g, tg, full, wide)
+    mids = full[:-1] * 0.5 + full[1:] * 0.5
+    upper = _read(f, tf, mids, wide)[0] >= _read(g, tg, mids, wide)[0]
+    slopes = np.where(upper, _open_slopes(f, tf, rf, full, exact),
+                      _open_slopes(g, tg, rg, full, exact))
     sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
     sr = INF if hi < INF else max(f.slope_right, g.slope_right)
-    return PwlFunction._from_op(full, vals, sl, sr, slopes)
+    return PwlFunction._from_op(full, np.where(vg > vf, vg, vf), sl, sr, slopes)
 
 
 # -- Legendre transform and inf-convolution ----------------------------------
@@ -472,35 +460,28 @@ def legendre(f):
     of the output are breakpoints of ``f``. Applying it twice reproduces the
     input up to float rounding.
 
-    One pass over the slope sequence, O(k) in the breakpoint count k. Slope
-    j of the sequence lies between breakpoints j - 1 and j, so the sup at a
-    merged group of slopes near y is attained on the group's breakpoints,
-    and the output slope between two groups is the argmax on both groups'
-    breakpoints. Each scan starts there and widens only while b*y - v stays
-    within SUP_SLACK of its max (see ``_sup_near``), so values, slopes and
-    ties are those of a scan over every breakpoint. A scan widens across a
-    whole run of breakpoints only where b*y - v is that flat along it, so
-    the cost returns toward O(k^2) only for slopes within about 1e-12 of
-    each other along most of f.
+    Slope j of the sequence lies between breakpoints j - 1 and j, so the sup
+    at a merged group of slopes near y is attained on the group's
+    breakpoints, and the output slope between two groups is the first argmax
+    on both groups' breakpoints; the scan widens only while b*y - v stays
+    within SUP_SLACK of its max (see ``_sup_near``). Groups of one slope are
+    read in a few array passes from windows of five breakpoints, if the
+    outer two fall below each max by the largest slack. Otherwise (groups
+    of several slopes, scans that widen, data near the float range) every
+    group is scanned by ``_sup_near``.
     """
-    bp = f.breakpoints
-    va = f.values
+    bp, va, seq = f.breakpoints, f.values, f.slope_sequence()
     k = len(bp)
-    ys = []
-    spans = []  # [lo, hi): the breakpoints of each merged group of slopes
-    for j, m in enumerate(f.slope_sequence()):
-        if not math.isfinite(m):
-            continue
-        if not ys or m - ys[-1] > MERGE_TOL:
-            ys.append(m)
-            spans.append([max(j - 1, 0), min(j + 1, k)])
-        else:
-            spans[-1][1] = min(j + 1, k)
-
-    if not ys:
+    # the finite slopes: infinite ones are -inf before them or +inf after them
+    j0, j1 = seq.count(-INF), k + 1 - seq.count(INF)
+    if j0 == j1:
         # point indicator: conjugate is the linear function bp[0]*y - v0
         return PwlFunction([0.0], [-va[0]], bp[0], bp[0])
-
+    n = j1 - j0
+    # the finite slopes, then breakpoints and values padded by two below and
+    # three above with 0 and inf, whose b*y - v = -inf is never a max
+    A = np.array([*seq[j0:j1], 0.0, 0.0, *bp, 0.0, 0.0, 0.0, INF, INF, *va, INF, INF, INF], float)
+    ys = A[:n]
     b_max = max(abs(bp[0]), abs(bp[-1]))
     v_max = max(map(abs, va))
 
@@ -508,11 +489,35 @@ def legendre(f):
         # the slack scales with a bound on |b*y| + |v| over every breakpoint
         return _sup_near(bp, va, y, lo, hi, SUP_SLACK * (b_max * abs(y) + v_max))
 
-    vals = [sup(y, lo, hi)[1] for y, (lo, hi) in zip(ys, spans)]
-    slopes = []
-    for g in range(len(ys) - 1):
-        ymid = (ys[g] + ys[g + 1]) / 2.0
-        slopes.append(bp[sup(ymid, spans[g][0], spans[g + 1][1])[0]])
+    keep = _kept(ys)
+    firsts = range(j0, j1) if keep is None else (keep.nonzero()[0] + j0).tolist()
+    lasts = range(j0, j1) if keep is None else [j - 1 for j in firsts[1:]] + [j1 - 1]
+    ys = ys if keep is None else ys[keep]
+    ym = (ys[:-1] + ys[1:]) / 2.0
+    top = b_max * max(abs(seq[j0]), abs(seq[j1 - 1])) + v_max
+    if keep is None and top < 2.0 ** 1000 and abs(seq[j0]) + abs(seq[j1 - 1]) < 2.0 ** 1000:
+        # row i: breakpoints, then values, j - 2 .. j + 2 around slope j = j0 + i
+        wb, wv = np.ndarray((2, n, 5), float, A, 8 * (n + j0), (8 * (k + 5), 8, 8))
+        g = wb * ys[:, None] - wv
+        g1, g2 = g[:, 1], g[:, 2]
+        vals = np.where(g2 > g1, g2, g1)
+        h = wb[:-1] * ym[:, None] - wv[:-1]
+        slopes = A[np.arange(n + j0 + 1, n + j1) + h[:, 1:4].argmax(axis=1)]
+        best = np.maximum(np.maximum(h[:, 1], h[:, 2]), h[:, 3])
+        # with the largest slack, outer breakpoints (j - 2 and j + 1 for a
+        # value, j - 2 and j + 2 for a slope) below max - slack: no scan widens
+        slack = SUP_SLACK * top
+        wide = np.count_nonzero(g[:, ::3] >= (vals - slack)[:, None]) + np.count_nonzero(
+            h[:, ::4] >= (best - slack)[:, None])
+        redo = redo_s = None if wide else ()
+    else:
+        vals, slopes, redo = np.empty(len(ys)), np.empty(len(ys) - 1), None
+    if redo is None:
+        redo, redo_s = range(len(ys)), range(len(ys) - 1)
+    for i in redo:
+        vals[i] = sup(float(ys[i]), max(firsts[i] - 1, 0), min(lasts[i] + 1, k))[1]
+    for i in redo_s:
+        slopes[i] = bp[sup(float(ym[i]), max(firsts[i] - 1, 0), min(lasts[i + 1] + 1, k))[0]]
     sl = bp[0] if f.slope_left == -INF else -INF
     sr = bp[-1] if f.slope_right == INF else INF
     return PwlFunction._from_op(ys, vals, sl, sr, slopes)

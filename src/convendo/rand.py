@@ -10,7 +10,7 @@ import numpy as np
 from .expr import Affine, Max, Norm, Pwl1D, Quad, Sum
 from .extreal import INF
 from .measures import LineMeasure
-from .pwl import PwlFunction, pwl_add, pwl_linear, pwl_max
+from .pwl import PwlFunction, _kept, pwl_add, pwl_linear, pwl_max
 
 
 def rng_from_seed(seed):
@@ -26,26 +26,21 @@ def random_convex_pwl(rng, max_breaks=8, allow_tails=True):
     """
     k = int(rng.integers(1, max_breaks + 1))
     bps = np.sort(rng.uniform(-3.0, 3.0, size=k))
-    keep = [0]
-    for i in range(1, k):
-        if bps[i] - bps[keep[-1]] > 1e-2:
-            keep.append(i)
-    bps = bps[keep]
+    keep = _kept(bps, 1e-2)
+    bps = bps if keep is None else bps[keep]
     k = bps.size
 
     gaps = rng.uniform(1e-3, 1.5, size=k + 1)
-    slopes = np.cumsum(gaps) + rng.uniform(-2.0, 0.0)
+    slopes = np.add.accumulate(gaps) + rng.uniform(-2.0, 0.0)
     sl, sr = slopes[0], slopes[-1]
     if allow_tails and rng.random() < 0.25:
         sl = -INF
     if allow_tails and rng.random() < 0.25:
         sr = INF
 
-    v0 = rng.uniform(-2.0, 2.0)
-    vals = [v0]
-    for i in range(1, k):
-        vals.append(vals[-1] + slopes[i] * (bps[i] - bps[i - 1]))
-    return PwlFunction(bps, vals, sl, sr, slopes=list(slopes[1:-1] if k > 1 else []))
+    steps = slopes[1:-1] * (bps[1:] - bps[:-1])
+    vals = np.add.accumulate(np.concatenate(([rng.uniform(-2.0, 2.0)], steps)))
+    return PwlFunction._from_op(bps, vals, sl, sr, slopes[1:-1])
 
 
 def random_finite_pwl(rng, max_breaks=8):

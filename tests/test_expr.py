@@ -76,6 +76,18 @@ def test_precompose_rejects_singular():
         Precompose(np.zeros((2, 2)), Quad(1.0))
 
 
+@pytest.mark.parametrize("matrix", [1e-101 * np.eye(3), 2.0 ** -600 * np.eye(2),
+                                    2.0 ** 1000 * np.eye(3)], ids=["1e-101", "2^-600", "2^1000"])
+def test_precompose_takes_a_scaled_identity_whatever_its_scale(matrix):
+    # det underflows below 1e-300 or overflows to inf: neither says singular
+    with np.errstate(all="raise"):
+        f = Precompose(matrix, Quad(1.0))
+    x = np.full(len(matrix), 2.0 ** -500)
+    assert expr_eval(f, x) == expr_eval(Quad(1.0), matrix @ x)
+    with pytest.raises(BadShape):
+        Precompose(matrix @ np.array([[1.0] * len(matrix)] * len(matrix)), Quad(1.0))
+
+
 @pytest.mark.parametrize("build", [
     lambda v: Affine([1.0, v], 0.0),
     lambda v: Affine([1.0], v),

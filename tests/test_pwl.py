@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from convendo import pwl
 from convendo import (INF, BadShape, ConvendoError, EmptyDomain, NegativeScale, NonConvex,
@@ -41,6 +41,15 @@ def test_make_bad_shape():
         PwlFunction([1, 0], [0, 0], -1, 1)
     with pytest.raises(BadShape):
         PwlFunction([0], [0], INF, INF)
+
+
+def test_values_whose_sum_overflows_are_taken_as_they_are():
+    # the constructor's quick test of the values is their sum, which
+    # overflows here; the full test then finds them finite
+    f = PwlFunction([0.0, 1.0], [1e308, 1.5e308], -1.0, 6e307)
+    assert f.values == (1e308, 1.5e308) and f.slopes == (5e307,)
+    with pytest.raises(BadShape, match="must be finite"):
+        PwlFunction([0.0, 1.0], [1e308, INF], -1.0, 6e307)
 
 
 def test_add_two_vees():
@@ -130,7 +139,7 @@ def test_eval_many_matches_call():
         # a flat tail is its breakpoint's value out to -inf or +inf
         for x, m, v in ((-INF, g.slope_left, g.values[0]), (INF, g.slope_right, g.values[-1])):
             if m == 0.0:
-                assert g(x).hex() == pwl._values(g, [x])[0].hex() == v.hex()
+                assert g(x).hex() == float(g.eval_many([x])[0]).hex() == v.hex()
 
 
 def test_legendre_standard_pairs():
@@ -388,9 +397,35 @@ def _slope_between(f, p1, p2):
     return f.slope_sequence()[bisect.bisect_right(f.breakpoints, p1)]
 
 
+def _merge_close_loop(points, values):
+    """Breakpoints within MERGE_TOL of the last kept one collapse into it,
+    which keeps the first of the largest values: the sequential rule."""
+    out_p, out_v = [points[0]], [values[0]]
+    for p, v in zip(points[1:], values[1:]):
+        if p - out_p[-1] <= 1e-12:
+            out_v[-1] = max(out_v[-1], v)
+        else:
+            out_p.append(p)
+            out_v.append(v)
+    return out_p, out_v
+
+
+def _common_grid_loop(f, g):
+    """The common domain and its grid, built point by point: the breakpoints
+    of f and g in it and its finite ends, deduplicated, sorted and merged by
+    the sequential rule."""
+    lo, hi = max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])
+    if not lo < hi:
+        raise EmptyDomain("domain interiors are disjoint")
+    pts = [b for b in f.breakpoints + g.breakpoints if lo <= b <= hi]
+    pts += [e for e in (lo, hi) if abs(e) < INF]
+    pts = sorted(set(pts))
+    return lo, hi, _merge_close_loop(pts, pts)[0]
+
+
 def _pwl_add_bisect(f, g):
     """The sum with each point and interval looked up by f(x) and _slope_between."""
-    lo, hi, pts = pwl._common_grid(f, g)
+    lo, hi, pts = _common_grid_loop(f, g)
     vals = [f(p) + g(p) for p in pts]
     slopes = [_slope_between(f, p1, p2) + _slope_between(g, p1, p2)
               for p1, p2 in zip(pts, pts[1:])]
@@ -402,7 +437,7 @@ def _pwl_add_bisect(f, g):
 def _pwl_max_bisect(f, g):
     """The maximum with each point and interval looked up by f(x) and
     _slope_between, the upper function picked at the interval's midpoint."""
-    lo, hi, pts = pwl._common_grid(f, g)
+    lo, hi, pts = _common_grid_loop(f, g)
     full = list(pts)
     for a, b in zip(pts, pts[1:]):
         da, db = f(a) - g(a), f(b) - g(b)
@@ -430,10 +465,10 @@ def _pwl_max_bisect(f, g):
     return PwlFunction._from_op(full, vals, sl, sr, slopes)
 
 
-def _outcome(op, f, g):
-    """Every field of op(f, g) by float.hex, or the error it raises."""
+def _outcome(op, *args):
+    """Every field of op(*args) by float.hex, or the error it raises."""
     try:
-        h = op(f, g)
+        h = op(*args)
     except ConvendoError as exc:
         return type(exc), str(exc)
     return [[v.hex() for v in vs] for vs in _data(h)[:3]] + \
@@ -526,8 +561,9 @@ def test_max_finds_a_crossing_whose_width_overflows():
 
 
 def _three_paths(f, x):
-    """f at x by __call__, eval_many and the forward pass, as float.hex."""
-    return {f(x).hex(), float(f.eval_many([x])[0]).hex(), pwl._values(f, [x])[0].hex()}
+    """f at x by __call__, eval_many and the operations' array read, as float.hex."""
+    return {f(x).hex(), float(f.eval_many([x])[0]).hex(),
+            float(pwl._read(f, pwl._reader(f), np.array([x]), pwl._wide(f, f, [x]))[0][0]).hex()}
 
 
 def test_pieces_wider_than_the_float_range_read_in_halves():
@@ -549,7 +585,11 @@ def test_pieces_wider_than_the_float_range_read_in_halves():
 def test_add_and_max_keep_the_sign_of_zero():
     f = PwlFunction([0.0], [0.0], -1.0, 1.0)
     g = PwlFunction([0.0], [-0.0], -2.0, 2.0)
-    for a, b in ((f, g), (g, f)):
+    # a last breakpoint 0.0 read at the grid point -0.0 keeps its value -0.0
+    h = PwlFunction([-1.0, 0.0], [1.0, -0.0], -2.0, 1.0)
+    e = PwlFunction([-0.0, 1.0], [-0.0, -1.0], -3.0, 3.0)
+    assert pwl_add(e, h).values[1].hex() == (-0.0).hex()
+    for a, b in ((f, g), (g, f), (e, h), (h, e)):
         assert _outcome(pwl_add, a, b) == _outcome(_pwl_add_bisect, a, b)
         assert _outcome(pwl_max, a, b) == _outcome(_pwl_max_bisect, a, b)
 
@@ -682,3 +722,141 @@ def test_slope_on_raises_only_on_a_point_domain():
     assert pwl_indicator(0.0, 1.0).slope_on(0.0) == 0.0
     with pytest.raises(EmptyDomain):
         pwl_indicator(2.0, 2.0).slope_on(2.0)
+
+
+# -- array passes against the loops they replaced ---------------------------------
+
+def _is_even_loop(p):
+    """is_even as a scalar loop over the breakpoints."""
+    if p.slope_left != -p.slope_right:
+        return False
+    for b in p.breakpoints:
+        u, v = p(b), p(-b)
+        if u != v and not abs(u - v) <= 1e-9 * max(1.0, abs(u), abs(v)) < INF:
+            return False
+    return True
+
+
+@st.composite
+def nearly_even(draw):
+    """x -> c x^2 interpolated on mirrored breakpoints, then one value nudged
+    (within or beyond the tolerance), one breakpoint moved, a tail changed
+    or truncated (p(-b) = inf beyond a truncated side)."""
+    half = sorted(set(draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6))))
+    bp = [-b for b in reversed(half)] + [0.0] * draw(st.booleans()) + half
+    c = draw(st.floats(0.1, 3.0))
+    va = [c * b * b for b in bp]
+    i = draw(st.integers(0, len(bp) - 1))
+    va[i] *= 1.0 + draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-3]))
+    j = draw(st.integers(0, len(bp) - 1))
+    moved = bp[j] + draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    if (j == 0 or bp[j - 1] < moved) and (j == len(bp) - 1 or moved < bp[j + 1]):
+        bp[j] = moved
+    s = 2.0 * c * half[-1] + 1.0
+    sr = draw(st.sampled_from([s, s + 0.5, INF]))
+    sl = draw(st.sampled_from([-sr, -s, -INF]))
+    try:
+        return PwlFunction(bp, va, sl, sr)
+    except NonConvex:
+        return pwl_abs()
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearly_even())
+def test_is_even_matches_the_scalar_loop(p):
+    assert is_even(p) == _is_even_loop(p)
+
+
+@st.composite
+def chained_runs(draw, steps=(0.0, 3e-13, 6e-13, 9e-13, 1e-12)):
+    """Points at ordinary gaps, some opening a run of two to five more, each
+    a step within MERGE_TOL of the previous one: the gap to the previous
+    point and the sequential keep-the-first rule drop different points.
+    Near 5000 an ulp is close to MERGE_TOL, and the steps round to 0 or 1 ulp."""
+    pts = [draw(st.sampled_from([0.0, 5000.0])) + draw(st.floats(-5.0, 5.0))]
+    for _ in range(draw(st.integers(1, 8))):
+        pts.append(pts[-1] + draw(st.floats(1e-3, 1.0)))
+        for _ in range(draw(st.sampled_from([0, 0, 2, 3, 5]))):
+            pts.append(pts[-1] + draw(st.sampled_from(steps)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(chained_runs(), st.floats(-2.0, 2.0), st.booleans())
+def test_constructor_merges_chained_runs_by_the_sequential_rule(bp, v0, truncate):
+    # values of x^2 + v0, merged as the sequential rule merges them, then
+    # built from data that needs no merge
+    va = [b * b + v0 for b in bp]
+    sl, sr = (-INF, INF) if truncate else (-40.0, 40.0)
+    merged = _merge_close_loop(bp, va)
+    assert _outcome(PwlFunction, bp, va, sl, sr) == _outcome(PwlFunction, *merged, sl, sr)
+
+
+def _exact_pieces(bp, seq, v0):
+    """Convex data with the given breakpoints and slope sequence, its values
+    accumulated along the pieces and its slopes passed as they are."""
+    va = [v0]
+    for m, b1, b2 in zip(seq[1:], bp, bp[1:]):
+        va.append(va[-1] + m * (b2 - b1))
+    return PwlFunction(bp, va, seq[0], seq[-1], slopes=seq[1:-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_runs(steps=(6e-13, 9e-13, 1e-12)), st.data())
+def test_add_and_max_merge_chained_grids_by_the_sequential_rule(pts, data):
+    # f takes every other point of the runs and g the rest, so that the
+    # common grid holds runs that neither input has alone
+    f_bp, g_bp = pts[0::2], pts[1::2] or [pts[0] + 0.5]
+    assume(all(q - p > 1e-12 for bp in (f_bp, g_bp) for p, q in zip(bp, bp[1:])))
+    slopes = st.lists(st.floats(0.01, 1.0), min_size=len(pts) + 1, max_size=len(pts) + 1)
+    f = _exact_pieces(f_bp, list(np.cumsum(data.draw(slopes))[:len(f_bp) + 1] - 3.0), 0.5)
+    g = _exact_pieces(g_bp, list(np.cumsum(data.draw(slopes))[:len(g_bp) + 1] - 3.0), -0.5)
+    for a, b in ((f, g), (g, f)):
+        assert _outcome(pwl_add, a, b) == _outcome(_pwl_add_bisect, a, b)
+        assert _outcome(pwl_max, a, b) == _outcome(_pwl_max_bisect, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chained_runs(), st.booleans(), st.booleans())
+def test_legendre_groups_chained_slopes_by_the_sequential_rule(seq, cut_left, cut_right):
+    # the slopes run in chains, so the slope groups of the conjugate do
+    bp = list(np.cumsum(np.full(len(seq) - 1, 0.25)))
+    f = _exact_pieces(bp or [0.0], seq if bp else seq[:1] * 2, 1.0)
+    f = PwlFunction(f.breakpoints, f.values, -INF if cut_left else f.slope_left,
+                    INF if cut_right else f.slope_right, slopes=f.slopes)
+    assert _outcome(legendre, f) == _outcome(_legendre_scan, f)
+
+
+def _random_convex_pwl_loop(rng, max_breaks=8, allow_tails=True):
+    """random_convex_pwl as its loops drew it, point by point."""
+    k = int(rng.integers(1, max_breaks + 1))
+    bps = np.sort(rng.uniform(-3.0, 3.0, size=k))
+    keep = [0]
+    for i in range(1, k):
+        if bps[i] - bps[keep[-1]] > 1e-2:
+            keep.append(i)
+    bps = bps[keep]
+    k = bps.size
+    gaps = rng.uniform(1e-3, 1.5, size=k + 1)
+    slopes = np.cumsum(gaps) + rng.uniform(-2.0, 0.0)
+    sl, sr = slopes[0], slopes[-1]
+    if allow_tails and rng.random() < 0.25:
+        sl = -INF
+    if allow_tails and rng.random() < 0.25:
+        sr = INF
+    vals = [rng.uniform(-2.0, 2.0)]
+    for i in range(1, k):
+        vals.append(vals[-1] + slopes[i] * (bps[i] - bps[i - 1]))
+    return PwlFunction(bps, vals, sl, sr, slopes=list(slopes[1:-1]))
+
+
+@pytest.mark.parametrize("max_breaks", [1, 2, 8, 64, 400])
+def test_random_convex_pwl_draws_as_the_loops_drew(max_breaks):
+    # at 400 breakpoints on [-3, 3], gaps under 1e-2 are common and runs of
+    # them (the sequential rule) occur in most draws
+    a, b = rng_from_seed(max_breaks), rng_from_seed(max_breaks)
+    for _ in range(200 if max_breaks < 100 else 20):
+        for tails in (True, False):
+            want = _outcome(_random_convex_pwl_loop, a, max_breaks, tails)
+            assert _outcome(random_convex_pwl, b, max_breaks, tails) == want
+    assert a.random() == b.random()

@@ -18,7 +18,13 @@ path), OUTDIR receives:
   of seeded ``random_finite_expr`` (n = 1, 2, 3) and ``random_convex_pwl``
   draws, and ``fn_to_json(fn_from_json(d))`` and ``endo_to_json(endo_from_json(d))``
   of one template of every function and operator kind, each by
-  ``json.dumps(..., sort_keys=True)`` or the error it raised.
+  ``json.dumps(..., sort_keys=True)`` or the error it raised;
+* every field of the exact 1-D operations (``pwl.txt``): ``legendre``,
+  ``monge_ampere`` and ``pwl_scale`` of each input, and ``pwl_add``,
+  ``pwl_max`` and ``inf_convolve`` of each input with the next one and with
+  itself, by ``float.hex`` or the error raised. The inputs are seeded
+  ``random_convex_pwl`` draws at k = 1..8, truncated and point-indicator
+  functions, and copies of all of them scaled by 2^40 and 2^-40.
 
 Run it once per checkout and compare the two directories with
 ``diff -r OUT_A OUT_B``.
@@ -38,6 +44,7 @@ SEEDS = (0, 7, 123)
 ROUND_WORKLOADS = ("grid_nd", "exact_1d")
 ROUND_SEEDS = (0, 5)
 DRAWS = 60  # per kind of random draw
+PWL_DRAWS = 6  # per breakpoint count of random_convex_pwl
 
 PWL = {"kind": "pwl", "breakpoints": [-1.0, 0.0, 1.0], "values": [1.0, 0.0, 1.0],
        "slope_left": -2.0, "slope_right": "inf"}
@@ -126,6 +133,45 @@ def _serializer_lines():
     return lines
 
 
+def _pwl_lines():
+    """The exact 1-D operations on seeded small inputs, field by field."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from convendo import ConvendoError, kernel1d, pwl, rand
+
+    def run(make):
+        try:
+            return json.dumps(_hexed(make()))
+        except Exception as exc:
+            return json.dumps(_hexed(exc))
+
+    rng = rand.rng_from_seed(0)
+    base = [rand.random_convex_pwl(rng, max_breaks=k) for k in range(1, 9)
+            for _ in range(PWL_DRAWS)]
+    base += [pwl.pwl_indicator(-1.0, 2.0), pwl.pwl_indicator(0.5, 0.5),
+             pwl.PwlFunction([-1.0, 0.0, 1.5], [1.0, -0.0, 2.0], -pwl.INF, 3.0),
+             pwl.PwlFunction([-2.0, 0.5], [0.0, 0.0], -1.0, pwl.INF),
+             pwl.pwl_abs(), pwl.pwl_linear(0.5, -1.0)]
+    lines, inputs = [], []
+    for c in (1.0, 2.0 ** 40, 2.0 ** -40):
+        for f in base:  # the smallest copies merge breakpoints, dropping given slopes
+            data = ([c * b for b in f.breakpoints], [c * v for v in f.values],
+                    f.slope_left, f.slope_right)
+            lines.append(f"with slopes: {run(lambda: pwl.PwlFunction(*data, slopes=f.slopes))}")
+            try:
+                inputs.append(pwl.PwlFunction(*data))
+            except ConvendoError as exc:
+                lines.append(f"from values: {run(lambda: exc)}")
+    for i, f in enumerate(inputs):
+        lines += [f"input {i}: {run(lambda: f)}",
+                  f"legendre {i}: {run(lambda: pwl.legendre(f))}",
+                  f"monge_ampere {i}: {run(lambda: kernel1d.monge_ampere(f))}",
+                  f"pwl_scale {i}: {run(lambda: pwl.pwl_scale(0.75, f))}"]
+        for j, g in ((i + 1, inputs[(i + 1) % len(inputs)]), (i, f)):
+            lines += [f"{op.__name__} {i} {j}: {run(lambda: op(f, g))}"
+                      for op in (pwl.pwl_add, pwl.pwl_max, pwl.inf_convolve)]
+    return lines
+
+
 def main(argv):
     if len(argv) != 1:
         print("usage: python3 tools/same_results.py OUTDIR", file=sys.stderr)
@@ -140,6 +186,7 @@ def main(argv):
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (out / f"demo_{demo.stem}.txt").write_text(_stdout([str(demo)]))
     (out / "serialize.txt").write_text("\n".join(_serializer_lines()) + "\n")
+    (out / "pwl.txt").write_text("\n".join(_pwl_lines()) + "\n")
     # the harness pins the numerical libraries to one thread as it is imported
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import run as bench
