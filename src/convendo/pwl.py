@@ -23,7 +23,6 @@ so no tolerance in the values' own scale tells the two apart.
 """
 
 import bisect
-import contextlib
 import math
 
 import numpy as np
@@ -32,12 +31,13 @@ from .errors import BadShape, EmptyDomain, NegativeScale, NonConvex
 from .extreal import INF, MERGE_TOL
 
 
-def _kept(p, tol=MERGE_TOL):
-    """Mask of the points p (in order) kept when each point within tol of
-    the last kept one is dropped; None when all are kept. A gap mask decides
-    where each dropped point repeats the one before it; any other drop may
-    leave the last kept point further back, and the rule runs point by point."""
-    near = p[1:] - p[:-1] <= tol
+def _kept(p, d, tol=MERGE_TOL):
+    """Mask of the points p (in order, gaps d) kept when each point within
+    tol of the last kept one is dropped; None when all are kept. A gap mask
+    decides where each dropped point repeats the one before it; any other
+    drop may leave the last kept point further back, and the rule runs point
+    by point."""
+    near = d <= tol
     if not np.count_nonzero(near):
         return None
     if np.count_nonzero(p[1:][near] != p[:-1][near]):
@@ -50,12 +50,9 @@ def _kept(p, tol=MERGE_TOL):
     return np.concatenate(([True], ~near))
 
 
-_QUIET = contextlib.nullcontext()
-
-
-def _quiet(wide):
-    """Overflow silenced where a difference may overflow (as floats do)."""
-    return np.errstate(over="ignore", invalid="ignore") if wide else _QUIET
+# The array passes overflow to inf and nan as the float arithmetic they
+# replace does, without numpy's warnings.
+_quiet = np.errstate(over="ignore", under="ignore", invalid="ignore")
 
 
 class PwlFunction:
@@ -88,27 +85,24 @@ class PwlFunction:
         f._setup(breakpoints, values, slope_left, slope_right, slopes, False)
         return f
 
+    @_quiet
     def _setup(self, breakpoints, values, slope_left, slope_right, slopes, agree):
         bp = np.asarray(breakpoints, dtype=float)
         va = np.asarray(values, dtype=float)
         if bp.ndim != 1 or bp.shape != va.shape or not bp.size:
             raise BadShape("breakpoints and values must have equal length >= 1")
-        bl, vl = bp.tolist(), va.tolist()
-        with _quiet(not bl[-1] - bl[0] < INF):
-            d = bp[1:] - bp[:-1]
-            # finite ends and gaps above MERGE_TOL give finite, sorted, unmerged
-            # points, and a finite sum finite values; what fails takes the full test
-            if not (-INF < bl[0] and bl[-1] < INF and np.count_nonzero(d > MERGE_TOL) == d.size
-                    and -INF < sum(vl) < INF):
-                if not (np.isfinite(bp).all() and np.isfinite(va).all()):
-                    raise BadShape("breakpoints and values must be finite")
-                if (d < 0).any():
-                    raise BadShape("breakpoints must be sorted increasingly")
-                keep = _kept(bp)
-                if keep is not None:  # merge, keeping the first point and largest value
-                    cut = keep.nonzero()[0].tolist() + [va.size]
-                    bp, va = bp[keep], np.array([max(vl[i:j]) for i, j in zip(cut, cut[1:])])
-                    bl, vl, d, slopes = bp.tolist(), va.tolist(), bp[1:] - bp[:-1], None
+        if np.count_nonzero(np.isfinite(bp)) + np.count_nonzero(np.isfinite(va)) < 2 * bp.size:
+            raise BadShape("breakpoints and values must be finite")
+        d = bp[1:] - bp[:-1]
+        keep = _kept(bp, d)
+        if keep is not None:  # a gap <= MERGE_TOL, as every decrease is
+            if np.count_nonzero(d < 0):
+                raise BadShape("breakpoints must be sorted increasingly")
+            # merge, keeping the first point and the largest value
+            cut, vl = keep.nonzero()[0].tolist() + [va.size], va.tolist()
+            bp, va = bp[keep], np.array([max(vl[i:j]) for i, j in zip(cut, cut[1:])])
+            d, slopes = bp[1:] - bp[:-1], None
+        bl = bp.tolist()
         slope_left, slope_right = float(slope_left), float(slope_right)
         if slope_left == INF or math.isnan(slope_left):
             raise BadShape("slope_left must be finite or -inf")
@@ -137,20 +131,21 @@ class PwlFunction:
                 raise BadShape(f"slope {sq[i]} on [{bl[i]}, {bl[i + 1]}] disagrees with "
                                f"the values {float(va[i])} and {float(va[i + 1])}")
 
-        # a scale no larger than the largest finite |m| passes only sequences
-        # that the full scale passes; one it fails takes the full test
-        seq = [slope_left] + sq + [slope_right]
-        a, b = seq[0] if seq[0] > -INF else seq[1], seq[-1] if seq[-1] < INF else seq[-2]
-        low = 1e-9 * max(1.0, abs(a) if abs(a) < INF else 1.0, abs(b) if abs(b) < INF else 1.0)
-        if not (seq[1] >= seq[0] - low and seq[-1] >= seq[-2] - low
-                and np.count_nonzero(s[1:] >= s[:-1] - low) == s.size - (s.size > 0)):
-            scale = max([1.0] + [abs(m) for m in seq if math.isfinite(m)])
-            for m1, m2 in zip(seq, seq[1:]):
-                if m2 < m1 - 1e-9 * scale:
-                    raise NonConvex(f"slope sequence decreases: {m1} -> {m2}")
+        # slopes may decrease by 1e-9 times the largest finite |m| (at least 1),
+        # which only a pair that decreases can exceed
+        first, last = (sq[0], sq[-1]) if sq else (slope_right, slope_left)
+        if first < slope_left or slope_right < last or np.count_nonzero(s[1:] < s[:-1]):
+            seq = [slope_left, *sq, slope_right]
+            m = np.array(seq)
+            a = np.abs(m)
+            low = 1e-9 * np.maximum.reduce(a, initial=1.0, where=a < INF)
+            bad = (m[1:] < m[:-1] - low).nonzero()[0]
+            if bad.size:
+                i = bad[0]
+                raise NonConvex(f"slope sequence decreases: {seq[i]} -> {seq[i + 1]}")
 
         self.breakpoints = tuple(bl)
-        self.values = tuple(vl)
+        self.values = tuple(va.tolist())
         self.slopes = tuple(sq)
         self.slope_left = slope_left
         self.slope_right = slope_right
@@ -294,8 +289,7 @@ def _common_grid(f, g):
     pts = np.array(fb[bisect.bisect_left(fb, lo):bisect.bisect_right(fb, hi)]
                    + gb[bisect.bisect_left(gb, lo):bisect.bisect_right(gb, hi)], float)
     pts.sort(kind="stable")
-    with _quiet(float(pts[-1]) - float(pts[0]) == INF):
-        keep = _kept(pts)
+    keep = _kept(pts, pts[1:] - pts[:-1])
     if keep is None:
         return lo, hi, pts, True
     repeats = np.count_nonzero(pts[1:] == pts[:-1])
@@ -347,6 +341,7 @@ def _open_slopes(f, T, r, pts, exact):
                                         pts[1:].tolist())])
 
 
+@_quiet
 def pwl_add(f, g):
     """Exact pointwise sum; domain is the intersection.
 
@@ -372,6 +367,7 @@ def pwl_scale(lam, f):
                                 [lam * m for m in f.slopes])
 
 
+@_quiet
 def pwl_max(f, g):
     """Exact pointwise maximum, with breakpoints added at crossings.
 
@@ -386,10 +382,9 @@ def pwl_max(f, g):
     sg = np.sign(diff)
     c = sg[:-1] * sg[1:] < 0
     a, b, da, db = pts[:-1][c], pts[1:][c], diff[:-1][c], diff[1:][c]
-    with _quiet(wide):
-        x = a + da * (b - a) / (da - db)
-        if wide:  # where a width overflows, interpolate in halves
-            x = np.where(b - a < INF, x, 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2)))
+    x = a + da * (b - a) / (da - db)
+    if wide:  # where a width overflows, interpolate in halves
+        x = np.where(b - a < INF, x, 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2)))
     extra = x[(a + MERGE_TOL < x) & (x < b - MERGE_TOL)].tolist()
     # on a common tail f - g is linear, so a zero beyond the end point is a
     # sign change; testing f(x) - g(x) at the zero itself would read noise
@@ -402,15 +397,15 @@ def pwl_max(f, g):
         x = b - float(diff[-1]) / (f.slope_right - g.slope_right)
         extra += [x] if x > b + MERGE_TOL else []
     full = np.sort(np.concatenate((pts, extra))) if extra else pts
-    wide = _wide(f, g, full)
-    (vf, rf), (vg, rg) = _read(f, tf, full, wide), _read(g, tg, full, wide)
-    mids = full[:-1] * 0.5 + full[1:] * 0.5
-    upper = _read(f, tf, mids, wide)[0] >= _read(g, tg, mids, wide)[0]
-    slopes = np.where(upper, _open_slopes(f, tf, rf, full, exact),
-                      _open_slopes(g, tg, rg, full, exact))
+    # both read at the points, then at the midpoints, for the upper function
+    k, wide = full.size, _wide(f, g, full)
+    x = np.concatenate((full, full[:-1] * 0.5 + full[1:] * 0.5))
+    (vf, rf), (vg, rg) = _read(f, tf, x, wide), _read(g, tg, x, wide)
+    slopes = np.where(vf[k:] >= vg[k:], _open_slopes(f, tf, rf[:k], full, exact),
+                      _open_slopes(g, tg, rg[:k], full, exact))
     sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
     sr = INF if hi < INF else max(f.slope_right, g.slope_right)
-    return PwlFunction._from_op(full, np.where(vg > vf, vg, vf), sl, sr, slopes)
+    return PwlFunction._from_op(full, np.where(vg[:k] > vf[:k], vg[:k], vf[:k]), sl, sr, slopes)
 
 
 # -- Legendre transform and inf-convolution ----------------------------------
@@ -453,6 +448,7 @@ def _sup_near(bp, va, y, lo, hi, slack):
     return i, best
 
 
+@_quiet
 def legendre(f):
     """Convex conjugate sup_x (x*y - f(x)), exact on PwlFunction.
 
@@ -489,37 +485,32 @@ def legendre(f):
         # the slack scales with a bound on |b*y| + |v| over every breakpoint
         return _sup_near(bp, va, y, lo, hi, SUP_SLACK * (b_max * abs(y) + v_max))
 
-    keep = _kept(ys)
+    keep = _kept(ys, ys[1:] - ys[:-1])
     firsts = range(j0, j1) if keep is None else (keep.nonzero()[0] + j0).tolist()
     lasts = range(j0, j1) if keep is None else [j - 1 for j in firsts[1:]] + [j1 - 1]
     ys = ys if keep is None else ys[keep]
     ym = (ys[:-1] + ys[1:]) / 2.0
+    sl = bp[0] if f.slope_left == -INF else -INF
+    sr = bp[-1] if f.slope_right == INF else INF
     top = b_max * max(abs(seq[j0]), abs(seq[j1 - 1])) + v_max
     if keep is None and top < 2.0 ** 1000 and abs(seq[j0]) + abs(seq[j1 - 1]) < 2.0 ** 1000:
-        # row i: breakpoints, then values, j - 2 .. j + 2 around slope j = j0 + i
+        # row i: breakpoints, then values, j - 2 .. j + 2 around slope j = j0 + i,
+        # read at the slopes (g) and at the midpoints (h)
         wb, wv = np.ndarray((2, n, 5), float, A, 8 * (n + j0), (8 * (k + 5), 8, 8))
-        g = wb * ys[:, None] - wv
-        g1, g2 = g[:, 1], g[:, 2]
-        vals = np.where(g2 > g1, g2, g1)
-        h = wb[:-1] * ym[:, None] - wv[:-1]
+        g, h = wb * ys[:, None] - wv, wb[:-1] * ym[:, None] - wv[:-1]
+        vals = np.where(g[:, 2] > g[:, 1], g[:, 2], g[:, 1])
         slopes = A[np.arange(n + j0 + 1, n + j1) + h[:, 1:4].argmax(axis=1)]
         best = np.maximum(np.maximum(h[:, 1], h[:, 2]), h[:, 3])
         # with the largest slack, outer breakpoints (j - 2 and j + 1 for a
         # value, j - 2 and j + 2 for a slope) below max - slack: no scan widens
         slack = SUP_SLACK * top
-        wide = np.count_nonzero(g[:, ::3] >= (vals - slack)[:, None]) + np.count_nonzero(
-            h[:, ::4] >= (best - slack)[:, None])
-        redo = redo_s = None if wide else ()
-    else:
-        vals, slopes, redo = np.empty(len(ys)), np.empty(len(ys) - 1), None
-    if redo is None:
-        redo, redo_s = range(len(ys)), range(len(ys) - 1)
-    for i in redo:
-        vals[i] = sup(float(ys[i]), max(firsts[i] - 1, 0), min(lasts[i] + 1, k))[1]
-    for i in redo_s:
-        slopes[i] = bp[sup(float(ym[i]), max(firsts[i] - 1, 0), min(lasts[i + 1] + 1, k))[0]]
-    sl = bp[0] if f.slope_left == -INF else -INF
-    sr = bp[-1] if f.slope_right == INF else INF
+        if not (np.count_nonzero(np.maximum(g[:, 0], g[:, 3]) >= vals - slack)
+                + np.count_nonzero(np.maximum(h[:, 0], h[:, 4]) >= best - slack)):
+            return PwlFunction._from_op(ys, vals, sl, sr, slopes)
+    vals = [sup(y, max(firsts[i] - 1, 0), min(lasts[i] + 1, k))[1]
+            for i, y in enumerate(ys.tolist())]
+    slopes = [bp[sup(y, max(firsts[i] - 1, 0), min(lasts[i + 1] + 1, k))[0]]
+              for i, y in enumerate(ym.tolist())]
     return PwlFunction._from_op(ys, vals, sl, sr, slopes)
 
 

@@ -26,12 +26,12 @@ def random_convex_pwl(rng, max_breaks=8, allow_tails=True):
     """
     k = int(rng.integers(1, max_breaks + 1))
     bps = np.sort(rng.uniform(-3.0, 3.0, size=k))
-    keep = _kept(bps, 1e-2)
+    keep = _kept(bps, bps[1:] - bps[:-1], 1e-2)
     bps = bps if keep is None else bps[keep]
     k = bps.size
 
     gaps = rng.uniform(1e-3, 1.5, size=k + 1)
-    slopes = np.add.accumulate(gaps) + rng.uniform(-2.0, 0.0)
+    slopes = np.cumsum(gaps) + rng.uniform(-2.0, 0.0)
     sl, sr = slopes[0], slopes[-1]
     if allow_tails and rng.random() < 0.25:
         sl = -INF

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def test_make_nonconvex_rejected():
         PwlFunction([0, 1], [0, -1], 0, 0)
 
 
+def test_convexity_tolerance_is_the_largest_finite_slope():
+    # an interior decrease of 5e-7 passes where 1e-9 times the largest
+    # finite |m| exceeds it (slope_right 1000), and fails at 100 and where
+    # the only larger |m| is an infinite tail
+    bp, va = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0 - 5e-7, 3.5]
+    assert PwlFunction(bp, va, -1.0, 1000.0).slopes[1] == (2.0 - 5e-7) - 1.0
+    for sl, sr in ((-1.0, 100.0), (-INF, INF)):
+        with pytest.raises(NonConvex, match=r"^slope sequence decreases: 1.0 -> 0.99999949"):
+            PwlFunction(bp, va, sl, sr)
+    with pytest.raises(NonConvex, match=r"^slope sequence decreases: 1.0 -> 0.5$"):
+        PwlFunction([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.5, 3.0], -1.0, 5.0)
+
+
 def test_make_bad_shape():
     with pytest.raises(BadShape):
         PwlFunction([0, 1], [0], -1, 1)
@@ -44,8 +58,7 @@ def test_make_bad_shape():
 
 
 def test_values_whose_sum_overflows_are_taken_as_they_are():
-    # the constructor's quick test of the values is their sum, which
-    # overflows here; the full test then finds them finite
+    # finite values are taken although their sum overflows
     f = PwlFunction([0.0, 1.0], [1e308, 1.5e308], -1.0, 6e307)
     assert f.values == (1e308, 1.5e308) and f.slopes == (5e307,)
     with pytest.raises(BadShape, match="must be finite"):
@@ -548,6 +561,24 @@ def test_add_and_max_read_midpoints_that_overflow():
     assert h.slopes == (-1.0, 1.0)
 
 
+def test_overflow_in_the_array_passes_is_silent():
+    # each case overflows a difference or a product inside the constructor
+    # or an operation, where the scalar float arithmetic that the array
+    # passes replace gives inf or nan without a word
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        big = PwlFunction([0.0, 1.0], [-1e308, 1e308], 0.0, INF)
+        assert big.slopes == (INF,)
+        with pytest.raises(BadShape, match="disagrees"):
+            PwlFunction([0.0, 1.5], [0.0, 1.0], 0.0, INF, slopes=[1.7e308])
+        up, down = PwlFunction([0.0], [1e308], -1.0, 1.0), PwlFunction([0.0], [-1e308], -1.0, 1.0)
+        steep = PwlFunction([0.0], [0.0], 1e308, 1.5e308)
+        assert _outcome(pwl_max, up, down) == _outcome(_pwl_max_bisect, up, down)
+        assert _outcome(pwl_add, big, up) == _outcome(_pwl_add_bisect, big, up)
+        assert _outcome(legendre, steep) == _outcome(_legendre_scan, steep)
+        assert _outcome(legendre, big) == _outcome(_legendre_scan, big)
+
+
 def test_max_finds_a_crossing_whose_width_overflows():
     # b - a overflows on [-1e308, 1e308]: the crossing is interpolated in
     # halves, and so is each input's secant slope, so both read 0.5 at 0
@@ -653,6 +684,16 @@ def test_operations_accept_values_rounded_from_large_terms():
             assert isinstance(out, list)
             assert out == _outcome(oracle, a, b)
     assert pwl_add(f, g).slopes[1] == 0.1
+
+
+def test_legendre_widens_a_value_scan_to_the_next_breakpoint():
+    # slopes 3.3e-12 apart: at the first finite slope the breakpoint after
+    # the window's pair comes within the slack of their max, so the scan
+    # must widen to it (the window test looks at that breakpoint)
+    f = PwlFunction._from_op([-1.7492137112862771, -1.7484435124802016],
+                             [-0.4547946000110148, 0.0024581057735065803],
+                             593.6814004093283, 595.1412230574331, [593.6814004093316])
+    assert _outcome(legendre, f) == _outcome(_legendre_scan, f)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
