@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadShape, DimensionMismatch, NegativeScale, OriginNotInDomain, ZeroVector
 from .extreal import INF
-from .pwl import PwlFunction, is_even
+from .pwl import PwlFunction, _quiet, is_even
 
 # Most rows one block call evaluates; callers that expand points into many
 # tree points (orbit quadrature, atoms) size their blocks by it too, so
@@ -41,6 +41,7 @@ class ConvexExpr:
     def __call__(self, x):
         return expr_eval(self, x)
 
+    @_quiet
     def eval_many(self, X):
         """The value at every row of a (k, n) array; (k,) floats.
 
@@ -141,8 +142,7 @@ class Pwl1D(ConvexExpr):
         alpha = _rowdot(X, self.direction, self._zeros)
         lo, hi = self.p.domain
         zero = alpha == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a, b = lo / alpha, hi / alpha
+        a, b = lo / alpha, hi / alpha
         pos = alpha > 0
         out_lo, out_hi = np.where(pos, a, b), np.where(pos, b, a)
         at_zero = (-INF, INF) if self.p(0.0) < INF else (0.0, 0.0)
@@ -336,6 +336,7 @@ def row_blocks(k, size=BLOCK):
     return [slice(i, min(i + size, k)) for i in range(0, k, size)]
 
 
+@_quiet
 def ray_domain(f, x):
     """Interior of { s in R : f(s x) < inf } for nonzero x."""
     X = as_point_block(np.reshape(x, (1, -1)), f.dim)

@@ -30,7 +30,7 @@ from .extreal import INF, RADIAL_LIMIT, edge_split
 from .expr import (BLOCK, Affine, Norm, Max, Sum, as_expr, as_point_block, operator_input,
                    operator_output, row_blocks)
 from .measures import LineMeasure, moment_abs, moment_signed, support_bounds
-from .pwl import hinge_values
+from .pwl import _quiet, hinge_values
 from .rand import random_finite_expr, random_nonneg_expr
 
 # Radial steps lambda = 1 - 2^-k, k = 1..40, that gl_eval_detailed reports
@@ -63,6 +63,7 @@ class GlEndo:
     def __call__(self, f, x):
         return gl_eval(self, f, x)
 
+    @_quiet
     def eval_many(self, f, X):
         """The operator at every row of a (k, n) array; returns (k,) floats."""
         f, X, f0 = operator_input(f, X, self.n)
@@ -99,6 +100,7 @@ def gl_eval(e, f, x):
     return float(e.eval_many(f, np.reshape(x, (1, -1)))[0])
 
 
+@_quiet
 def gl_eval_detailed(e, f, x):
     """Like gl_eval but also reports which case fired.
 
@@ -182,6 +184,7 @@ class ScaleComposeMap:
     def __call__(self, f, x):
         return scale_compose_eval(self, f, x)
 
+    @_quiet
     def eval_many(self, f, X):
         """lam * f(mu x) at every row x of a (k, n) array."""
         f = as_expr(f, self.n)

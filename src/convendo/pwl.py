@@ -8,9 +8,10 @@ intervals, half-lines and all of the real line are representable domains.
 The algebra (add, max, scale), the Legendre transform and inf-convolution are
 closed on this class, exact up to float rounding, and each is a few numpy
 passes doing the float operations of a point-by-point walk, so outputs keep
-their bits. Point-by-point code remains only where data needs it: distinct
-points merged within MERGE_TOL, repeated slopes and widening scans in
-``legendre``, overflowing widths, and merged breakpoints inside grid
+their bits. One table read (``_reader`` and ``_read``) serves ``eval_many``,
+``pwl_add`` and ``pwl_max``. Point-by-point code remains only where data
+needs it: distinct points merged within MERGE_TOL, repeated slopes and
+widening scans in ``legendre``, and merged breakpoints inside grid
 intervals. Fields stay tuples of Python floats, which keep ``repr`` and the
 scalar ``__call__``. The Moreau envelope returns a callable only.
 
@@ -51,8 +52,10 @@ def _kept(p, d, tol=MERGE_TOL):
 
 
 # The array passes overflow to inf and nan as the float arithmetic they
-# replace does, without numpy's warnings.
-_quiet = np.errstate(over="ignore", under="ignore", invalid="ignore")
+# replace does, without numpy's warnings. The n-D doors (tree and operator
+# evaluation, ray domains) run under it too, where a division by zero gives
+# inf or nan that the caller masks.
+_quiet = np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
 
 
 class PwlFunction:
@@ -171,27 +174,13 @@ class PwlFunction:
             return va[-1]
         return _line(va[i], self.slopes[i], x, bp[i])
 
+    @_quiet
     def eval_many(self, xs):
-        """Vectorized evaluation: x reads va[a] + seq[j] (x - bp[a]), with j
-        the count of breakpoints <= x, a = max(j - 1, 0) and seq the slope
-        sequence, so a truncated tail's infinite slope gives +inf by itself;
-        the last breakpoint and a flat tail's +-inf (0 * inf) read va[a], and
-        an infinite x - bp[a] is taken in halves, as ``_line`` takes it."""
+        """f at every point of xs, bit for bit as ``f(x)`` reads each (see ``_read``)."""
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise BadShape("cannot evaluate at nan")
-        bp = np.array(self.breakpoints)
-        j = np.searchsorted(bp, xs, side="right")
-        a = np.maximum(j - 1, 0)
-        seq = np.array(self.slope_sequence())
-        va = np.take(self.values, a)
-        with np.errstate(invalid="ignore", over="ignore"):
-            d = xs - bp[a]
-            out = va + seq[j] * d
-            wide = np.isinf(d)
-            if wide.any():
-                out = np.where(wide, va + 2.0 * (seq[j] * (xs / 2 - bp[a] / 2)), out)
-        return np.where((xs == bp[-1]) | np.isnan(out), va, out)
+        return _read(_reader(self), xs)[0]
 
     def slope_on(self, x):
         """Slope of the piece whose interior contains x (tails included); a
@@ -257,6 +246,7 @@ def pwl_indicator(lo, hi):
     return PwlFunction([lo, hi], [0.0, 0.0], -INF, INF)
 
 
+@_quiet
 def is_even(p):
     """True iff p(-x) == p(x) for every x, to 1e-9 max(1, |p(x)|, |p(-x)|).
 
@@ -268,9 +258,8 @@ def is_even(p):
     if p.slope_left != -p.slope_right:
         return False
     u, v = p.eval_many(p.breakpoints), p.eval_many(np.negative(p.breakpoints))
-    with np.errstate(invalid="ignore"):
-        tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(u)), np.abs(v))
-        return bool(np.all((u == v) | ((np.abs(u - v) <= tol) & (tol < INF))))
+    tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(u)), np.abs(v))
+    return bool(np.all((u == v) | ((np.abs(u - v) <= tol) & (tol < INF))))
 
 
 # -- algebra -----------------------------------------------------------------
@@ -298,33 +287,31 @@ def _common_grid(f, g):
 
 def _reader(f):
     """f's data as five rows of one array. Row 0: the breakpoints, the float
-    after the last and inf, whose count r <= x (x finite) tells the left
-    tail (0), the pieces (1 .. k - 1), the last breakpoint (k) and the right
-    tail apart. Rows 1-3: at r, the breakpoint, value and slope x
-    is read from: at the last breakpoint slope -0.0, and -0.0 for a last
-    breakpoint 0, so that v + -0.0 * (x - b) is v for x = +-0 too. Row 4:
-    the slope right of x."""
+    after the last and nan, which numpy sorts after inf, so that the count r
+    of keys <= x tells the left tail (0), the pieces (1 .. k - 1), the last
+    breakpoint (k) and the right tail (k + 1) apart, x = +-inf included.
+    Rows 1-3: at r, the breakpoint, value and slope x is read from: at the
+    last breakpoint slope -0.0, and -0.0 for a last breakpoint 0, so that
+    v + -0.0 * (x - b) is v for x = +-0 too. Row 4: the slope right of x."""
     bp, va, ms = f.breakpoints, f.values, f.slopes
     sl, sr, last = f.slope_left, f.slope_right, bp[-1]
-    return np.array([*bp, math.nextafter(last, INF), INF, bp[0], *bp[:-1], last or -0.0,
+    return np.array([*bp, math.nextafter(last, INF), math.nan, bp[0], *bp[:-1], last or -0.0,
                      last, va[0], *va, va[-1], sl, *ms, -0.0, sr, sl, *ms, sr, sr],
                     float).reshape(5, -1)
 
 
-def _read(f, T, x, wide):
-    """f at the finite points x, bit for bit as ``f(x)`` reads each, and
-    their counts r; by ``f`` where x - b may overflow (wide, see ``_wide``)."""
+def _read(T, x):
+    """The function whose table is T (see ``_reader``) at the points x, none
+    of them nan, bit for bit as ``_line`` reads each, and their counts r: an
+    infinite x - b is taken in halves, or gives v on a flat piece."""
     r = T[0].searchsorted(x, "right")
-    if wide:
-        return np.array([f(v) for v in x.tolist()]), r
     R = T[1:4].take(r, axis=1)
-    return R[1] + R[2] * (x - R[0]), r
-
-
-def _wide(f, g, x):
-    """Whether x - b may overflow for x in the sorted x, b a breakpoint of f or g."""
-    fb, gb = f.breakpoints, g.breakpoints
-    return max(float(x[-1]), fb[-1], gb[-1]) - min(float(x[0]), fb[0], gb[0]) == INF
+    d = x - R[0]
+    out = R[1] + R[2] * d
+    if not abs(d.sum()) < INF:  # some x - b is infinite, or only their sum overflows
+        b, v, m = R
+        out = np.where(abs(d) < INF, out, np.where(m == 0.0, v, v + 2.0 * (m * (x / 2 - b / 2))))
+    return out, r
 
 
 def _open_slopes(f, T, r, pts, exact):
@@ -349,8 +336,7 @@ def pwl_add(f, g):
     array passes, O(k log k) in the total breakpoint count k."""
     lo, hi, pts, exact = _common_grid(f, g)
     tf, tg = _reader(f), _reader(g)
-    wide = _wide(f, g, pts)
-    (vf, rf), (vg, rg) = _read(f, tf, pts, wide), _read(g, tg, pts, wide)
+    (vf, rf), (vg, rg) = _read(tf, pts), _read(tg, pts)
     slopes = _open_slopes(f, tf, rf, pts, exact) + _open_slopes(g, tg, rg, pts, exact)
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
@@ -375,15 +361,14 @@ def pwl_max(f, g):
     interval is the one at least as large at its midpoint."""
     lo, hi, pts, exact = _common_grid(f, g)
     tf, tg = _reader(f), _reader(g)
-    wide = _wide(f, g, pts)
-    diff = _read(f, tf, pts, wide)[0] - _read(g, tg, pts, wide)[0]
+    diff = _read(tf, pts)[0] - _read(tg, pts)[0]
 
     # both functions are linear between neighbouring points of pts
     sg = np.sign(diff)
     c = sg[:-1] * sg[1:] < 0
     a, b, da, db = pts[:-1][c], pts[1:][c], diff[:-1][c], diff[1:][c]
     x = a + da * (b - a) / (da - db)
-    if wide:  # where a width overflows, interpolate in halves
+    if pts[-1] - pts[0] == INF:  # where a width overflows, interpolate in halves
         x = np.where(b - a < INF, x, 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2)))
     extra = x[(a + MERGE_TOL < x) & (x < b - MERGE_TOL)].tolist()
     # on a common tail f - g is linear, so a zero beyond the end point is a
@@ -398,9 +383,9 @@ def pwl_max(f, g):
         extra += [x] if x > b + MERGE_TOL else []
     full = np.sort(np.concatenate((pts, extra))) if extra else pts
     # both read at the points, then at the midpoints, for the upper function
-    k, wide = full.size, _wide(f, g, full)
+    k = full.size
     x = np.concatenate((full, full[:-1] * 0.5 + full[1:] * 0.5))
-    (vf, rf), (vg, rg) = _read(f, tf, x, wide), _read(g, tg, x, wide)
+    (vf, rf), (vg, rg) = _read(tf, x), _read(tg, x)
     slopes = np.where(vf[k:] >= vg[k:], _open_slopes(f, tf, rf[:k], full, exact),
                       _open_slopes(g, tg, rg[:k], full, exact))
     sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)

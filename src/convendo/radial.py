@@ -25,8 +25,10 @@ from .errors import BadShape, NotHomogeneous, UnsupportedDimension, ZeroVector
 from .expr import (BLOCK, Affine, Max, as_point_block, norms, operator_input,
                    operator_output, row_blocks)
 from .measures import OrbitMeasure, orbit_center, orbit_quadrature, orbit_total_mass
+from .pwl import _quiet
 
 
+@_quiet
 def canonical_rotation(x, n):
     """Special orthogonal matrix taking e1 to x / ||x||; see canonical_rotations."""
     return canonical_rotations(as_point_block(np.reshape(x, (1, -1)), n))[0]
@@ -98,6 +100,7 @@ class RadialEndo:
     def __call__(self, f, x):
         return radial_eval(self, f, x)
 
+    @_quiet
     def eval_many(self, f, X, rotations=None):
         """The operator at every row x of a (k, n) array, summing f(||x|| R_x p)
         over the quadrature nodes p; +inf where a sample is +inf.

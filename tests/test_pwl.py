@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from convendo import pwl
 from convendo import (INF, BadShape, ConvendoError, EmptyDomain, NegativeScale, NonConvex,
                       PwlFunction, inf_convolve, legendre, moreau_envelope,
                       pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_max, pwl_scale)
@@ -591,26 +590,36 @@ def test_max_finds_a_crossing_whose_width_overflows():
         assert h(0.0) == 0.5
 
 
-def _three_paths(f, x):
-    """f at x by __call__, eval_many and the operations' array read, as float.hex."""
-    return {f(x).hex(), float(f.eval_many([x])[0]).hex(),
-            float(pwl._read(f, pwl._reader(f), np.array([x]), pwl._wide(f, f, [x]))[0][0]).hex()}
+def _two_paths(f, x):
+    """f at x by __call__ and by eval_many, the operations' array read, as float.hex."""
+    return {f(x).hex(), float(f.eval_many([x])[0]).hex()}
 
 
 def test_pieces_wider_than_the_float_range_read_in_halves():
     # x - b overflows: each path takes v + 2 (m (x/2 - b/2)), as the
     # constructor takes the secant; it read inf (and nan for the sum) before
     f = PwlFunction([-1e308, 1e308], [0.0, 1.0], -1.0, 1.0)
-    (got,) = _three_paths(f, 0.95e308)
+    (got,) = _two_paths(f, 0.95e308)
     assert float.fromhex(got) == pytest.approx(0.975, rel=1e-12, abs=1e-12)
     mirror = PwlFunction([-1e308, 1e308], [1.0, 0.0], -1.0, 1.0)
-    assert _three_paths(pwl_add(f, mirror), 0.95e308) == {(1.0).hex()}
+    assert _two_paths(pwl_add(f, mirror), 0.95e308) == {(1.0).hex()}
     tail = PwlFunction([-1e308], [0.0], -1.0, 0.25)
-    assert _three_paths(tail, 1e308) == {(5e307).hex()}
+    assert _two_paths(tail, 1e308) == {(5e307).hex()}
+    # a crossing inside [-1.5e308, 1.5e308] leaves a piece of the maximum
+    # wider than the float range, where g is the upper function
+    g = PwlFunction([-1.5e308], [0.9], -1.0, -1e-310)
+    h = pwl_max(PwlFunction([-1.5e308, 1.5e308], [0.0, 1.0], -1.0, 1.0), g)
+    assert h.slopes[0] == -1e-310 and h.breakpoints[1] - h.breakpoints[0] == INF
+    (got,) = _two_paths(h, 1e308)
+    assert float.fromhex(got) == pytest.approx(0.875, rel=1e-12)
     # where x - b stays finite nothing moves, and +-inf keep their values
-    assert _three_paths(f, 0.5e308) == {(0.0 + f.slopes[0] * (0.5e308 - -1e308)).hex()}
-    assert _three_paths(tail, INF) == _three_paths(tail, -INF) == {INF.hex()}
-    assert _three_paths(pwl_indicator(-1e308, 1e308), 1.7e308) == {INF.hex()}
+    assert _two_paths(f, 0.5e308) == {(0.0 + f.slopes[0] * (0.5e308 - -1e308)).hex()}
+    x = math.nextafter(1e308, INF)  # the right tail starts at the float after the last
+    assert _two_paths(f, x) == {(1.0 + 1.0 * (x - 1e308)).hex()}
+    assert _two_paths(tail, INF) == _two_paths(tail, -INF) == {INF.hex()}
+    # a flat piece reads its value v, -0.0 too, not v + 2 (0 (x/2 - b/2)) = 0.0
+    assert _two_paths(PwlFunction([-1e308], [-0.0], 0.0, 0.0), 1e308) == {(-0.0).hex()}
+    assert _two_paths(pwl_indicator(-1e308, 1e308), 1.7e308) == {INF.hex()}
 
 
 def test_add_and_max_keep_the_sign_of_zero():

@@ -558,6 +558,20 @@ def test_cli_eval_zero_coefficient_at_an_overflowing_atom_row(tmp_path):
     assert out.read_text().splitlines()[1] == "1e+308,0.0,0.0"
 
 
+def test_cli_eval_where_a_square_overflows_leaves_stderr_empty(tmp_path):
+    # ||x||^2 overflows inside the ball test, and numpy's overflow warning
+    # reached stderr with the library's source line
+    endo = _write(tmp_path, "e.json", {"kind": "scale_compose", "lambda": 1.0, "mu": 1.0, "n": 2})
+    fn = _write(tmp_path, "f.json", {"kind": "ball_indicator", "r": 1e200})
+    pts = _write(tmp_path, "p.json", [[2e200, 0.0]])
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "convendo.cli", "eval", "--endo", endo,
+                           "--fn", fn, "--points", pts, "--out", str(out)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text().splitlines()[1] == "2e+200,0.0,inf"
+
+
 def test_cli_eval_refuses_a_nan_value_at_a_finite_point(tmp_path, capsys):
     # 2 x overflows to [inf, -inf], where the affine tree reads inf - inf
     endo = _write(tmp_path, "e.json", {"kind": "gl", "c": 0.0,
@@ -565,8 +579,7 @@ def test_cli_eval_refuses_a_nan_value_at_a_finite_point(tmp_path, capsys):
     fn = _write(tmp_path, "f.json", {"kind": "affine", "a": [1.0, 1.0], "b": 0.0})
     pts = _write(tmp_path, "p.json", [[1e308, -1e308]])
     out = tmp_path / "out.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["eval", "--endo", endo, "--fn", fn, "--points", pts, "--out", str(out)])
+    rc = main(["eval", "--endo", endo, "--fn", fn, "--points", pts, "--out", str(out)])
     assert rc == 2
     assert "config error: cannot evaluate at [1e+308, -1e+308]" in capsys.readouterr().err
     assert not out.exists()

@@ -22,7 +22,9 @@ path), OUTDIR receives:
 * every field of the exact 1-D operations (``pwl.txt``): ``legendre``,
   ``monge_ampere`` and ``pwl_scale`` of each input, and ``pwl_add``,
   ``pwl_max`` and ``inf_convolve`` of each input with the next one and with
-  itself, by ``float.hex`` or the error raised. The inputs are seeded
+  itself, by ``float.hex`` or the error raised, and ``eval_many`` of each
+  input at its breakpoints, their neighbouring floats, +-0.0, +-inf and
+  +-1.7e308. The inputs are seeded
   ``random_convex_pwl`` draws at k = 1..8, truncated and point-indicator
   functions, and copies of all of them scaled by 2^40 and 2^-40.
 
@@ -32,6 +34,7 @@ Run it once per checkout and compare the two directories with
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,8 +164,12 @@ def _pwl_lines():
                 inputs.append(pwl.PwlFunction(*data))
             except ConvendoError as exc:
                 lines.append(f"from values: {run(lambda: exc)}")
+    ends = [0.0, -0.0, pwl.INF, -pwl.INF, 1.7e308, -1.7e308]
     for i, f in enumerate(inputs):
+        xs = [y for b in f.breakpoints
+              for y in (math.nextafter(b, -pwl.INF), b, math.nextafter(b, pwl.INF))] + ends
         lines += [f"input {i}: {run(lambda: f)}",
+                  f"eval_many {i}: {run(lambda: f.eval_many(xs))}",
                   f"legendre {i}: {run(lambda: pwl.legendre(f))}",
                   f"monge_ampere {i}: {run(lambda: kernel1d.monge_ampere(f))}",
                   f"pwl_scale {i}: {run(lambda: pwl.pwl_scale(0.75, f))}"]
