@@ -87,10 +87,15 @@ def pwl_integral(f, lo, hi):
     dlo, dhi = f.domain
     if lo < dlo - 1e-12 or hi > dhi + 1e-12:
         raise InfiniteSlope("integration interval leaves the domain")
+    return _trapezoids(f, lo, hi, 0.0)
+
+
+def _trapezoids(f, lo, hi, c):
+    """The trapezoid sum of f - c over lo, the breakpoints inside and hi."""
     pts = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
     total = 0.0
     for p, q in zip(pts, pts[1:]):
-        total += 0.5 * (f(p) + f(q)) * (q - p)
+        total += 0.5 * ((f(p) - c) + (f(q) - c)) * (q - p)
     return total
 
 
@@ -367,7 +372,10 @@ class PhiEndo:
         a = self._half_width(t)
         if not 0.0 < a < INF:
             return INF if a == INF else 0.0
-        return pwl_integral(f, -a, a) - 2.0 * a * f(0.0)
+        f0 = f(0.0)
+        value = pwl_integral(f, -a, a) - 2.0 * a * f0
+        # the two terms can overflow apart: then integrate f - f(0) itself
+        return value if abs(value) < INF else _trapezoids(f, -a, a, f0)
 
     def kernel_row(self, t, ys):
         """[self(pwl_hinge(y), t) for y in ys]: only the trapezoid from -a is not 0."""

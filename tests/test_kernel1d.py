@@ -263,6 +263,30 @@ def test_phi_endo_indicator_domain():
     assert pe(f, 1.0) == pytest.approx(0.0)  # boundary radial limit
 
 
+def test_phi_endo_integrates_f_minus_f0_where_the_terms_overflow_apart(tmp_path):
+    # the integral of f and 2 a f(0) overflow separately, and their
+    # difference read nan: 0 where f is flat on [-a, a], 2.5e299 beyond, and
+    # +inf where the integral of f - f(0) itself overflows
+    pe = PhiEndo(PwlFunction([0.0], [1.0], -1.0, 1.0))
+    flat = PwlFunction([-1.0, 1.0], [1e308, 1e308], -1e300, 1e300)
+    assert pe(flat, 0.0) == 0.0
+    assert pe(flat, 0.5) == pytest.approx(2.5e299, rel=1e-7)  # f's own rounding near 1e308
+    assert pe.eval_many(flat, [[0.0], [0.5]]).tolist() == [pe(flat, 0.0), pe(flat, 0.5)]
+    steep = {"kind": "pwl", "breakpoints": [-1.0, 1.0], "values": [1e200, 1e200],
+             "slope_left": -1.0, "slope_right": 1.0}
+    assert pe(PwlFunction([-1.0, 1.0], [1e200, 1e200], -1.0, 1.0), 1e300) == INF
+    endo, fn, pts = tmp_path / "e.json", tmp_path / "f.json", tmp_path / "p.json"
+    endo.write_text(json.dumps({"kind": "phi_example", "phi": {
+        "kind": "pwl", "breakpoints": [0.0], "values": [1.0],
+        "slope_left": -1.0, "slope_right": 1.0}}))
+    fn.write_text(json.dumps(steep))
+    pts.write_text(json.dumps([[1e300]]))
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--endo", str(endo), "--fn", str(fn), "--points", str(pts),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[-1] == "inf"
+
+
 @pytest.mark.parametrize("eps", [1e-12, 5e-11, 1e-10])
 def test_phi_endo_just_outside_bounded_profile_takes_boundary_value(eps):
     # within EDGE_TOL outside the domain [-1, 1] of phi, RADIAL_LIMIT * t

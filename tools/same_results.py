@@ -20,7 +20,8 @@ path), OUTDIR receives:
   of one template of every function and operator kind, each by
   ``json.dumps(..., sort_keys=True)`` or the error it raised;
 * every field of the exact 1-D operations (``pwl.txt``): ``legendre``,
-  ``monge_ampere`` and ``pwl_scale`` of each input, and ``pwl_add``,
+  ``legendre(legendre(f))`` (the involution), ``monge_ampere`` and
+  ``pwl_scale`` of each input, and ``pwl_add``,
   ``pwl_max`` and ``inf_convolve`` of each input with the next one and with
   itself, by ``float.hex`` or the error raised, and ``eval_many`` of each
   input at its breakpoints, their neighbouring floats, +-0.0, +-inf and
@@ -171,6 +172,7 @@ def _pwl_lines():
         lines += [f"input {i}: {run(lambda: f)}",
                   f"eval_many {i}: {run(lambda: f.eval_many(xs))}",
                   f"legendre {i}: {run(lambda: pwl.legendre(f))}",
+                  f"involution {i}: {run(lambda: pwl.legendre(pwl.legendre(f)))}",
                   f"monge_ampere {i}: {run(lambda: kernel1d.monge_ampere(f))}",
                   f"pwl_scale {i}: {run(lambda: pwl.pwl_scale(0.75, f))}"]
         for j, g in ((i + 1, inputs[(i + 1) % len(inputs)]), (i, f)):
