@@ -27,7 +27,6 @@ ys)``; an opaque callable is applied to one hinge per y.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ from .expr import as_point_block
 from .extreal import INF, RADIAL_LIMIT, edge_split
 from .measures import LineMeasure
 from .probes import is_convex_block, is_convex_sampled
-from .pwl import PwlFunction, hinge_values, is_even, pwl_hinge
+from .pwl import PwlFunction, _quiet, _reader, hinge_values, is_even, pwl_hinge
 
 
 def _finite_pwl(f, x=0.0, X=None):
@@ -404,6 +403,7 @@ class PhiConvexityReport:
                     and np.all(self.term_slopes >= -self.tol))
 
 
+@_quiet
 def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
     """Second-derivative certificate for the profile-integral operator.
 
@@ -413,26 +413,27 @@ def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
         phi''(t) (f(phi(t)) + f(-phi(t)) - 2 f(0))      curvature term,
         (phi'(t))^2 (f'(phi(t)) - f'(-phi(t)))          slope-gap term.
 
-    Convexity of phi and f makes both non-negative up to discretization.
+    Convexity of phi and f makes both non-negative up to discretization. f
+    must be finite (else InfiniteSlope), and phi finite on the grid (else
+    BadShape).
     """
+    _finite_pwl(f)
     grid = np.asarray(grid, dtype=float)
     h = np.diff(grid)
     if grid.size < 3 or np.max(np.abs(h - h[0])) > 1e-12:
         raise BadShape("grid must be uniform with at least 3 points")
     h = float(h[0])
-    seq = f.slope_sequence()  # f'(a) is the right slope, seq[#breakpoints <= a]
-    term1, term2 = [], []
-    for i in range(1, grid.size - 1):
-        t = grid[i]
-        pm, p0, pp = phi(grid[i - 1]), phi(t), phi(grid[i + 1])
-        ddphi = (pp - 2.0 * p0 + pm) / (h * h)
-        dphi = (pp - pm) / (2.0 * h)
-        a = p0
-        term1.append(ddphi * (f(a) + f(-a) - 2.0 * f(0.0)))
-        term2.append(dphi * dphi * (seq[bisect_right(f.breakpoints, a)]
-                                    - seq[bisect_right(f.breakpoints, -a)]))
-    return PhiConvexityReport(grid=grid[1:-1], term_curvature=np.array(term1),
-                              term_slopes=np.array(term2), tol=tol)
+    p = phi.eval_many(grid)
+    if not np.isfinite(p).all():
+        raise BadShape("phi must be finite on the grid")
+    pm, a, pp = p[:-2], p[1:-1], p[2:]
+    ddphi = (pp - 2.0 * a + pm) / (h * h)
+    dphi = (pp - pm) / (2.0 * h)
+    fa, fb, f0 = np.split(f.eval_many(np.concatenate((a, -a, [0.0]))), [a.size, 2 * a.size])
+    T = _reader(f)  # f'(a) is the right slope, row 4 at the count of keys <= a
+    da, db = np.split(T[4].take(T[0].searchsorted(np.concatenate((a, -a)), "right")), 2)
+    return PhiConvexityReport(grid=grid[1:-1], term_curvature=ddphi * (fa + fb - 2.0 * f0),
+                              term_slopes=dphi * dphi * (da - db), tol=tol)
 
 
 class MaEndo:

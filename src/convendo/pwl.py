@@ -9,12 +9,13 @@ The algebra (add, max, scale), the Legendre transform and inf-convolution are
 closed on this class, exact up to float rounding, and each is a few numpy
 passes doing the float operations of a point-by-point walk, so outputs keep
 their bits. One table read (``_reader`` and ``_read``) serves ``eval_many``,
-``pwl_add`` and ``pwl_max``; ``legendre`` reads its slope groups (its
-docstring gives the envelope of its 1e-12). Point-by-point code remains
-only for chained runs of points merged within MERGE_TOL and for merged
-breakpoints inside grid intervals. Fields stay tuples of Python floats,
-which keep ``repr`` and the scalar ``__call__``. The Moreau envelope returns
-a callable only.
+``pwl_add`` and ``pwl_max``, which take each input's slope on an interval of
+their merged grid just left of its upper end; ``pwl_max`` adds no tail
+crossing beyond the float range, where the function above at the end point
+keeps the tail. ``legendre`` reads its slope groups (its docstring gives the
+envelope of its 1e-12). Only chained runs of points merged within MERGE_TOL
+are walked point by point. Fields stay tuples of Python floats, which keep
+``repr`` and the scalar ``__call__``. The Moreau envelope returns a callable.
 
 The constructor validates its data; explicit ``slopes`` must agree with the
 values. The operations build their outputs with ``PwlFunction._from_op``,
@@ -181,7 +182,7 @@ class PwlFunction:
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise BadShape("cannot evaluate at nan")
-        return _read(_reader(self), xs)[0]
+        return _read(_reader(self), xs)
 
     def slope_on(self, x):
         """Slope of the piece whose interior contains x (tails included); a
@@ -266,24 +267,20 @@ def is_even(p):
 # -- algebra -----------------------------------------------------------------
 
 def _common_grid(f, g):
-    """The common domain [lo, hi], the breakpoints of f and g in it merged at
-    MERGE_TOL, and whether each dropped point repeats a kept one, so that no
-    breakpoint of f or g lies between neighbouring grid points."""
+    """The common domain [lo, hi], empty only where hi < lo, and the
+    breakpoints of f and g in it, merged at MERGE_TOL."""
     flo, fhi = f.domain
     glo, ghi = g.domain
     lo, hi = max(flo, glo), min(fhi, ghi)
-    if not lo < hi:
-        raise EmptyDomain("domain interiors are disjoint")
+    if hi < lo:
+        raise EmptyDomain("domains are disjoint")
     fb, gb = f.breakpoints, g.breakpoints
     # a finite lo or hi is already a breakpoint; of equal points f's sort first
     pts = np.array(fb[bisect.bisect_left(fb, lo):bisect.bisect_right(fb, hi)]
                    + gb[bisect.bisect_left(gb, lo):bisect.bisect_right(gb, hi)], float)
     pts.sort(kind="stable")
     keep = _kept(pts, pts[1:] - pts[:-1])
-    if keep is None:
-        return lo, hi, pts, True
-    repeats = np.count_nonzero(pts[1:] == pts[:-1])
-    return lo, hi, pts[keep], repeats + np.count_nonzero(keep) == pts.size
+    return lo, hi, pts if keep is None else pts[keep]
 
 
 def _reader(f):
@@ -303,30 +300,22 @@ def _reader(f):
 
 def _read(T, x):
     """The function whose table is T (see ``_reader``) at the points x, none
-    of them nan, bit for bit as ``_line`` reads each, and their counts r: an
-    infinite x - b is taken in halves, or gives v on a flat piece."""
-    r = T[0].searchsorted(x, "right")
-    R = T[1:4].take(r, axis=1)
+    of them nan, bit for bit as ``_line`` reads each: an infinite x - b is
+    taken in halves, or gives v on a flat piece."""
+    R = T[1:4].take(T[0].searchsorted(x, "right"), axis=1)
     d = x - R[0]
     out = R[1] + R[2] * d
     if not abs(d.sum()) < INF:  # some x - b is infinite, or only their sum overflows
         b, v, m = R
         out = np.where(abs(d) < INF, out, np.where(m == 0.0, v, v + 2.0 * (m * (x / 2 - b / 2))))
-    return out, r
+    return out
 
 
-def _open_slopes(f, T, r, pts, exact):
-    """f's slope on each open interval between neighbouring pts: that of the
-    piece right of the lower end, with no breakpoint of f inside (exact).
-    Otherwise it is read at the midpoint, or, where the midpoint rounds onto
-    an end (the ends are neighbouring floats), right of the lower end."""
-    if exact:
-        return T[4].take(r[:-1])
-    h = pts * 0.5
-    seq, bp = f.slope_sequence(), f.breakpoints
-    return np.array([seq[bisect.bisect_right(bp, p)] if m == p or m == q else f.slope_on(m)
-                     for p, m, q in zip(pts.tolist(), (h[:-1] + h[1:]).tolist(),
-                                        pts[1:].tolist())])
+def _open_slopes(T, pts):
+    """The slope of the function whose table is T on each interval between
+    neighbouring pts, read just left of its upper end: that of the last
+    piece where a breakpoint was merged away inside the interval."""
+    return T[4].take(T[0].searchsorted(pts[1:], "left"))
 
 
 @_quiet
@@ -335,13 +324,12 @@ def pwl_add(f, g):
 
     Both inputs are read at the merged breakpoints by a fixed number of
     array passes, O(k log k) in the total breakpoint count k."""
-    lo, hi, pts, exact = _common_grid(f, g)
+    lo, hi, pts = _common_grid(f, g)
     tf, tg = _reader(f), _reader(g)
-    (vf, rf), (vg, rg) = _read(tf, pts), _read(tg, pts)
-    slopes = _open_slopes(f, tf, rf, pts, exact) + _open_slopes(g, tg, rg, pts, exact)
+    slopes = _open_slopes(tf, pts) + _open_slopes(tg, pts)
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
-    return PwlFunction._from_op(pts, vf + vg, sl, sr, slopes)
+    return PwlFunction._from_op(pts, _read(tf, pts) + _read(tg, pts), sl, sr, slopes)
 
 
 def pwl_scale(lam, f):
@@ -360,10 +348,9 @@ def pwl_max(f, g):
 
     Read by array passes like ``pwl_add``; the upper function on each
     interval is the one at least as large at its midpoint."""
-    lo, hi, pts, exact = _common_grid(f, g)
+    lo, hi, pts = _common_grid(f, g)
     tf, tg = _reader(f), _reader(g)
-    (vf, rf), (vg, rg) = _read(tf, pts), _read(tg, pts)
-    diff = vf - vg
+    diff = _read(tf, pts) - _read(tg, pts)
 
     # both functions are linear between neighbouring points of pts
     sg = np.sign(diff)
@@ -371,30 +358,33 @@ def pwl_max(f, g):
     a, b, da, db = pts[:-1][c], pts[1:][c], diff[:-1][c], diff[1:][c]
     x = a + da * (b - a) / (da - db)
     if not abs(x.sum()) < INF:  # a width, da * (b - a) or da - db overflows
-        m = (_open_slopes(f, tf, rf, pts, exact) - _open_slopes(g, tg, rg, pts, exact))[c]
+        m = (_open_slopes(tf, pts) - _open_slopes(tg, pts))[c]
         halves, end = 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2)), a - da / m
         x = np.where(abs(x) < INF, x, np.where(abs(da - db) < INF, halves,
                                                np.where(abs(da) < INF, end, b - db / m)))
     extra = x[(a + MERGE_TOL < x) & (x < b - MERGE_TOL)].tolist()
+    sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
+    sr = INF if hi < INF else max(f.slope_right, g.slope_right)
     # on a common tail f - g is linear, so a zero beyond the end point is a
-    # sign change; testing f(x) - g(x) at the zero itself would read noise
+    # sign change; testing f(x) - g(x) at the zero itself would read noise. A
+    # zero beyond the float range is no breakpoint: the upper function at the
+    # end point keeps the tail
     if lo == -INF and f.slope_left != g.slope_left:
         a = float(pts[0])
         x = a - float(diff[0]) / (f.slope_left - g.slope_left)
-        extra += [x] if x < a - MERGE_TOL else []
+        extra += [x] if -INF < x < a - MERGE_TOL else []
+        sl = (f if diff[0] > 0 else g).slope_left if x == -INF else sl
     if hi == INF and f.slope_right != g.slope_right:
         b = float(pts[-1])
         x = b - float(diff[-1]) / (f.slope_right - g.slope_right)
-        extra += [x] if x > b + MERGE_TOL else []
+        extra += [x] if b + MERGE_TOL < x < INF else []
+        sr = (f if diff[-1] > 0 else g).slope_right if x == INF else sr
     full = np.sort(np.concatenate((pts, extra))) if extra else pts
     # both read at the points, then at the midpoints, for the upper function
     k = full.size
     x = np.concatenate((full, full[:-1] * 0.5 + full[1:] * 0.5))
-    (vf, rf), (vg, rg) = _read(tf, x), _read(tg, x)
-    slopes = np.where(vf[k:] >= vg[k:], _open_slopes(f, tf, rf[:k], full, exact),
-                      _open_slopes(g, tg, rg[:k], full, exact))
-    sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
-    sr = INF if hi < INF else max(f.slope_right, g.slope_right)
+    vf, vg = _read(tf, x), _read(tg, x)
+    slopes = np.where(vf[k:] >= vg[k:], _open_slopes(tf, full), _open_slopes(tg, full))
     return PwlFunction._from_op(full, np.where(vg[:k] > vf[:k], vg[:k], vf[:k]), sl, sr, slopes)
 
 

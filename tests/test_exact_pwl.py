@@ -163,7 +163,7 @@ def test_add_and_max_are_exact(pair):
             h = op(f, g)
         except EmptyDomain:
             (flo, fhi), (glo, ghi) = f.domain, g.domain
-            assert not max(flo, glo) < min(fhi, ghi)  # disjoint, or one point
+            assert min(fhi, ghi) < max(flo, glo)  # disjoint; one point is a domain
             continue
         except ConvendoError:  # only a value beyond the float range
             values = [want(Fraction(b)) for b in f.breakpoints + g.breakpoints]
@@ -180,8 +180,8 @@ def test_inf_convolve_is_exact(pair):
     F, G = X.Exact(f), X.Exact(g)
     try:
         h = inf_convolve(f, g)
-    except EmptyDomain:  # the slope ranges are disjoint (the infimum is -inf), or
-        # they meet in one point or in less than a merge within MERGE_TOL
+    except EmptyDomain:  # the slope ranges are disjoint (the infimum is -inf), or a
+        # merge within MERGE_TOL cut a conjugate's domain short of where they meet
         assert X.slope_overlap(F, G) <= 2 * Fraction(MERGE_TOL)
         return
     except ConvendoError:  # only a conjugate value b*y - v beyond the float range
@@ -212,20 +212,25 @@ def test_monge_ampere_is_exact(f):
 def test_max_keeps_crossings_whose_interpolation_overflows():
     # near 2^900 da * (b - a) overflows, and with a slope near 2^483 f(b)
     # itself does: the crossing was dropped, and max(f, g) read 3.1e247 for
-    # 2.6e247 and 0.0 for -1.8e249 next to it
+    # 2.6e247 and 0.0 for -1.8e249 next to it. The last two pairs cross on a
+    # shared tail near -+1e310, beyond the float range: that crossing was
+    # added as a breakpoint of -+inf, which the constructor refused. The
+    # probes at -+8e307 read the tails as far out as their terms stay finite
     pairs = ((PwlFunction([3.7786569438147443e+263, 2.1131785024083554e+270],
                           [0.0, 3.665779701564795e+253], 0.0, 5.551115123125783e-17),
               PwlFunction([0.0, 2.113178124542661e+270], [0.0, 2.932623761251836e+253],
                           0.0, 5.551115123125783e-17)),
              (PwlFunction([0.0], [0.0], -4.994797680505588e+145, -4.994797680505588e+145),
               PwlFunction([1.2897815701554327e+266], [-1.789931494904685e+249],
-                          0.0, 1.3877787807814457e-17)))
+                          0.0, 1.3877787807814457e-17)),
+             (PwlFunction([0.0], [1e300], -1.0, 1.0), PwlFunction([0.0], [0.0], -1.0 - 1e-10, 1.0)),
+             (PwlFunction([0.0], [1e300], -1.0, 1.0), PwlFunction([0.0], [0.0], -1.0, 1.0 + 1e-10)))
     for f, g in pairs:
         F, G = X.Exact(f), X.Exact(g)
         (x,) = X.crossings(F, G)
+        cross = _floats([x])
         for a, b in ((f, g), (g, f)):
             h = pwl_max(a, b)
-            assert float(x) in h.breakpoints
-            _check(h, X.maximum(F, G), _probes(f, g, extra=[float(x)]),
+            assert set(cross) <= set(h.breakpoints)
+            _check(h, X.maximum(F, G), _probes(f, g, extra=cross) + [-8e307, 8e307],
                    lambda x: _size(F, G, x))
-

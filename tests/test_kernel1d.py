@@ -369,6 +369,18 @@ def test_phi_convexity_certificate_reads_the_right_slope_by_index():
     assert rep.term_slopes.tolist() == [dphi * dphi * (0.0 - -3.0)]
 
 
+def test_phi_convexity_certificate_refuses_inputs_outside_the_domain():
+    # a truncated f read slopes [inf, 0, inf] and passed
+    grid = np.linspace(-1.0, 1.0, 5)
+    phi = PwlFunction([0.0], [0.5], -1.0, 1.0)
+    with pytest.raises(InfiniteSlope):
+        example_phi_convexity_certificate(phi, PwlFunction([-1.0, 1.0], [0.0, 0.0], -INF, INF), grid)
+    # a phi that is +inf on the grid gave nan terms and a RuntimeWarning
+    with pytest.raises(BadShape, match="phi must be finite"):
+        example_phi_convexity_certificate(PwlFunction([-0.5, 0.5], [0.0, 0.0], -INF, INF),
+                                          PwlFunction([0.0], [0.0], -1.0, 1.0), grid)
+
+
 def test_tails_refuse_an_x_outside_A_as_residual_does():
     # the decomposition is validated on A only, though psi's box is wider
     d = kernel_decompose(Kernel1D(lambda x, y: max(y - x, 0.0) - max(y, 0.0),

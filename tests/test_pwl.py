@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from convendo import (INF, BadShape, ConvendoError, EmptyDomain, NegativeScale, NonConvex,
                       PwlFunction, inf_convolve, legendre, moreau_envelope,
                       pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_max, pwl_scale)
+from convendo.extreal import MERGE_TOL
 from convendo.pwl import is_even
 from convendo.rand import random_convex_pwl, random_finite_pwl, rng_from_seed
 
@@ -95,6 +96,18 @@ def test_add_disjoint_domains():
         pwl_add(pwl_indicator(-2, -1), pwl_indicator(1, 2))
 
 
+def test_domains_that_meet_in_one_point():
+    # the sum and the max live on that point; they raised EmptyDomain
+    p = pwl_indicator(0.5, 0.5)
+    for op in (pwl_add, pwl_max):
+        assert _outcome(op, p, p) == _outcome(PwlFunction, [0.5], [0.0], -INF, INF)
+        assert _outcome(op, pwl_indicator(-1.0, 0.5), PwlFunction([0.5], [1.0], -INF, 2.0)) \
+            == _outcome(PwlFunction, [0.5], [1.0], -INF, INF)
+    # both conjugates are the point indicator at 0.5, so the result is x/2 - 2
+    h = inf_convolve(pwl_linear(0.5, -1.0), pwl_linear(0.5, -1.0))
+    assert _outcome(lambda: h) == _outcome(PwlFunction, [0.0], [-2.0], 0.5, 0.5)
+
+
 def test_max_and_scale():
     f = pwl_max(pwl_linear(1.0, 0.0), pwl_linear(-1.0, 0.0))
     assert f(0.0) == 0.0 and f(-2.0) == 2.0 and f(3.0) == 3.0
@@ -128,6 +141,16 @@ def test_max_keeps_crossing_on_shared_tail():
                 want = max(a(x), b(x))
                 off += abs(h(x) - want) > 1e-9 * max(1.0, abs(want))
     assert off == 0
+
+
+@pytest.mark.parametrize("g", [PwlFunction([0.0], [0.0], -1.0 - 1e-10, 1.0),
+                               PwlFunction([0.0], [0.0], -1.0, 1.0 + 1e-10)])
+def test_max_adds_no_tail_crossing_beyond_the_float_range(g):
+    # f - g has its zero near -+1e310 on the shared tail: it was added as a
+    # breakpoint of -+inf, which the constructor refused; f stays above
+    f = PwlFunction([0.0], [1e300], -1.0, 1.0)
+    for a, b in ((f, g), (g, f)):
+        assert _outcome(pwl_max, a, b) == _outcome(lambda: f) == _outcome(_pwl_max_bisect, a, b)
 
 
 def test_eval_many_matches_call():
@@ -245,7 +268,7 @@ def test_add_exact_hypothesis(seed_f, seed_g):
     g = random_convex_pwl(rng_from_seed(seed_g))
     lo = max(f.domain[0], g.domain[0])
     hi = min(f.domain[1], g.domain[1])
-    if not lo < hi:
+    if hi < lo:
         with pytest.raises(EmptyDomain):
             pwl_add(f, g)
         return
@@ -472,14 +495,12 @@ def test_moreau_envelope_refuses_non_positive_t(t):
 
 # -- one-pass pwl_add / pwl_max against bisecting every point --------------------
 
-def _slope_between(f, p1, p2):
-    """f's slope on the open interval (p1, p2): slope_on at its midpoint, or,
-    where the midpoint rounds onto an end (the ends are neighbouring floats),
-    the piece right of p1, found by bisecting the breakpoints."""
-    m = (p1 + p2) / 2.0
-    if m != p1 and m != p2:
-        return f.slope_on(m)
-    return f.slope_sequence()[bisect.bisect_right(f.breakpoints, p1)]
+def _slope_left_of(f, p):
+    """f's slope on the grid interval whose upper end is p, as the operations
+    read it: the piece just left of p, found by bisecting the breakpoints.
+    Where a breakpoint of f was merged away inside the interval, that is the
+    last piece inside."""
+    return f.slope_sequence()[bisect.bisect_left(f.breakpoints, p)]
 
 
 def _merge_close_loop(points, values):
@@ -498,10 +519,10 @@ def _merge_close_loop(points, values):
 def _common_grid_loop(f, g):
     """The common domain and its grid, built point by point: the breakpoints
     of f and g in it and its finite ends, deduplicated, sorted and merged by
-    the sequential rule."""
+    the sequential rule; domains that meet in one point give that point."""
     lo, hi = max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])
-    if not lo < hi:
-        raise EmptyDomain("domain interiors are disjoint")
+    if hi < lo:
+        raise EmptyDomain("domains are disjoint")
     pts = [b for b in f.breakpoints + g.breakpoints if lo <= b <= hi]
     pts += [e for e in (lo, hi) if abs(e) < INF]
     pts = sorted(set(pts))
@@ -509,11 +530,10 @@ def _common_grid_loop(f, g):
 
 
 def _pwl_add_bisect(f, g):
-    """The sum with each point and interval looked up by f(x) and _slope_between."""
+    """The sum with each point and interval looked up by f(x) and _slope_left_of."""
     lo, hi, pts = _common_grid_loop(f, g)
     vals = [f(p) + g(p) for p in pts]
-    slopes = [_slope_between(f, p1, p2) + _slope_between(g, p1, p2)
-              for p1, p2 in zip(pts, pts[1:])]
+    slopes = [_slope_left_of(f, p) + _slope_left_of(g, p) for p in pts[1:]]
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
     return PwlFunction._from_op(pts, vals, sl, sr, slopes)
@@ -521,7 +541,7 @@ def _pwl_add_bisect(f, g):
 
 def _pwl_max_bisect(f, g):
     """The maximum with each point and interval looked up by f(x) and
-    _slope_between, the upper function picked at the interval's midpoint."""
+    _slope_left_of, the upper function picked at the interval's midpoint."""
     lo, hi, pts = _common_grid_loop(f, g)
     full = list(pts)
     for a, b in zip(pts, pts[1:]):
@@ -531,22 +551,28 @@ def _pwl_max_bisect(f, g):
         x = a + da * (b - a) / (da - db)
         if a + 1e-12 < x < b - 1e-12:
             full.append(x)
+    sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
+    sr = INF if hi < INF else max(f.slope_right, g.slope_right)
+    # a tail crossing beyond the float range leaves the tail to the function
+    # above at the end point
     if lo == -INF and f.slope_left != g.slope_left:
         x = pts[0] - (f(pts[0]) - g(pts[0])) / (f.slope_left - g.slope_left)
-        if x < pts[0] - 1e-12:
+        if -INF < x < pts[0] - 1e-12:
             full.append(x)
+        if x == -INF:
+            sl = (f if f(pts[0]) > g(pts[0]) else g).slope_left
     if hi == INF and f.slope_right != g.slope_right:
         x = pts[-1] - (f(pts[-1]) - g(pts[-1])) / (f.slope_right - g.slope_right)
-        if x > pts[-1] + 1e-12:
+        if pts[-1] + 1e-12 < x < INF:
             full.append(x)
+        if x == INF:
+            sr = (f if f(pts[-1]) > g(pts[-1]) else g).slope_right
     full = sorted(set(full))
     vals = [max(f(p), g(p)) for p in full]
     slopes = []
     for p1, p2 in zip(full, full[1:]):
         m = (p1 + p2) / 2.0
-        slopes.append(_slope_between(f if f(m) >= g(m) else g, p1, p2))
-    sl = -INF if lo > -INF else min(f.slope_left, g.slope_left)
-    sr = INF if hi < INF else max(f.slope_right, g.slope_right)
+        slopes.append(_slope_left_of(f if f(m) >= g(m) else g, p2))
     return PwlFunction._from_op(full, vals, sl, sr, slopes)
 
 
@@ -565,7 +591,7 @@ def pwl_pairs(draw):
     """Two inputs: independent, or the second a shifted copy of the first
     (breakpoints that coincide, merge or nearly merge, many crossings).
     Tails are truncated at random, so both may share an unbounded tail, and
-    point indicators give an empty common interior."""
+    point indicators give a common domain of one point or none."""
     f = draw(_LEGENDRE_INPUTS)
     if draw(st.booleans()):
         return f, draw(_LEGENDRE_INPUTS)
@@ -939,6 +965,31 @@ def test_add_and_max_merge_chained_grids_by_the_sequential_rule(pts, data):
     for a, b in ((f, g), (g, f)):
         assert _outcome(pwl_add, a, b) == _outcome(_pwl_add_bisect, a, b)
         assert _outcome(pwl_max, a, b) == _outcome(_pwl_max_bisect, a, b)
+
+
+def test_add_and_max_read_the_piece_left_of_the_upper_end():
+    # g's last breakpoint 4 + 6e-13 merges into 4.0, inside the grid interval
+    # (4.0, 4 + 1.2e-12), and is the midpoint of that interval: the interval
+    # takes g's slope just left of the upper end, the tail slope 2, where a
+    # midpoint read took the slope 1 on g's left
+    b1 = 4.0 + 6e-13
+    b2 = b1 + 6e-13
+    f = _exact_pieces([0.0, 2.0, 4.0, b2], [-3.0, -2.5, -1.5, 0.5, 1.5], 0.5)
+    g = _exact_pieces([1.0, 3.0, b1], [-2.0, -1.0, 1.0, 2.0], -0.5)
+    assert (b1.hex(), b2.hex()) == ("0x1.00000000002a4p+2", "0x1.0000000000548p+2")
+    F, G = exact_pwl.Exact(f), exact_pwl.Exact(g)
+    xs = [-1.0, 2.0, 4.0, 4.0 + 3e-13, b1, 4.0 + 9e-13, b2, 5.0]
+    for op, seq, want in ((pwl_add, (-5.0, -4.5, -3.5, -2.5, -0.5, 2.5, 3.5), exact_pwl.add(F, G)),
+                          (pwl_max, (-3.0, -2.0, -2.0, -1.0, -1.0, 1.0, 2.0, 2.0),
+                           exact_pwl.maximum(F, G))):
+        for a, b in ((f, g), (g, f)):
+            h = op(a, b)
+            assert [m.hex() for m in h.slope_sequence()] == [m.hex() for m in seq]
+            assert h.breakpoints[-2:] == (4.0, b2)
+            # within the merge allowance of the exact sum or max
+            for x, got in zip(xs, h.eval_many(xs).tolist()):
+                assert exact_pwl.agrees(got, want(Fraction(x)), F.size(x) + G.size(x),
+                                        4 * Fraction(MERGE_TOL) * 3)
 
 
 @settings(max_examples=200, deadline=None)
