@@ -15,9 +15,9 @@ The package has three layers:
 """
 
 from .errors import (AtomAtZero, BadShape, ConvendoError, DimensionMismatch,
-                     EmptyDomain, EmptyMeasure, InfiniteSlope, NegativeScale,
-                     NonConvex, NotHomogeneous, OriginNotInDomain, OutsideA,
-                     PerturbationNotConvex, PhiNegative, PhiNotEven,
+                     EmptyDomain, EmptyMeasure, InfiniteSlope, KernelNotConvex,
+                     NegativeScale, NonConvex, NotHomogeneous, OriginNotInDomain,
+                     OutsideA, PerturbationNotConvex, PhiNegative, PhiNotEven,
                      TailNotAffine, UnsupportedDimension, XSliceNotAffine,
                      ZeroVector)
 from .extreal import INF

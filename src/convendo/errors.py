@@ -65,6 +65,10 @@ class XSliceNotAffine(ConvendoError):
     """Kernel is not affine in its first argument where required."""
 
 
+class KernelNotConvex(BadShape):
+    """Tabulated kernel psi(., y) is not convex in x."""
+
+
 class OutsideA(ConvendoError):
     """Evaluation point lies outside the decomposition interval."""
 

@@ -72,17 +72,15 @@ class GlEndo:
             out[rows] = _block_values(self, f, X[rows], f0)[1]
         return operator_output(out, X)
 
-    def kernel_row(self, x, ys):
-        """[self(pwl_hinge(y), x) for y in ys] (n == 1), atom by atom as
-        ``_atom_sum_many``; the origin takes c f(0) alone."""
-        y = _hinge_ys(self, ys)
+    def kernel_table(self, X, ys):
+        """[[self(pwl_hinge(y), x) for y in ys] for x in X] (n == 1), atom by
+        atom as ``_atom_sum_many``; rows at x = 0 take c f(0) alone."""
+        y, x = _hinge_ys(self, ys), X[:, None]
         f0 = hinge_values(y, 0.0)
         total = self.c * f0
-        if x == 0.0:
-            return total
         for s, w in self.nu.atoms:  # weights are > 0
             total = total + w * (hinge_values(y, s * x) - f0) / (s * s)
-        return total
+        return np.where(x == 0.0, self.c * f0, total)
 
     def as_endomap_1d(self):
         return self
@@ -191,10 +189,10 @@ class ScaleComposeMap:
         X = as_point_block(X, self.n)
         return operator_output(self.lam * f._eval_rows(self.mu_scalar * X), X)
 
-    def kernel_row(self, x, ys):
-        """[self(pwl_hinge(y), x) for y in ys] for n == 1: lam (y - mu x)_+."""
+    def kernel_table(self, X, ys):
+        """[[self(pwl_hinge(y), x) for y in ys] for x in X] for n == 1: lam (y - mu x)_+."""
         y = _hinge_ys(self, ys)
-        return self.lam * hinge_values(y, self.mu_scalar * x)
+        return self.lam * hinge_values(y, self.mu_scalar * X[:, None])
 
 
 def scale_compose_eval(m, f, x):

@@ -21,22 +21,23 @@ The tail coefficients solve the affine tail equations
 at the nodes +-R and +-(R + 1); subtracting the four hinge multiples
 c1 y_+ + c2 (y+1)_+ + c3 (-y)_+ + c4 (-y-1)_+ then kills both tails.
 
-psi(x, .) is read as one row, ``Kernel1D.row(x, ys)``. The built-in 1-D
-operators give a row of hinge values in one numpy pass, ``op.kernel_row(x,
-ys)``; an opaque callable is applied to one hinge per y.
+psi is read as a table, ``Kernel1D.table(X, ys)``. The built-in 1-D operators
+give their tables of hinge values in one numpy pass, ``op.kernel_table(X,
+ys)``; an opaque callable is applied to one hinge per (x, y).
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadShape, InfiniteSlope, OutsideA, PhiNegative, PhiNotEven,
-                     TailNotAffine, XSliceNotAffine)
+from .errors import (BadShape, InfiniteSlope, KernelNotConvex, OutsideA, PhiNegative,
+                     PhiNotEven, TailNotAffine, XSliceNotAffine)
 from .expr import as_point_block
-from .extreal import INF, RADIAL_LIMIT, edge_split
+from .extreal import EDGE_TOL, INF, RADIAL_LIMIT, edge_split
 from .measures import LineMeasure
-from .probes import is_convex_block, is_convex_sampled
+from .probes import is_convex_block
 from .pwl import PwlFunction, _quiet, _reader, hinge_values, is_even, pwl_hinge
 
 
@@ -102,8 +103,8 @@ class Kernel1D:
     """Continuous kernel psi(x, y) with a declared validity box.
 
     psi is given at one point by ``evaluator(x, y)``, or by a table bilinear
-    between nodes (``from_grid``) or an operator's rows (``kernel_extract_live``).
-    ``psi.row(x, ys)`` reads psi(x, .); ``psi(x, y)`` is a row of one.
+    between nodes (``from_grid``) or an operator's (``kernel_extract_live``).
+    ``psi.table(X, ys)`` reads it; ``psi.row(x, ys)`` and ``psi(x, y)`` are one row.
     """
 
     def __init__(self, evaluator, box):
@@ -111,7 +112,8 @@ class Kernel1D:
         if not (self.box[0] < self.box[1] and self.box[2] < self.box[3]):
             raise BadShape("validity box is empty")
         self.grid = None  # (xs, ys, values) for grid kernels
-        self._row = lambda x, ys: [evaluator(x, y) for y in ys]
+        self._table = lambda X, Y: [[evaluator(x, y) for y in row] for x, row in zip(
+            X.tolist(), np.broadcast_to(Y, (X.size, Y.shape[-1])).tolist())]
 
     @classmethod
     def from_grid(cls, xs, ys, values):
@@ -127,26 +129,32 @@ class Kernel1D:
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
             raise BadShape("grids must be strictly increasing")
         psi = cls(None, (xs[0], xs[-1], ys[0], ys[-1]))
-        psi.grid, psi._row = (xs, ys, values), psi._bilinear
+        psi.grid, psi._table = (xs, ys, values), psi._bilinear
         return psi
 
-    def row(self, x, ys):
-        """[psi(x, y) for y in ys] as floats; the box is checked first."""
+    def table(self, X, ys):
+        """psi(X[i], ys[..., j]) as a (len X, m) array, for one row ys of m
+        points or one row per x; the whole box is checked first."""
         x_lo, x_hi, y_lo, y_hi = self.box
-        y = np.asarray(ys, dtype=float)
-        out = ~((y_lo - 1e-9 <= y) & (y <= y_hi + 1e-9) & (x_lo - 1e-9 <= x <= x_hi + 1e-9))
-        if out.any():
-            raise OutsideA(f"({x}, {ys[int(np.argmax(out))]}) outside validity box {self.box}")
-        return np.asarray(self._row(x, ys), dtype=float).tolist()
+        x, y = np.asarray(X, dtype=float).reshape(-1, 1), np.asarray(ys, dtype=float)
+        ok = (y_lo - 1e-9 <= y) & (y <= y_hi + 1e-9) & (x_lo - 1e-9 <= x) & (x <= x_hi + 1e-9)
+        if not ok.all():
+            i, j = np.unravel_index(ok.argmin(), ok.shape)
+            raise OutsideA(f"({x[i, 0]}, {np.broadcast_to(y, ok.shape)[i, j]}) "
+                           f"outside validity box {self.box}")
+        return np.asarray(self._table(x[:, 0], y), dtype=float).reshape(ok.shape)
 
-    def _bilinear(self, x, ys):
-        """The row of a grid kernel: the x cell once, the y cells in one searchsorted."""
+    def row(self, x, ys):
+        """[psi(x, y) for y in ys] as floats."""
+        return self.table([x], ys)[0].tolist()
+
+    def _bilinear(self, X, Y):
+        """A grid kernel's table: one searchsorted per axis, then elementwise."""
         xs, gy, values = self.grid
-        y = np.asarray(ys, dtype=float)
-        i = int(np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2))
-        j = np.clip(np.searchsorted(gy, y) - 1, 0, gy.size - 2)
-        tx = (x - xs[i]) / (xs[i + 1] - xs[i])
-        ty = (y - gy[j]) / (gy[j + 1] - gy[j])
+        i = np.clip(xs.searchsorted(X) - 1, 0, xs.size - 2)[:, None]
+        j = np.clip(gy.searchsorted(Y) - 1, 0, gy.size - 2)
+        tx = (X[:, None] - xs[i]) / (xs[i + 1] - xs[i])
+        ty = (Y - gy[j]) / (gy[j + 1] - gy[j])
         return ((1 - tx) * (1 - ty) * values[i, j]
                 + tx * (1 - ty) * values[i + 1, j]
                 + (1 - tx) * ty * values[i, j + 1]
@@ -155,15 +163,31 @@ class Kernel1D:
     def __call__(self, x, y):
         return self.row(x, (y,))[0]
 
-    def is_x_convex(self, xs, ys):
-        """Sampled convexity of psi(., y), the defining property of kernels."""
-        return all(is_convex_sampled(lambda x, y=y: self(x, y), xs) for y in ys)
+    @_quiet
+    def require_x_convex(self):
+        """Refuse a grid kernel with a psi(., y) not convex: no column's x-slope
+        may fall by more than 1e-9 max(1, the column's largest |slope|)."""
+        xs, ys, values = self.grid
+        m = np.diff(values, axis=0) / np.diff(xs)[:, None]
+        i, j = np.nonzero(m[1:] < m[:-1] - 1e-9 * np.maximum(1.0, np.abs(m).max(axis=0)))
+        if i.size:
+            raise KernelNotConvex(f"psi(., {ys[j[0]]}) is not convex: its x-slope falls "
+                                  f"from {m[i[0], j[0]]} at x = {xs[i[0] + 1]}")
 
 
 def kernel_is_monotone(psi, xs, ys):
-    """Monotone operators are exactly those with psi(x, .) convex; each
-    psi(x, .) is sampled as one row."""
-    return all(is_convex_block(lambda Y, x=x: psi.row(x, Y), ys) for x in xs)
+    """Monotone operators are exactly those with psi(x, .) convex; one table
+    holds psi at ys and their midpoints, which each row's test reads by bits."""
+    ys = np.asarray(ys, dtype=float)
+    i, j = np.triu_indices(ys.size, 1)
+    keys = np.sort(np.concatenate([ys, (ys[i] + ys[j]) / 2.0]).view(np.int64))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]  # each bit pattern once
+    return all(is_convex_block(lambda Y, row=row: row[keys.searchsorted(Y.view(np.int64))], ys)
+               for row in psi.table(xs, keys.view(float)))
+
+
+# y, y + 1, -y and -y - 1 as y * sign + shift (adding -0.0 keeps a -0.0)
+_SIGNS, _SHIFTS = np.array([[[1.0], [1.0], [-1.0], [-1.0]], [[-0.0], [1.0], [-0.0], [-1.0]]])
 
 
 @dataclass
@@ -178,65 +202,97 @@ class KernelDecomposition:
     R: float
     n = 1
 
+    def __post_init__(self):  # c1..c4 = _k1 psi(x, .) at _nodes - _k2 psi at their partners
+        R = self.R
+        self._nodes = (R + 1.0, R, -R, -R - 1.0)
+        self._k1, self._k2 = np.array([[R + 1.0, R + 1.0, R, R], [R + 2.0, R, R - 1.0, R + 1.0]])
+
     def tails(self, x):
         """(c1, c2, c3, c4) at x in A."""
         return self.residual(x, ())[0]
 
+    @_quiet
     def residual(self, x, ys):
         """The tails (c1, c2, c3, c4) at x in A and [psi_tilde(x, y) for y in
         ys], psi less the tails' four hinge multiples, which is 0 beyond |y| =
-        R + 1e-12; psi(x, .) is read as one row, at R + 1, R, -R, -R - 1 and
-        the ys within."""
-        x = float(x)
-        if edge_split(x, x, *self.A)[1] or math.isnan(x):
-            raise OutsideA(f"{x} outside decomposition interval {self.A}")
-        R, cut = self.R, self.R + 1e-12
-        p_hi, p_r, p_mr, p_lo, *psi = self.kernel.row(
-            x, [R + 1.0, R, -R, -R - 1.0] + [y for y in ys if not abs(y) > cut])
-        c1, c2, c3, c4 = tails = ((R + 1.0) * p_hi - (R + 2.0) * p_r,
-                                  (R + 1.0) * p_r - R * p_hi,
-                                  R * p_mr - (R - 1.0) * p_lo,
-                                  R * p_lo - (R + 1.0) * p_mr)
-        psi = iter(psi)
-        res = [next(psi) - (c1 * max(y, 0.0) + c2 * max(y + 1.0, 0.0) + c3 * max(-y, 0.0)
-                            + c4 * max(-y - 1.0, 0.0)) if not abs(y) > cut else 0.0 for y in ys]
-        return tails, res
+        R + 1e-12; psi is read at R + 1, R, -R, -R - 1 and the ys within."""
+        cut = self.R + 1e-12
+        Y = [[*self._nodes, *(y for y in ys if not abs(y) > cut)]]
+        C, res = self._split(np.array([float(x)]), np.array(Y))
+        res = iter(res[0].tolist())
+        return tuple(C[0].tolist()), [0.0 if abs(y) > cut else next(res) for y in ys]
+
+    def _split(self, X, Y):
+        """The tails c1..c4 at the floats X as the columns of C, and psi_tilde
+        at (X[i], Y[i, j >= 4]), from one table of psi at Y (one row, or one
+        per x) whose first columns are the nodes; run under ``_quiet``."""
+        lo, hi = self.A
+        out = ~((X >= lo - EDGE_TOL) & (X <= hi + EDGE_TOL))  # edge_split's exterior, or nan
+        if out.any():
+            raise OutsideA(f"{X[out.argmax()]} outside decomposition interval {self.A}")
+        psi = self.kernel.table(X, Y)
+        C = self._k1 * psi[:, :4] - self._k2 * psi.take([1, 0, 3, 2], axis=1)
+        H = Y[:, None, 4:] * _SIGNS + _SHIFTS
+        # c1 y_+ + c2 (y + 1)_+ + c3 (-y)_+ + c4 (-y - 1)_+, summed left to right
+        S = np.cumsum(C[:, :, None] * np.where(0.0 > H, 0.0, H), axis=1)
+        return C, psi[:, 4:] - S[:, 3]
+
+    @_quiet
+    def _pairs(self, X, fs):
+        """The operator at the pairs (fs[i], X[i]), or (f, X[i]) for fs = [f]:
+        (c1 + c3) f(0) + (c2 + c4) f(-1), then psi_tilde * jump kink by kink, in
+        padded rows read at their own kink counts. psi_tilde = 0 beyond R adds
+        +0.0, which is the same wherever it falls, so it is added last."""
+        cut, rows = self.R + 1e-12, []
+        for f in fs:  # the kinks within R form one run of the sorted positions
+            m = _kinks(f)
+            i, j = bisect_left(m.positions, -cut), bisect_right(m.positions, cut)
+            rows.append((f(0.0), f(-1.0), -0.0 if j - i == len(m) else 0.0,
+                         m.positions[i:j], m.weights[i:j]))
+        k = [len(r[3]) for r in rows]
+        pad = (0.0,) * max(k)
+        D = np.array([(*r[:3], *self._nodes, *r[3], *pad[c:], *r[4], *pad[c:])
+                      for r, c in zip(rows, k)])
+        C, res = self._split(X, D[:, 3:7 + len(pad)])
+        head = (C[:, :1] + C[:, 2:3]) * D[:, :1] + (C[:, 1:2] + C[:, 3:]) * D[:, 1:2]
+        total = np.cumsum(np.concatenate([head, res * D[:, 7 + len(pad):]], axis=1), axis=1)
+        return total[np.arange(len(X)), k] + D[:, 2]
 
     def eval_many(self, f, X):
         """The operator at the rows of a (k, 1) array, the kinks of f found once."""
-        xs, ma = _finite_pwl(f, X=X).tolist(), _kinks(f)
-        return np.array([self._value(f, x, ma) for x in xs])
+        return self._pairs(_finite_pwl(f, X=X), [f])
 
-    def _value(self, f, x, ma):
-        (c1, c2, c3, c4), res = self.residual(x, ma.positions)
-        total = (c1 + c3) * f(0.0) + (c2 + c4) * f(-1.0)
-        for r, w in zip(res, ma.weights):
-            total += r * w  # the residual is 0 beyond R, and 0 * w keeps the sign of zero
-        return total
-
-    def kernel_row(self, x, ys):
-        """[self(pwl_hinge(y), x) for y in ys], from one unit kink at each y."""
-        y = np.asarray(ys, dtype=float)
-        (c1, c2, c3, c4), res = self.residual(x, y.tolist())
-        return (c1 + c3) * hinge_values(y, 0.0) + (c2 + c4) * hinge_values(y, -1.0) + res
+    @_quiet
+    def kernel_table(self, X, ys):
+        """[[self(pwl_hinge(y), x) for y in ys] for x in X], from one unit
+        kink at each y."""
+        Y = np.atleast_2d(np.asarray(ys, dtype=float))
+        read = ~(abs(Y) > self.R + 1e-12)
+        C, res = self._split(X, np.concatenate(
+            [np.broadcast_to(self._nodes, (len(Y), 4)), np.where(read, Y, 0.0)], axis=1))
+        return ((C[:, :1] + C[:, 2:3]) * hinge_values(Y, 0.0)
+                + (C[:, 1:2] + C[:, 3:]) * hinge_values(Y, -1.0) + np.where(read, res, 0.0))
 
     def __call__(self, f, x):
         return kernel_endo_eval(self, f, x)
 
 
-def _first_bend(rows):
-    """The first (label, dev) among ``rows`` of (label, samples) pairs with a
-    non-finite sample (dev nan) or a largest second difference dev above 1e-8
-    times the samples' magnitude (at least 1); None when every row is affine.
-    A generator of rows is sampled only up to the first bend."""
-    for label, vals in rows:
-        v = np.asarray(vals, dtype=float)
-        if not np.isfinite(v).all():
-            return label, math.nan
-        dev = float(np.max(np.abs(v[2:] - 2.0 * v[1:-1] + v[:-2]))) if v.size > 2 else 0.0
-        if dev > 1e-8 * max(1.0, float(np.max(np.abs(v)))):
-            return label, dev
-    return None
+def _first_bend(labels, rows):
+    """(label, dev) of the first row of a table of samples with a non-finite
+    sample (dev nan) or a largest second difference dev above 1e-8 times the
+    row's magnitude (at least 1); None when every row is affine."""
+    v = np.asarray(rows, dtype=float)
+    finite = np.isfinite(v).all(axis=1)
+    w = np.where(finite[:, None], v, 0.0)
+    dev = np.abs(w[:, 2:] - 2.0 * w[:, 1:-1] + w[:, :-2]).max(axis=1, initial=0.0)
+    bent = ~finite | (dev > 1e-8 * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0)))
+    i = bent.argmax()
+    return (labels[i], float(dev[i]) if finite[i] else math.nan) if bent[i] else None
+
+
+def _tail_rows(psi, xs, ys):
+    """psi(x, ys) for each x, then psi(x, -ys) for each x, from one table."""
+    return np.concatenate(np.split(psi.table(xs, np.concatenate([ys, -ys])), 2, axis=1))
 
 
 def kernel_decompose(psi, A, R):
@@ -244,28 +300,29 @@ def kernel_decompose(psi, A, R):
 
     Checks that psi(x, .) is affine beyond +-R for x in A (second
     differences of samples on [R, R+1] and [-R-1, -R]) and that
-    psi(., y) is affine on A for |y| > R. R must be at least 1 so that the
-    four hinge multiples reproduce affine tails exactly.
+    psi(., y) is affine on A for |y| > R. A must be finite and R finite and
+    at least 1, so that the four hinge multiples reproduce affine tails exactly.
     """
     a_lo, a_hi = (float(A[0]), float(A[1]))
     R = float(R)
-    if not R >= 1.0:
-        raise BadShape("decomposition radius must be >= 1")
+    if not 1.0 <= R < INF:
+        raise BadShape("decomposition radius must be >= 1 and finite")
+    if not (math.isfinite(a_lo) and math.isfinite(a_hi)):
+        raise BadShape("decomposition interval A must be finite")
     x_lo, x_hi, y_lo, y_hi = psi.box
     if not (a_lo >= x_lo - 1e-9 and a_hi <= x_hi + 1e-9):
         raise BadShape("A leaves the kernel's validity box")
     if -(R + 1.0) < y_lo - 1e-9 or (R + 1.0) > y_hi + 1e-9:
         raise BadShape("R + 1 leaves the kernel's validity box")
 
-    xs = np.linspace(a_lo, a_hi, 21)
-    ys = np.linspace(R, R + 1.0, 13)
-    bend = _first_bend((((x, sign * R), psi.row(x, sign * ys))
-                        for sign in (+1.0, -1.0) for x in xs))
+    xs = np.linspace(a_lo, a_hi, 21).tolist()
+    bend = _first_bend([(x, sign * R) for sign in (+1.0, -1.0) for x in xs],
+                       _tail_rows(psi, xs, np.linspace(R, R + 1.0, 13)))
     if bend:
         (x, edge), dev = bend
         raise TailNotAffine(f"psi({x}, .) bends beyond {edge}: second difference {dev}")
     ys = np.concatenate([sign * np.linspace(R + 1e-6, R + 1.0, 5) for sign in (+1.0, -1.0)])
-    bend = _first_bend(zip(ys, np.array([psi.row(x, ys) for x in xs]).T))
+    bend = _first_bend(ys.tolist(), psi.table(xs, ys).T)
     if bend:
         y, dev = bend
         raise XSliceNotAffine(f"psi(., {y}) is not affine on A: second difference {dev}")
@@ -275,27 +332,21 @@ def kernel_decompose(psi, A, R):
 
 def kernel_endo_eval(d, f, x):
     """Apply the decomposed operator to a finite piecewise-linear input."""
-    return d._value(f, _finite_pwl(f, x), _kinks(f))
-
-
-def _hinge_row(endo):
-    """endo's ``kernel_row``, or one call of endo per hinge."""
-    return getattr(endo, "kernel_row", None) or (lambda x, ys: [endo(pwl_hinge(y), x) for y in ys])
+    return float(d._pairs(np.array([_finite_pwl(f, x)]), [f])[0])
 
 
 def kernel_extract(endo, xs, ys):
-    """Tabulate psi(x, y) = endo((y - .)_+)[x] on a grid kernel, one row per x."""
+    """Tabulate psi(x, y) = endo((y - .)_+)[x] on a grid kernel, in one table."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    row = _hinge_row(endo)
-    return Kernel1D.from_grid(xs, ys, np.reshape([row(x, ys) for x in xs.tolist()],
-                                                 (xs.size, ys.size)))
+    values = kernel_extract_live(endo, (-INF, INF, -INF, INF))._table(xs, ys)
+    return Kernel1D.from_grid(xs, ys, np.reshape(values, (xs.size, ys.size)))
 
 
 def kernel_extract_live(endo, box):
-    """Operator-backed kernel evaluated exactly on demand (no grid)."""
-    psi = Kernel1D(None, box)
-    psi._row = _hinge_row(endo)
+    """Operator-backed kernel: endo's ``kernel_table``, else one call per hinge."""
+    psi = Kernel1D(lambda x, y: endo(pwl_hinge(y), x), box)
+    psi._table = getattr(endo, "kernel_table", psi._table)
     return psi
 
 
@@ -303,28 +354,15 @@ def detect_tail_radius(psi, A, start=1.0):
     """Scan doubling radii until the tails stay affine for several octaves.
 
     Returns the first radius of a run of eight doublings on which psi(x, .)
-    is affine on [R, 2R] and [-2R, -R] for sampled x in A.
+    is affine on [R, 2R] and [-2R, -R] for sampled x in A, one table per radius.
     """
-    xs = np.linspace(float(A[0]), float(A[1]), 9)
-    y_hi = psi.box[3]
-    run_start = None
-    run = 0
-    R = float(start)
-    while 2.0 * R <= y_hi + 1e-9:
-        ys = np.linspace(R, 2.0 * R, 9)
-        if _first_bend(((x, psi.row(x, sign * ys))
-                        for sign in (+1.0, -1.0) for x in xs)) is None:
-            if run == 0:
-                run_start = R
-            run += 1
-            if run >= 8:
-                return run_start
-        else:
-            run = 0
-            run_start = None
+    xs, R, run = np.linspace(float(A[0]), float(A[1]), 9), float(start), []
+    while 2.0 * R <= psi.box[3] + 1e-9 and len(run) < 8:
+        rows = _tail_rows(psi, xs, np.linspace(R, 2.0 * R, 9))
+        run = run + [R] if _first_bend(range(len(rows)), rows) is None else []
         R *= 2.0
-    if run_start is not None:
-        return run_start
+    if run:
+        return run[0]
     raise TailNotAffine("no affine tail radius found inside the validity box")
 
 
@@ -376,15 +414,16 @@ class PhiEndo:
         # the two terms can overflow apart: then integrate f - f(0) itself
         return value if abs(value) < INF else _trapezoids(f, -a, a, f0)
 
-    def kernel_row(self, t, ys):
-        """[self(pwl_hinge(y), t) for y in ys]: only the trapezoid from -a is not 0."""
+    def kernel_table(self, T, ys):
+        """[[self(pwl_hinge(y), t) for y in ys] for t in T]: only the trapezoid
+        from -a is not 0, a the half width at t, where 0 < a < inf (b = a)."""
         y = np.asarray(ys, dtype=float)
-        a = self._half_width(t)
-        if not 0.0 < a < INF:
-            return np.full(y.shape, INF if a == INF else 0.0)
-        q = np.where((-a < y) & (y < a), y, a)
-        return (0.5 * (hinge_values(y, -a) + hinge_values(y, q)) * (q + a)
-                - 2.0 * a * hinge_values(y, 0.0))
+        a = np.array([self._half_width(t) for t in T.tolist()])[:, None]
+        b = np.where((0.0 < a) & (a < INF), a, 1.0)
+        q = np.where((-b < y) & (y < b), y, b)
+        row = (0.5 * (hinge_values(y, -b) + hinge_values(y, q)) * (q + b)
+               - 2.0 * b * hinge_values(y, 0.0))
+        return np.where(b == a, row, np.where(a == INF, INF, 0.0))
 
     def as_endomap(self):
         return self
@@ -467,10 +506,13 @@ class MaEndo:
     def eval_many(self, f, X):
         return self.g.eval_many(_finite_pwl(f, X=X)) * self._total(f)
 
-    def kernel_row(self, x, ys):
-        """[self(pwl_hinge(y), x) for y in ys]: g(x) zeta(|y|) on |y| <= radius."""
-        z = [self.zeta(abs(y)) if abs(y) <= self.support_radius else 0.0 for y in map(float, ys)]
-        return self.g(float(x)) * (0.0 + np.array(z, dtype=float))  # 0.0 + as in _total
+    def kernel_table(self, X, ys):
+        """[[self(pwl_hinge(y), x) for y in ys] for x in X]: g(x) zeta(|y|) on
+        |y| <= radius, g read once per x and zeta once per y."""
+        y = np.asarray(ys, dtype=float)
+        z = [self.zeta(abs(v)) if abs(v) <= self.support_radius else 0.0 for v in y.flat]
+        g = np.array([self.g(x) for x in X.tolist()])[:, None]
+        return g * (0.0 + np.array(z, dtype=float).reshape(y.shape))  # 0.0 + as in _total
 
     def as_endomap(self):
         return self

@@ -174,6 +174,7 @@ def endo_from_json(d):
         if psi.get("kind") != "grid":
             raise BadShape("kernel psi supports only the 'grid' form")
         k = Kernel1D.from_grid(psi["xs"], psi["ys"], psi["values"])
+        k.require_x_convex()
         a_lo, a_hi = (float(a) for a in d["A"])
         R = float(d["R"])
     # decomposing is computation, not parsing: its errors pass through

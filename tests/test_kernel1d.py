@@ -13,6 +13,7 @@ from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasur
                       kernel_extract_live, kernel_is_monotone, monge_ampere,
                       pwl_abs, pwl_hinge, pwl_indicator, pwl_integral, pwl_linear)
 from convendo.cli import main
+from convendo.errors import KernelNotConvex
 from convendo.extreal import EDGE_TOL
 
 
@@ -139,7 +140,7 @@ def test_decompose_rejects_non_finite_samples():
         kernel_decompose(k, (-1, 1), 2.0)
     # one +inf sample: its second differences, +-inf, are not above tol * inf
     for row in ([0.0, INF, 2.0, 3.0], [INF] * 4, [1.0, float("nan"), 1.0]):
-        label, dev = kernel1d._first_bend([("affine", [0.0, 1.0, 2.0, 3.0]), ("bad", row)])
+        label, dev = kernel1d._first_bend(["affine", "bad"], [np.arange(len(row)), row])
         assert label == "bad" and math.isnan(dev)
 
 
@@ -209,9 +210,10 @@ def test_grid_kernel_bilinear_between_nodes():
 def test_kernel_x_convexity_certificate():
     xs = np.linspace(-1, 1, 9)
     ys = np.linspace(-3, 3, 13)
-    assert hinge_kernel().is_x_convex(xs, ys)
-    concave = Kernel1D(lambda x, y: -x * x * max(y, 0.0), (-1, 1, -4, 4))
-    assert not concave.is_x_convex(xs, ys)
+    X, Y = xs[:, None], ys[None, :]
+    Kernel1D.from_grid(xs, ys, np.maximum(Y - X, 0.0) - np.maximum(Y, 0.0)).require_x_convex()
+    with pytest.raises(KernelNotConvex):
+        Kernel1D.from_grid(xs, ys, -X * X * np.maximum(Y, 0.0)).require_x_convex()
 
 
 def test_kernel_monotonicity_predicates():
@@ -703,8 +705,13 @@ def test_monge_ampere_refuses_an_overflowing_jump_as_validated_measure():
 # -- kernel rows against one operator call per hinge -----------------------------
 
 def _per_hinge(op, x, ys):
-    """The oracle of ``op.kernel_row``: one operator call on each hinge."""
+    """The oracle of a row of ``op.kernel_table``: one operator call on each hinge."""
     return [op(pwl_hinge(y), x) for y in ys]
+
+
+def _row(op, x, ys):
+    """The row of ``op.kernel_table`` at x."""
+    return op.kernel_table(np.array([float(x)]), np.asarray(ys, dtype=float))[0]
 
 
 def _hexes(values):
@@ -727,8 +734,8 @@ def test_gl_and_scale_compose_rows_match_the_hinge_oracle(x):
     m = ScaleComposeMap(2.0, -1.5, 1)
     # atoms whose s x lands on y, and mu x
     ys = ROW_YS + [s * x for s in e.nu.positions] + [-1.5 * x]
-    assert _hexes(e.kernel_row(x, ys)) == _hexes(_per_hinge(e, x, ys))
-    assert _hexes(m.kernel_row(x, ys)) == _hexes(_per_hinge(m, x, ys))
+    assert _hexes(_row(e, x, ys)) == _hexes(_per_hinge(e, x, ys))
+    assert _hexes(_row(m, x, ys)) == _hexes(_per_hinge(m, x, ys))
 
 
 @pytest.mark.parametrize("phi", [
@@ -743,7 +750,7 @@ def test_phi_rows_match_the_hinge_oracle(phi, t):
     # the boundary, +inf outside the truncated domain)
     a = pe._half_width(t)
     ys = ROW_YS + ([a, -a, np.nextafter(a, 0.0), -np.nextafter(a, 0.0)] if a < INF else [])
-    row = pe.kernel_row(t, ys)
+    row = _row(pe, t, ys)
     assert _hexes(row) == _hexes(_per_hinge(pe, t, ys))
     if phi.slope_left == -INF and abs(t) > 1.0 + 1e-10:
         assert (row == INF).all()
@@ -755,7 +762,7 @@ def test_ma_rows_match_the_hinge_oracle(x):
     # a weight that is not 0 at the radius, so that the cut |y| <= 1.2 shows
     ma = MaEndo(g, lambda u: 0.5 + u * u, 1.2)
     ys = ROW_YS + [1.2, -1.2, np.nextafter(1.2, 2.0), -np.nextafter(1.2, 2.0)]
-    assert _hexes(ma.kernel_row(x, ys)) == _hexes(_per_hinge(ma, x, ys))
+    assert _hexes(_row(ma, x, ys)) == _hexes(_per_hinge(ma, x, ys))
 
 
 @pytest.mark.parametrize("make", ["grid", "live"])
@@ -770,7 +777,7 @@ def test_decomposition_rows_match_the_hinge_oracle(make, x):
     R = d.R
     # kinks at the 1e-12 cut: +-R +- 5e-13 are read, +-R +- 2e-12 are not
     ys = ROW_YS + [s * R + e for s in (1.0, -1.0) for e in (0.0, 5e-13, -5e-13, 2e-12, -2e-12)]
-    assert _hexes(d.kernel_row(x, ys)) == _hexes(_per_hinge(d, x, ys))
+    assert _hexes(_row(d, x, ys)) == _hexes(_per_hinge(d, x, ys))
 
 
 def test_decomposition_row_outside_A_raises_as_the_hinge_oracle():
@@ -778,7 +785,7 @@ def test_decomposition_row_outside_A_raises_as_the_hinge_oracle():
     with pytest.raises(OutsideA) as want:
         _per_hinge(d, 1.5, [0.5])
     with pytest.raises(OutsideA) as got:
-        d.kernel_row(1.5, [0.5])
+        _row(d, 1.5, [0.5])
     assert str(got.value) == str(want.value)
 
 
@@ -807,7 +814,7 @@ def test_gl_kernel_of_more_dimensions_is_refused_as_before():
         with pytest.raises(BadShape) as want:
             op(pwl_hinge(1.0), 0.0)
         with pytest.raises(BadShape) as got:
-            op.kernel_row(0.0, [1.0])
+            _row(op, 0.0, [1.0])
         assert str(got.value) == str(want.value)
 
 
