@@ -38,7 +38,7 @@ from .expr import as_point_block
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT, edge_split
 from .measures import LineMeasure
 from .probes import is_convex_block
-from .pwl import PwlFunction, _quiet, _reader, hinge_values, is_even, pwl_hinge
+from .pwl import PwlFunction, _arrays, _quiet, _read, _slopes, hinge_values, is_even, pwl_hinge
 
 
 def _finite_pwl(f, x=0.0, X=None):
@@ -66,37 +66,36 @@ def monge_ampere(f):
     return _kinks(f)
 
 
+@_quiet
 def _kinks(f):
     """``monge_ampere`` of a checked f; only a jump that overflowed is refused."""
-    seq = f.slope_sequence()
-    pos, wts = [], []
-    for b, m1, m2 in zip(f.breakpoints, seq, seq[1:]):
-        jump = m2 - m1
-        if jump > 0.0:
-            pos.append(b)
-            wts.append(jump)
+    b, _, seq = _arrays(f)
+    jump = seq[1:] - seq[:-1]
+    kink = jump > 0.0
+    wts = jump[kink].tolist()
     if INF in wts:
         raise BadShape("atom positions and weights must be finite")
-    return LineMeasure._exact(tuple(pos), tuple(wts))
+    return LineMeasure._exact(tuple(b[kink].tolist()), tuple(wts))
 
 
 def pwl_integral(f, lo, hi):
     """Exact integral of a PwlFunction over [lo, hi] inside its domain."""
-    if hi < lo:
-        raise BadShape("empty integration interval")
+    if not lo <= hi:
+        raise BadShape("empty or nan integration interval")
     dlo, dhi = f.domain
     if lo < dlo - 1e-12 or hi > dhi + 1e-12:
         raise InfiniteSlope("integration interval leaves the domain")
     return _trapezoids(f, lo, hi, 0.0)
 
 
+@_quiet
 def _trapezoids(f, lo, hi, c):
-    """The trapezoid sum of f - c over lo, the breakpoints inside and hi."""
-    pts = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
-    total = 0.0
-    for p, q in zip(pts, pts[1:]):
-        total += 0.5 * ((f(p) - c) + (f(q) - c)) * (q - p)
-    return total
+    """The trapezoid sum of f - c over lo <= hi (no nan), the breakpoints inside and hi."""
+    bp = f.breakpoints
+    pts = np.concatenate(([lo], _arrays(f)[0][bisect_right(bp, lo):bisect_left(bp, hi)], [hi]))
+    y = _read(f, pts) - c
+    terms = 0.5 * (y[:-1] + y[1:]) * (pts[1:] - pts[:-1])
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])  # np.cumsum, unwrapped
 
 
 class Kernel1D:
@@ -469,8 +468,7 @@ def example_phi_convexity_certificate(phi, f, grid, tol=1e-8):
     ddphi = (pp - 2.0 * a + pm) / (h * h)
     dphi = (pp - pm) / (2.0 * h)
     fa, fb, f0 = np.split(f.eval_many(np.concatenate((a, -a, [0.0]))), [a.size, 2 * a.size])
-    T = _reader(f)  # f'(a) is the right slope, row 4 at the count of keys <= a
-    da, db = np.split(T[4].take(T[0].searchsorted(np.concatenate((a, -a)), "right")), 2)
+    da, db = np.split(_slopes(f, np.concatenate((a, -a)), "right"), 2)  # f'(a), right slopes
     return PhiConvexityReport(grid=grid[1:-1], term_curvature=ddphi * (fa + fb - 2.0 * f0),
                               term_slopes=dphi * dphi * (da - db), tol=tol)
 

@@ -8,14 +8,13 @@ intervals, half-lines and all of the real line are representable domains.
 The algebra (add, max, scale), the Legendre transform and inf-convolution are
 closed on this class, exact up to float rounding, and each is a few numpy
 passes doing the float operations of a point-by-point walk, so outputs keep
-their bits. One table read (``_reader`` and ``_read``) serves ``eval_many``,
-``pwl_add`` and ``pwl_max``, which take each input's slope on an interval of
-their merged grid just left of its upper end; ``pwl_max`` adds no tail
-crossing beyond the float range, where the function above at the end point
-keeps the tail. ``legendre`` reads its slope groups (its docstring gives the
-envelope of its 1e-12). Only chained runs of points merged within MERGE_TOL
-are walked point by point. Fields stay tuples of Python floats, which keep
-``repr`` and the scalar ``__call__``. The Moreau envelope returns a callable.
+their bits. The constructor builds the fields, tuples of Python floats for
+``repr`` and the scalar ``__call__``, and one read-only table, laid out in this
+module only, that the array passes read. ``pwl_add`` and ``pwl_max`` take each
+input's slope on an interval of their merged grid just left of its upper end,
+and ``pwl_max`` adds no tail crossing beyond the float range. ``legendre`` reads
+its slope groups (its docstring gives the envelope of its 1e-12). Only chained
+runs of points merged within MERGE_TOL are walked point by point.
 
 The constructor validates its data; explicit ``slopes`` must agree with the
 values. The operations build their outputs with ``PwlFunction._from_op``,
@@ -27,6 +26,7 @@ so no tolerance in the values' own scale tells the two apart.
 
 import bisect
 import math
+import struct
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class PwlFunction:
         |m| max(|b1|, |b2|)), or BadShape is raised.
     """
 
-    __slots__ = ("breakpoints", "values", "slope_left", "slope_right", "slopes")
+    __slots__ = ("breakpoints", "values", "slope_left", "slope_right", "slopes", "_table")
 
     def __init__(self, breakpoints, values, slope_left, slope_right, slopes=None):
         self._setup(breakpoints, values, slope_left, slope_right, slopes, True)
@@ -154,6 +154,19 @@ class PwlFunction:
         self.slopes = tuple(sq)
         self.slope_left = slope_left
         self.slope_right = slope_right
+        # The table, five rows joined as bytes (read-only, two numpy calls). Row 0: the
+        # breakpoints, the float after the last and nan (sorted after inf): the count r
+        # of keys <= x tells the left tail (0), the pieces, the last breakpoint (k) and
+        # the right tail apart. Rows 1-3: at r, the breakpoint, value and slope x is read
+        # from, -0.0 as the slope at the last breakpoint and as a last breakpoint 0, so
+        # v + -0.0 * (x - b) is v at x = +-0 too. Row 4: the slope right of x.
+        last, sl, sr, pack = bl[-1], slope_left, slope_right, struct.pack
+        self._table = np.frombuffer(b"".join((
+            bp.tobytes(), pack("3d", math.nextafter(last, INF), math.nan, bl[0]),
+            bp[:-1].tobytes(), pack("3d", last or -0.0, last, va[0]),
+            va.tobytes(), pack("2d", va[-1], sl),
+            s.tobytes(), pack("3d", -0.0, sr, sl),
+            s.tobytes(), pack("2d", sr, sr)))).reshape(5, -1)
 
     # -- basic queries ------------------------------------------------------
 
@@ -182,7 +195,7 @@ class PwlFunction:
         xs = np.asarray(xs, dtype=float)
         if np.isnan(xs).any():
             raise BadShape("cannot evaluate at nan")
-        return _read(_reader(self), xs)
+        return _read(self, xs)
 
     def slope_on(self, x):
         """Slope of the piece whose interior contains x (tails included); a
@@ -259,7 +272,8 @@ def is_even(p):
     """
     if p.slope_left != -p.slope_right:
         return False
-    u, v = p.eval_many(p.breakpoints), p.eval_many(np.negative(p.breakpoints))
+    b = _arrays(p)[0]
+    u, v = _read(p, b), _read(p, -b)
     tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(u)), np.abs(v))
     return bool(np.all((u == v) | ((np.abs(u - v) <= tol) & (tol < INF))))
 
@@ -276,32 +290,23 @@ def _common_grid(f, g):
         raise EmptyDomain("domains are disjoint")
     fb, gb = f.breakpoints, g.breakpoints
     # a finite lo or hi is already a breakpoint; of equal points f's sort first
-    pts = np.array(fb[bisect.bisect_left(fb, lo):bisect.bisect_right(fb, hi)]
-                   + gb[bisect.bisect_left(gb, lo):bisect.bisect_right(gb, hi)], float)
+    pts = np.concatenate((f._table[0, bisect.bisect_left(fb, lo):bisect.bisect_right(fb, hi)],
+                          g._table[0, bisect.bisect_left(gb, lo):bisect.bisect_right(gb, hi)]))
     pts.sort(kind="stable")
     keep = _kept(pts, pts[1:] - pts[:-1])
     return lo, hi, pts if keep is None else pts[keep]
 
 
-def _reader(f):
-    """f's data as five rows of one array. Row 0: the breakpoints, the float
-    after the last and nan, which numpy sorts after inf, so that the count r
-    of keys <= x tells the left tail (0), the pieces (1 .. k - 1), the last
-    breakpoint (k) and the right tail (k + 1) apart, x = +-inf included.
-    Rows 1-3: at r, the breakpoint, value and slope x is read from: at the
-    last breakpoint slope -0.0, and -0.0 for a last breakpoint 0, so that
-    v + -0.0 * (x - b) is v for x = +-0 too. Row 4: the slope right of x."""
-    bp, va, ms = f.breakpoints, f.values, f.slopes
-    sl, sr, last = f.slope_left, f.slope_right, bp[-1]
-    return np.array([*bp, math.nextafter(last, INF), math.nan, bp[0], *bp[:-1], last or -0.0,
-                     last, va[0], *va, va[-1], sl, *ms, -0.0, sr, sl, *ms, sr, sr],
-                    float).reshape(5, -1)
+def _arrays(f):
+    """f's breakpoints, values and slope sequence, read-only views of its table."""
+    T, k = f._table, len(f.breakpoints)
+    return T[0, :k], T[2, 1:k + 1], T[4, :k + 1]
 
 
-def _read(T, x):
-    """The function whose table is T (see ``_reader``) at the points x, none
-    of them nan, bit for bit as ``_line`` reads each: an infinite x - b is
-    taken in halves, or gives v on a flat piece."""
+def _read(f, x):
+    """f at the points x, none of them nan, bit for bit as ``_line`` reads
+    each: an infinite x - b is taken in halves, or gives v on a flat piece."""
+    T = f._table
     R = T[1:4].take(T[0].searchsorted(x, "right"), axis=1)
     d = x - R[0]
     out = R[1] + R[2] * d
@@ -311,11 +316,10 @@ def _read(T, x):
     return out
 
 
-def _open_slopes(T, pts):
-    """The slope of the function whose table is T on each interval between
-    neighbouring pts, read just left of its upper end: that of the last
-    piece where a breakpoint was merged away inside the interval."""
-    return T[4].take(T[0].searchsorted(pts[1:], "left"))
+def _slopes(f, x, side):
+    """f's slope just right of each point of x (no nan), or left for side "left"."""
+    T = f._table
+    return T[4].take(T[0].searchsorted(x, side))
 
 
 @_quiet
@@ -325,21 +329,21 @@ def pwl_add(f, g):
     Both inputs are read at the merged breakpoints by a fixed number of
     array passes, O(k log k) in the total breakpoint count k."""
     lo, hi, pts = _common_grid(f, g)
-    tf, tg = _reader(f), _reader(g)
-    slopes = _open_slopes(tf, pts) + _open_slopes(tg, pts)
+    slopes = _slopes(f, pts[1:], "left") + _slopes(g, pts[1:], "left")
     sl = -INF if lo > -INF else f.slope_left + g.slope_left
     sr = INF if hi < INF else f.slope_right + g.slope_right
-    return PwlFunction._from_op(pts, _read(tf, pts) + _read(tg, pts), sl, sr, slopes)
+    return PwlFunction._from_op(pts, _read(f, pts) + _read(g, pts), sl, sr, slopes)
 
 
+@_quiet
 def pwl_scale(lam, f):
     """lam * f for lam >= 0; lam == 0 keeps the domain (0 * inf = inf)."""
     lam = float(lam)
     if lam < 0:
         raise NegativeScale("scale factor must be >= 0")
     sl, sr = (m if abs(m) == INF else lam * m for m in (f.slope_left, f.slope_right))
-    return PwlFunction._from_op(f.breakpoints, [lam * v for v in f.values], sl, sr,
-                                [lam * m for m in f.slopes])
+    b, v, seq = _arrays(f)
+    return PwlFunction._from_op(b, lam * v, sl, sr, lam * seq[1:-1])
 
 
 @_quiet
@@ -349,8 +353,7 @@ def pwl_max(f, g):
     Read by array passes like ``pwl_add``; the upper function on each
     interval is the one at least as large at its midpoint."""
     lo, hi, pts = _common_grid(f, g)
-    tf, tg = _reader(f), _reader(g)
-    diff = _read(tf, pts) - _read(tg, pts)
+    diff = _read(f, pts) - _read(g, pts)
 
     # both functions are linear between neighbouring points of pts
     sg = np.sign(diff)
@@ -358,7 +361,7 @@ def pwl_max(f, g):
     a, b, da, db = pts[:-1][c], pts[1:][c], diff[:-1][c], diff[1:][c]
     x = a + da * (b - a) / (da - db)
     if not abs(x.sum()) < INF:  # a width, da * (b - a) or da - db overflows
-        m = (_open_slopes(tf, pts) - _open_slopes(tg, pts))[c]
+        m = (_slopes(f, pts[1:], "left") - _slopes(g, pts[1:], "left"))[c]
         halves, end = 2.0 * (a / 2 + da / (da - db) * (b / 2 - a / 2)), a - da / m
         x = np.where(abs(x) < INF, x, np.where(abs(da - db) < INF, halves,
                                                np.where(abs(da) < INF, end, b - db / m)))
@@ -383,8 +386,8 @@ def pwl_max(f, g):
     # both read at the points, then at the midpoints, for the upper function
     k = full.size
     x = np.concatenate((full, full[:-1] * 0.5 + full[1:] * 0.5))
-    vf, vg = _read(tf, x), _read(tg, x)
-    slopes = np.where(vf[k:] >= vg[k:], _open_slopes(tf, full), _open_slopes(tg, full))
+    vf, vg = _read(f, x), _read(g, x)
+    slopes = np.where(vf[k:] >= vg[k:], _slopes(f, full[1:], "left"), _slopes(g, full[1:], "left"))
     return PwlFunction._from_op(full, np.where(vg[:k] > vf[:k], vg[:k], vf[:k]), sl, sr, slopes)
 
 
@@ -409,18 +412,17 @@ def legendre(f):
     that decrease times the span of the breakpoints (3.4e-10 measured).
     """
     bp, va, seq = f.breakpoints, f.values, f.slope_sequence()
-    k = len(bp)
     # the finite slopes: infinite ones are -inf before them or +inf after them
-    j0, j1 = seq.count(-INF), k + 1 - seq.count(INF)
+    j0, j1 = seq.count(-INF), len(seq) - seq.count(INF)
     if j0 == j1:  # a point indicator: the conjugate is bp[0]*y - v0
         return PwlFunction([0.0], [-va[0]], bp[0], bp[0])
-    ys = np.array(seq[j0:j1])
+    b, v, ys = _arrays(f)
+    ys = ys[j0:j1]
     keep = _kept(ys, ys[1:] - ys[:-1])
     firsts = np.arange(j0, j1) if keep is None else keep.nonzero()[0] + j0
     lasts = np.append(firsts[1:] - 1, j1 - 1)
     ys = ys if keep is None else ys[keep]
-    b, v = np.array(bp), np.array(va)
-    lo, hi = np.maximum(firsts - 1, 0), np.minimum(lasts, k - 1)
+    lo, hi = np.maximum(firsts - 1, 0), np.minimum(lasts, b.size - 1)
     vals = b[lo] * ys - v[lo]
     for step in range(1, int((hi - lo).max()) + 1):
         q = np.minimum(lo + step, hi)

@@ -11,7 +11,8 @@ from convendo import (INF, BadShape, GlEndo, InfiniteSlope, Kernel1D, LineMeasur
                       example_phi_convexity_certificate, gl_eval_detailed, hat_weight,
                       kernel_decompose, kernel_endo_eval, kernel_extract,
                       kernel_extract_live, kernel_is_monotone, monge_ampere,
-                      pwl_abs, pwl_hinge, pwl_indicator, pwl_integral, pwl_linear)
+                      pwl_abs, pwl_hinge, pwl_indicator, pwl_integral, pwl_linear,
+                      pwl_scale)
 from convendo.cli import main
 from convendo.errors import KernelNotConvex
 from convendo.extreal import EDGE_TOL
@@ -491,6 +492,9 @@ def test_pwl_integral_exact():
     assert pwl_integral(f, 0.0, 1.0) == pytest.approx(0.5)
     g = PwlFunction([-1.0, 1.0], [1.0, 1.0], -2.0, 3.0)
     assert pwl_integral(g, -1.0, 1.0) == pytest.approx(2.0)
+    for lo, hi in ((1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(BadShape):
+            pwl_integral(f, lo, hi)
 
 
 # -- tail coefficients once per point -------------------------------------------------
@@ -864,3 +868,37 @@ def test_kernel_extract_calls_no_operator_on_a_hinge(tmp_path, monkeypatch):
         assert main(["kernel", "extract", "--endo", str(path), "--grid-x=-1:1:0.25",
                      "--grid-y=-3:3:0.5", "--out", str(tmp_path / f"{i}.csv")]) == 0
     assert calls == []
+
+
+# -- trapezoid sums against the point-by-point loop -----------------------------------
+
+def _trapezoids_loop(f, lo, hi, c):
+    """The trapezoid sum of f - c read point by point and added left to right:
+    the reference of ``kernel1d._trapezoids``."""
+    pts = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
+    total = 0.0
+    for p, q in zip(pts, pts[1:]):
+        total += 0.5 * ((f(p) - c) + (f(q) - c)) * (q - p)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trapezoids_match_the_scalar_loop_bit_for_bit(seed):
+    # values scaled up to 1e306 make terms and partial sums overflow, to inf
+    # and to nan where infinities of both signs meet
+    rng = np.random.default_rng(seed)
+    fs = [pwl_linear(0.0, -0.0), PwlFunction([-1.0, 1.0], [1e308, 1e308], -1e300, 1e300)]
+    for _ in range(60):
+        f = _kinked(rng, int(rng.integers(1, 12)), 3.0)
+        for scale in (1.0, 1e300, 1e306):
+            try:
+                fs.append(pwl_scale(scale, f))
+            except BadShape:
+                pass
+    for f in fs:
+        for _ in range(12):
+            lo, hi = sorted(rng.uniform(-4.0, 4.0, size=2).tolist())
+            lo = float(rng.choice([lo, f.breakpoints[0], hi]))
+            for c in (0.0, f(0.0), -f(hi)):
+                got, want = kernel1d._trapezoids(f, lo, hi, c), _trapezoids_loop(f, lo, hi, c)
+                assert type(got) is float and got.hex() == want.hex()

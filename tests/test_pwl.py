@@ -12,7 +12,7 @@ from convendo import (INF, BadShape, ConvendoError, EmptyDomain, NegativeScale, 
                       PwlFunction, inf_convolve, legendre, moreau_envelope,
                       pwl_abs, pwl_add, pwl_indicator, pwl_linear, pwl_max, pwl_scale)
 from convendo.extreal import MERGE_TOL
-from convendo.pwl import is_even
+from convendo.pwl import _arrays, is_even
 from convendo.rand import random_convex_pwl, random_finite_pwl, rng_from_seed
 
 import exact_pwl
@@ -1036,3 +1036,62 @@ def test_random_convex_pwl_draws_as_the_loops_drew(max_breaks):
             want = _outcome(_random_convex_pwl_loop, a, max_breaks, tails)
             assert _outcome(random_convex_pwl, b, max_breaks, tails) == want
     assert a.random() == b.random()
+
+
+# -- the table each function holds ----------------------------------------------
+
+def _reader_ref(f):
+    """f's table rebuilt from its tuples: the formula the array reads were
+    first written against (the layout is documented in ``PwlFunction._setup``)."""
+    bp, va, ms = f.breakpoints, f.values, f.slopes
+    sl, sr, last = f.slope_left, f.slope_right, bp[-1]
+    return np.array([*bp, math.nextafter(last, INF), math.nan, bp[0], *bp[:-1], last or -0.0,
+                     last, va[0], *va, va[-1], sl, *ms, -0.0, sr, sl, *ms, sr, sr],
+                    float).reshape(5, -1)
+
+
+def test_table_matches_the_tuple_formula_on_every_construction_path():
+    made = {
+        "validating": PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -2.0, 3.0),
+        "validating, slopes given": PwlFunction([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], -2.0, 2.0,
+                                                slopes=[-1.0, 1.0]),
+        "merge": PwlFunction([0.0, 1e-13, 1.0], [1.0, 2.0, 3.0], -1.0, 5.0),
+        "secant in halves": PwlFunction([-1e308, 1e308], [0.0, 1.0], -1.0, 1.0),
+        "point indicator": pwl_indicator(0.5, 0.5),
+        "last breakpoint +0.0": PwlFunction([-1.0, 0.0], [1.0, 0.0], -2.0, 1.0),
+        "last breakpoint -0.0": PwlFunction([-1.0, -0.0], [1.0, 0.0], -2.0, 1.0),
+        "one breakpoint -0.0": PwlFunction([-0.0], [-0.0], -1.0, 1.0),
+        "truncated left": PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -INF, 3.0),
+        "truncated right": PwlFunction([0.1, 0.7, 1.3], [0.3, -0.2, 0.9], -2.0, INF),
+        "truncated both": PwlFunction([-0.5, 0.0], [1.0, -0.0], -INF, INF),
+    }
+    assert made["merge"].breakpoints == (0.0, 1.0)
+    assert made["secant in halves"].slopes[0] > 0.0
+    rng = rng_from_seed(27)
+    draws = [random_convex_pwl(rng) for _ in range(30)] + list(made.values())
+    for f, g in zip(draws, draws[1:] + draws[:1]):
+        for name, op in (("pwl_add", lambda: pwl_add(f, g)), ("pwl_max", lambda: pwl_max(f, g)),
+                         ("pwl_scale", lambda: pwl_scale(2.5, f)),
+                         ("zero scale", lambda: pwl_scale(0.0, f)),
+                         ("legendre", lambda: legendre(f)),
+                         ("inf_convolve", lambda: inf_convolve(f, g))):
+            try:
+                made[f"{name} {len(made)}"] = op()
+            except ConvendoError:
+                pass
+    for name, f in made.items():
+        want = _reader_ref(f)
+        assert f._table.shape == want.shape, name
+        assert f._table.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+
+def test_table_is_a_read_only_copy():
+    bp, va = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 1.0])
+    f = PwlFunction(bp, va, -2.0, 2.0)
+    bp[0], va[0] = -5.0, 7.0
+    assert f._table.view(np.int64).tolist() == _reader_ref(f).view(np.int64).tolist()
+    with pytest.raises(ValueError):
+        f._table[0, 0] = 1.0
+    for row in _arrays(f):
+        with pytest.raises(ValueError):
+            row[0] = 1.0

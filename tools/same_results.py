@@ -85,7 +85,8 @@ def _stdout(argv):
 
 def _hexed(obj):
     """obj with every float written by ``float.hex``: containers and arrays
-    element by element, other objects field by field, errors by message."""
+    element by element, other objects field by field (of the slots, only the
+    public ones, so that a private slot is no output), errors by message."""
     if isinstance(obj, float):
         return obj.hex()
     if isinstance(obj, (bool, int, str)) or obj is None:
@@ -98,7 +99,8 @@ def _hexed(obj):
         return [_hexed(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _hexed(v) for k, v in obj.items()}
-    fields = getattr(type(obj), "__slots__", None) or sorted(vars(obj))
+    slots = getattr(type(obj), "__slots__", None)
+    fields = [name for name in slots if name[0] != "_"] if slots else sorted(vars(obj))
     return {type(obj).__name__: {name: _hexed(getattr(obj, name)) for name in fields}}
 
 
