@@ -116,7 +116,7 @@ def gl_eval_detailed(e, f, x):
         t = vals[-6:]
         report.update(radial_values=vals.tolist(), tail_monotone=bool(
             (t[1:] >= t[:-1] - 1e-9).all() or (t[1:] <= t[:-1] + 1e-9).all()))
-    return float(value[0]), report
+    return float(operator_output(value, X)[0]), report
 
 
 def _block_values(e, f, X, f0):

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rand
 from .errors import (BadShape, InfiniteSlope, KernelNotConvex, OutsideA, PhiNegative,
                      PhiNotEven, TailNotAffine, XSliceNotAffine)
-from .expr import as_point_block
+from .expr import BLOCK, as_point_block, row_blocks
 from .extreal import EDGE_TOL, INF, RADIAL_LIMIT, edge_split
 from .measures import LineMeasure
 from .probes import is_convex_block
@@ -304,8 +305,9 @@ def kernel_decompose(psi, A, R):
     """
     a_lo, a_hi = (float(A[0]), float(A[1]))
     R = float(R)
-    if not 1.0 <= R < INF:
-        raise BadShape("decomposition radius must be >= 1 and finite")
+    if not (1.0 <= R and R - 1.0 < R < R + 1.0 < R + 2.0):  # the tail nodes stay apart
+        raise BadShape("decomposition radius must be >= 1 and finite, with "
+                       "R - 1 < R < R + 1 < R + 2")
     if not (math.isfinite(a_lo) and math.isfinite(a_hi)):
         raise BadShape("decomposition interval A must be finite")
     x_lo, x_hi, y_lo, y_hi = psi.box
@@ -334,10 +336,25 @@ def kernel_endo_eval(d, f, x):
     return float(d._pairs(np.array([_finite_pwl(f, x)]), [f])[0])
 
 
+def kernel_roundtrip_trials(d, op, rng, trials):
+    """(|d(f, x) - op(f, x)|, f, x) for ``trials`` draws of a random finite pwl f, then a
+    uniform x in d.A, in draw order: d read BLOCK pairs at a time, op once per trial."""
+    for block in row_blocks(trials, BLOCK):
+        fs, xs = zip(*[(rand.random_finite_pwl(rng), float(rng.uniform(*d.A)))
+                       for _ in range(block.start, block.stop)])
+        for g, f, x in zip(d._pairs(np.array(xs), fs).tolist(), fs, xs):
+            yield abs(g - op(f, x)), f, x
+
+
 def kernel_extract(endo, xs, ys):
     """Tabulate psi(x, y) = endo((y - .)_+)[x] on a grid kernel, in one table."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if isinstance(endo, KernelDecomposition):  # its kernel holds only in its box
+        x_lo, x_hi, y_lo, y_hi = endo.kernel.box
+        if (xs.min(initial=INF) < x_lo - 1e-9 or xs.max(initial=-INF) > x_hi + 1e-9
+                or ys.min(initial=INF) < y_lo - 1e-9 or ys.max(initial=-INF) > y_hi + 1e-9):
+            raise BadShape("extraction grid leaves the kernel's validity box")
     values = kernel_extract_live(endo, (-INF, INF, -INF, INF))._table(xs, ys)
     return Kernel1D.from_grid(xs, ys, np.reshape(values, (xs.size, ys.size)))
 
@@ -484,12 +501,14 @@ class MaEndo:
 
     def __init__(self, g, zeta, support_radius):
         _finite_pwl(g)
-        for u in np.linspace(0.0, float(support_radius), 33):
+        self.support_radius = float(support_radius)
+        if not 0.0 <= self.support_radius < INF:
+            raise BadShape("support radius must be finite and >= 0")
+        for u in np.linspace(0.0, self.support_radius, 33):
             if zeta(u) < -1e-12:
                 raise BadShape("zeta must be non-negative")
         self.g = g
         self.zeta = zeta
-        self.support_radius = float(support_radius)
 
     def _total(self, f):
         total = 0.0
@@ -519,8 +538,8 @@ class MaEndo:
 def hat_weight(radius):
     """The tent weight u -> max(0, 1 - u / radius) on [0, radius], with its JSON ``descriptor``."""
     radius = float(radius)
-    if not radius > 0:
-        raise BadShape("hat radius must be positive")
+    if not 0.0 < radius < INF:
+        raise BadShape("hat radius must be positive and finite")
 
     def hat(u):
         return max(0.0, 1.0 - abs(u) / radius)

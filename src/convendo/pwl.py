@@ -460,6 +460,8 @@ def moreau_envelope(f, t):
         pieces.append((bp[-1], INF, f.slope_right, bp[-1], va[-1]))
 
     def env(x):
+        if x != x:
+            raise BadShape("cannot evaluate at nan")
         best = min(v + (x - b) ** 2 / (2.0 * t) for b, v in zip(bp, va))
         for lo, hi, m, banchor, vanchor in pieces:
             y = x - t * m

@@ -105,12 +105,14 @@ class RadialEndo:
         """The operator at every row x of a (k, n) array, summing f(||x|| R_x p)
         over the quadrature nodes p; +inf where a sample is +inf.
 
-        ``rotations`` (k, n, n) overrides the canonical R_x (each must still
-        take e1 to x / ||x||); the value does not depend on the override beyond
-        quadrature resolution, which is the orbit-invariance of the measure.
+        ``rotations`` (k, n, n) overrides the canonical R_x (each must be orthonormal
+        and take e1 to x / ||x||, else BadShape); the value does not depend on the
+        override beyond quadrature resolution, the orbit-invariance of the measure.
         """
         n = self.n
         f, X, f0 = operator_input(f, X, n)
+        if rotations is not None:
+            rotations = _checked_rotations(rotations, X)
         nodes, weights = self.quadrature  # every weight is positive
         out = np.full(len(X), f0 * orbit_total_mass(self.mu))
         idx = np.flatnonzero(X.any(axis=1))
@@ -123,6 +125,20 @@ class RadialEndo:
             # each row summed left to right from 0.0, a running total over the nodes
             out[i] = np.cumsum(np.column_stack([np.zeros(len(i)), V * weights]), axis=1)[:, -1]
         return operator_output(out, X)
+
+
+def _checked_rotations(R, X):
+    """An override of the canonical rotations of the rows of X, refused unless it
+    is (k, n, n), orthonormal and takes e1 to x / ||x|| at each nonzero x, within 1e-12."""
+    R, (k, n) = np.asarray(R, dtype=float), X.shape
+    if R.shape != (k, n, n):
+        raise BadShape(f"rotations have shape {R.shape}, the points want {(k, n, n)}")
+    i = np.flatnonzero(X.any(axis=1))
+    off = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(n)).max(initial=0.0)
+    miss = np.abs(R[i, :, 0] - X[i] / norms(X[i])[:, None]).max(initial=0.0)
+    if not (off <= 1e-12 and miss <= 1e-12):
+        raise BadShape("a rotation must be orthonormal and take e1 to x / ||x||")
+    return R
 
 
 def radial_eval(e, f, x, rotation=None):

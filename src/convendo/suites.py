@@ -20,7 +20,8 @@ from .fixtures import (gw_bases_1d, gw_bases_nd, probe_lines, radial_hat_parts,
 from .gl import (GlEndo, ScaleComposeMap, gl_empirical_monotone_search,
                  gl_is_dually_translation_invariant, gl_is_monotone)
 from .kernel1d import (Kernel1D, MaEndo, PhiEndo, hat_weight, kernel_decompose,
-                       kernel_extract_live, kernel_is_monotone, monge_ampere)
+                       kernel_extract_live, kernel_is_monotone, kernel_roundtrip_trials,
+                       monge_ampere)
 from .measures import LineMeasure, OrbitMeasure, line_measure_add, orbit_total_mass
 from .probes import epi_converges_probe, gw_probe, is_convex_block
 from .pwl import (PwlFunction, inf_convolve, legendre, moreau_envelope,
@@ -507,14 +508,9 @@ def run_kernel_suite(seed=0, trials=100):
     n_rt = max(1, trials // 10)
 
     # extraction, decomposition and re-evaluation reproduce each family
-    def round_trip_errors():
-        for name, em, d in decomps:
-            for _ in range(n_rt):
-                f = rand.random_finite_pwl(rng)
-                x = float(rng.uniform(-1.0, 1.0))
-                yield (abs(d(f, x) - em(f, x)),
-                       lambda: {"endo": name, "f": fn_to_json(f), "x": x})
-    rep.worst("kernel_round_trip", 1e-6, len(decomps) * n_rt, round_trip_errors())
+    rep.worst("kernel_round_trip", 1e-6, len(decomps) * n_rt, (
+        (dev, lambda: {"endo": name, "f": fn_to_json(f), "x": x})
+        for name, em, d in decomps for dev, f, x in kernel_roundtrip_trials(d, em, rng, n_rt)))
 
     n_gauge = max(1, trials // 10)
     base = Kernel1D(lambda x, y: max(y - x, 0.0) - max(y, 0.0), (-1, 1, -5, 5))
@@ -529,11 +525,8 @@ def run_kernel_suite(seed=0, trials=100):
                     max(y - x, 0.0) - max(y, 0.0) + (al + be * x) + (ga + de * x) * y,
                 (-1, 1, -5, 5))
             d2 = kernel_decompose(shifted, (-1, 1), 2.0)
-            for _ in range(5):
-                f = rand.random_finite_pwl(rng)
-                x = float(rng.uniform(-1.0, 1.0))
-                yield (abs(d1(f, x) - d2(f, x)),
-                       lambda: {"gauge": [al, be, ga, de], "f": fn_to_json(f), "x": x})
+            for dev, f, x in kernel_roundtrip_trials(d2, d1, rng, 5):
+                yield dev, lambda: {"gauge": [al, be, ga, de], "f": fn_to_json(f), "x": x}
     rep.worst("kernel_gauge_freedom", 1e-9, 5 * n_gauge, gauge_errors())
 
     # probe pairing equals the residual-weighted jump sum

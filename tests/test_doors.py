@@ -12,7 +12,7 @@ import convendo
 from convendo import (Affine, BadShape, ConvendoError, DimensionMismatch, GlEndo, LineMeasure,
                       MaEndo, Norm, OrbitMeasure, PhiEndo, Quad, RadialEndo, ScaleComposeMap,
                       canonical_rotation, gl_eval_detailed, hat_weight, kernel_decompose,
-                      kernel_extract_live, pwl_abs)
+                      kernel_extract_live, moreau_envelope, pwl_abs, radial_eval)
 
 NAN = math.nan
 
@@ -127,3 +127,55 @@ def test_a_nan_value_at_a_nan_free_point_is_refused_naming_the_point(op, f, x):
         with pytest.raises(BadShape, match=r"cannot evaluate at \[1e\+308, -1e\+308"):
             with np.errstate(over="ignore", invalid="ignore"):
                 call()
+
+
+def test_gl_eval_detailed_refuses_a_nan_value_as_gl_eval_does():
+    e = GlEndo(0.0, LineMeasure([(2.0, 1.0), (-2.0, 1.0)]), 1)
+    for call in (lambda: gl_eval_detailed(e, Affine([1.0], 0.0), [1e308]),
+                 lambda: e(Affine([1.0], 0.0), [1e308])):
+        with pytest.raises(BadShape, match="a scaled point leaves the float range"):
+            call()
+
+
+@pytest.mark.parametrize("radius", [math.inf, NAN, 0.0, -1.0])
+def test_hat_weight_refuses_a_radius_not_positive_and_finite(radius):
+    with pytest.raises(BadShape, match="hat radius must be positive and finite"):
+        hat_weight(radius)
+
+
+def test_ma_endo_refuses_a_support_radius_not_finite_and_non_negative():
+    f = pwl_abs()
+    # g(1) zeta(0) times the jump 2 of |x| at 0, which a radius of 0 still covers
+    assert MaEndo(pwl_abs(), hat_weight(1.0), 1.0)(f, 1.0) == 2.0
+    assert MaEndo(pwl_abs(), hat_weight(1.0), 0.0)(f, 1.0) == 2.0
+    for r in (-1.0, NAN, math.inf):
+        with pytest.raises(BadShape, match="support radius must be finite and >= 0"):
+            MaEndo(pwl_abs(), hat_weight(1.0), r)
+
+
+def test_moreau_envelope_refuses_nan_like_every_evaluator():
+    env = moreau_envelope(pwl_abs(), 1.0)
+    assert env(0.25) == 0.03125
+    with pytest.raises(BadShape, match="^cannot evaluate at nan$"):
+        env(NAN)
+
+
+def test_a_rotation_override_is_checked_and_the_canonical_one_passes():
+    e, f, x = RadialEndo(OrbitMeasure(3, [(1.0, 0.0, 1.0)]), M=8), Quad(1.0), [1.0, 0.0, 0.0]
+    assert radial_eval(e, f, x) == 1.0
+    y = np.array([0.3, -0.4, 1.0])
+    base, th = canonical_rotation(y, 3), 0.7
+    q = np.eye(3)
+    q[1:, 1:] = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]  # fixes e1
+    assert radial_eval(e, f, y, rotation=base @ q) == pytest.approx(radial_eval(e, f, y), abs=1e-12)
+    X = np.array([y, [0.0, 0.0, 0.0]])
+    e.eval_many(f, X, rotations=np.stack([base, np.eye(3)]))  # a zero row's rotation is free
+    for bad in (2.0 * np.eye(3),  # not orthonormal: 4.0 at e1 where the value is 1.0
+                canonical_rotation([0.0, 1.0, 0.0], 3),  # takes e1 to e2, not to x
+                np.full((3, 3), NAN)):
+        with pytest.raises(BadShape, match="orthonormal and take e1 to x"):
+            radial_eval(e, f, x, rotation=bad)
+    with pytest.raises(BadShape, match=r"rotations have shape \(1, 2, 2\)"):
+        radial_eval(e, f, x, rotation=np.eye(2))
+    with pytest.raises(BadShape, match=r"rotations have shape \(1, 3, 3\)"):
+        e.eval_many(f, X, rotations=np.eye(3)[None])

@@ -17,13 +17,14 @@ import pytest
 
 from convendo import (INF, BadShape, GlEndo, Kernel1D, KernelNotConvex, LineMeasure, MaEndo,
                       OutsideA, PhiEndo, PwlFunction, ScaleComposeMap, TailNotAffine,
-                      XSliceNotAffine, kernel_decompose, kernel_endo_eval, kernel_extract_live,
-                      monge_ampere, pwl_hinge)
+                      XSliceNotAffine, kernel_decompose, kernel_endo_eval, kernel_extract,
+                      kernel_extract_live, monge_ampere, pwl_hinge)
 from convendo import cli, kernel1d
 from convendo.cli import main
 from convendo.extreal import edge_split
 from convendo.rand import random_finite_pwl, rng_from_seed
 from convendo.serialize import endo_from_json
+from convendo.suites import SuiteReport
 
 A, R, BOX = (-1.0, 1.0), 2.0, (-1.2, 1.2, -6.0, 6.0)
 
@@ -250,7 +251,7 @@ def _roundtrip_by_trial(endo, A, R, seed, trials):
      "zeta": {"kind": "hat", "radius": 1.0}},
 ], ids=["gl", "ma"])
 def test_batched_roundtrip_equals_the_trial_by_trial_loop(tmp_path, monkeypatch, block, desc):
-    monkeypatch.setattr(cli, "BLOCK", block)
+    monkeypatch.setattr(kernel1d, "BLOCK", block)
     path = tmp_path / "e.json"
     path.write_text(json.dumps(desc))
     out = tmp_path / "rt.json"
@@ -258,6 +259,80 @@ def test_batched_roundtrip_equals_the_trial_by_trial_loop(tmp_path, monkeypatch,
                  "--out", str(out)]) == 0
     got = json.loads(out.read_text())["max_deviation"]
     assert got.hex() == _roundtrip_by_trial(endo_from_json(desc), (-1.0, 1.0), 4.0, 5, 20).hex()
+
+
+def test_the_roundtrip_loop_draws_and_reads_like_the_trial_by_trial_loop(monkeypatch):
+    endo = endo_from_json(GL1)
+    d = kernel_decompose(kernel_extract_live(endo, (-1.2, 1.2, -8.0, 8.0)), (-1.0, 1.0), 4.0)
+    monkeypatch.setattr(kernel1d, "BLOCK", 3)  # 7 trials in blocks of 3, 3 and 1
+    rng, ref = rng_from_seed(2), rng_from_seed(2)
+    got = list(kernel1d.kernel_roundtrip_trials(d, endo, rng, 7))
+    for dev, f, x in got:
+        g, y = random_finite_pwl(ref), float(ref.uniform(-1.0, 1.0))
+        assert (repr(f), x) == (repr(g), y) and dev.hex() == abs(d(g, y) - endo(g, y)).hex()
+    assert rng.random() == ref.random()
+
+
+def test_kernel_decompose_refuses_a_radius_where_the_tail_nodes_collapse():
+    psi = kernel_extract_live(endo_from_json(GL1), (-1.2, 1.2, -INF, INF))
+    kernel_decompose(psi, A, 2.0 ** 52)
+    for R in (2.0 ** 53 - 1.0, 2.0 ** 53, 1e200, 1e308, INF, math.nan, 0.5):
+        with pytest.raises(BadShape, match="radius must be >= 1 and finite"):
+            kernel_decompose(psi, A, R)
+
+
+class _NanOn:
+    """GL1's operator, read through its kernel table, but ``value`` on the
+    calls numbered in ``calls`` (from 1)."""
+
+    n = 1
+
+    def __init__(self, calls, value=math.nan):
+        self.op, self.calls, self.value, self.count = endo_from_json(GL1), calls, value, 0
+        self.kernel_table = self.op.kernel_table
+
+    def __call__(self, f, x):
+        self.count += 1
+        return self.value if self.count in self.calls else self.op(f, x)
+
+
+def test_a_nan_deviation_is_the_worst_and_the_first_one_stays():
+    op = _NanOn({2, 4})
+    d = kernel_decompose(kernel_extract_live(op, (-1.2, 1.2, -8.0, 8.0)), (-1.0, 1.0), 4.0)
+    devs = [dev for dev, _, _ in kernel1d.kernel_roundtrip_trials(d, op, rng_from_seed(3), 5)]
+    assert [dev != dev for dev in devs] == [False, True, False, True, False]
+    rep = SuiteReport("kernel", 3)
+    rep.worst("roundtrip", 1e-9, 5, ((dev, lambda i=i: {"trial": i}) for i, dev in enumerate(devs)))
+    assert math.isnan(rep.results[0].max_error) and rep.results[0].counterexample == {"trial": 1}
+
+
+@pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf")])
+def test_the_cli_roundtrip_reports_a_non_finite_deviation_and_fails_tol(
+        tmp_path, capsys, monkeypatch, value, shown):
+    monkeypatch.setattr(cli, "endo_from_json", lambda desc: _NanOn({3}, value))
+    (tmp_path / "e.json").write_text(json.dumps(GL1))
+    out = tmp_path / "rt.json"
+    argv = ["kernel", "roundtrip", "--endo", str(tmp_path / "e.json"), "--trials", "5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert main(argv + ["--tol", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.count(f"max_deviation={shown}") == 2 and "exceeds --tol" in captured.err
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+    report = json.loads(out.read_text(), parse_constant=strict)
+    assert report == {"trials": 5, "seed": 0, "max_deviation": shown}
+
+
+def test_kernel_extract_refuses_a_grid_outside_a_decomposition_box():
+    d = endo_from_json(_concave_kernel() | {"psi": {"kind": "grid", "xs": [-1.0, 1.0],
+                                                    "ys": [-3.0, 3.0],
+                                                    "values": [[0.0, 0.0], [0.0, 0.0]]}})
+    kernel_extract(d, [-1.0, 1.0], [-3.0, 3.0])
+    for xs, ys in (([-1.0, 1.5], [-3.0, 3.0]), ([-1.0, 1.0], [-3.5, 3.0])):
+        with pytest.raises(BadShape, match="^extraction grid leaves the kernel's validity box$"):
+            kernel_extract(d, xs, ys)
 
 
 # -- refusals -----------------------------------------------------------------------------
@@ -306,7 +381,11 @@ GL1 = {"kind": "gl", "c": 0.5, "n": 1, "nu": {"atoms": [{"s": 1.0, "w": 1.0}]}}
     (["--A=-1:inf"], "interval A must be finite"),
     (["--A=nan:1"], "validity box is empty"),
     (["--trials", "-5"], "--trials must be non-negative"),
-], ids=["R-inf", "R-nan", "A-inf", "A-nan", "trials"])
+    # from R = 2^53 on, R + 1 == R and the tail solve reads nan
+    (["--R", "1e308", "--tol", "1e-9"], "R - 1 < R < R + 1 < R + 2"),
+    (["--R", "1e200", "--tol", "1e-9"], "R - 1 < R < R + 1 < R + 2"),
+    (["--R", "9007199254740991"], "R - 1 < R < R + 1 < R + 2"),  # 2^53 - 1: R + 2 == R + 1
+], ids=["R-inf", "R-nan", "A-inf", "A-nan", "trials", "R-1e308", "R-1e200", "R-2^53-1"])
 def test_roundtrip_refuses_bad_numeric_flags(tmp_path, capsys, argv, message):
     path = tmp_path / "e.json"
     path.write_text(json.dumps(GL1))

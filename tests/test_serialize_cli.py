@@ -585,6 +585,16 @@ def test_cli_eval_refuses_a_nan_value_at_a_finite_point(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_eval_refuses_an_infinite_hat_radius(tmp_path, capsys):
+    endo = _write(tmp_path, "e.json", {"kind": "ma_example", "g": PWL,
+                                       "zeta": {"kind": "hat", "radius": "inf"}})
+    fn = _write(tmp_path, "f.json", PWL)
+    out = tmp_path / "out.csv"
+    assert main(["eval", "--endo", endo, "--fn", fn, "--grid=-1:1:1", "--out", str(out)]) == 2
+    assert "hat radius must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fn, point, value", [
     ({"kind": "ball_indicator", "r": 1e200}, [2e200, 0.0], "inf"),
     ({"kind": "pwl1d", "direction": [1e-200, 0.0], "pwl": fn_to_json(pwl_abs())},
